@@ -1,7 +1,8 @@
 """Command-line surface: every library operation, machine-readable output.
 
 Exit codes: 0 = pass/success, 1 = verified failure, 2 = usage or domain
-error, 3 = search budget exhausted without a find. Every run emits one
+error, 3 = search budget exhausted without a find, 4 = internal error
+(an unexpected exception; its traceback goes to stderr). Every run emits one
 manifest (JSON, to --manifest or stderr) recording the arguments, seed,
 version, and a digest of the primary stdout output; `replay` re-runs a
 manifest and checks the digest, so primary outputs are byte-reproducible.
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -383,15 +385,12 @@ _HANDLERS = {
 def _dispatch(args) -> tuple[int, str]:
     try:
         return _HANDLERS[args.command](args)
-    except ColoringFormatError as exc:
+    except (ColoringFormatError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
+    except Exception:
+        traceback.print_exc()
+        return 4, ""
 
 
 def _manifest(args, argv: list[str], code: int, output: str, wall: float) -> RunManifest:

@@ -5,7 +5,11 @@ vertex set contains S; it is rainbow when no two of its edges share a
 color. A family of S-trees is internally disjoint when the trees are
 pairwise edge-disjoint and meet only in S. Everything here is exact and
 built for small instances: candidate trees are enumerated explicitly and
-maximum families are found by branch and bound over a conflict graph.
+the lexicographically least maximum family is found by one iterative
+branch and bound over their conflict graph, bounded by clique covers
+(trees sharing an edge, or an external vertex, pairwise conflict).
+Neither recursion depth nor the number of passes grows with the number
+of candidates.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -15,6 +19,7 @@ shrinking the search space drastically.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -287,18 +292,6 @@ def _check_terminals(terminals: VertexSet, n: int) -> None:
         raise ValueError(f"terminal {terminals.members[-1]} exceeds vertex count {n}")
 
 
-def _spanning_edge_sets(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All spanning trees of the complete graph on ``vertices``."""
-    m = len(vertices)
-    if m == 1:
-        yield ()
-        return
-    pairs = list(combinations(vertices, 2))
-    for subset in combinations(pairs, m - 1):
-        if _is_acyclic(vertices, subset):
-            yield subset
-
-
 def _rainbow_edge_set(edges: tuple[tuple[int, int], ...], mat) -> bool:
     seen = 0
     for u, v in edges:
@@ -309,12 +302,36 @@ def _rainbow_edge_set(edges: tuple[tuple[int, int], ...], mat) -> bool:
     return True
 
 
+def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> Iterator[tuple]:
+    """Rainbow spanning trees of K[vertices] with no leaf in ``extra``.
+
+    Cheap bitmask tests on each (m-1)-edge subset (distinct colors, every
+    vertex covered, every extra vertex of degree >= 2) run before the
+    union-find acyclicity test.
+    """
+    records = [((u, v), 1 << mat[u][v], 1 << u | 1 << v) for u, v in combinations(vertices, 2)]
+    covered = sum(1 << v for v in vertices)
+    branching = sum(1 << v for v in extra)
+    for subset in combinations(records, len(vertices) - 1):
+        colors = once = twice = 0
+        for _, color, ends in subset:
+            if colors & color:
+                break
+            colors |= color
+            twice |= once & ends
+            once |= ends
+        else:
+            if once == covered and not branching & ~twice:
+                edges = tuple(edge for edge, _, _ in subset)
+                if _is_acyclic(vertices, edges):
+                    yield edges
+
+
 def _internal_candidates(terminals: VertexSet, coloring: CompleteGraphColoring) -> list[STree]:
     mat = coloring.matrix
     out = []
-    for edges in _spanning_edge_sets(terminals.members):
-        if _rainbow_edge_set(edges, mat):
-            out.append(STree(frozenset(terminals.members), edges, terminals))
+    for edges in _rainbow_trees(terminals.members, (), mat):
+        out.append(STree(frozenset(terminals.members), edges, terminals))
     out.sort(key=lambda tr: (len(tr.edges), tr.edges))
     return out
 
@@ -331,20 +348,11 @@ def _star_candidates(terminals: VertexSet, coloring: CompleteGraphColoring) -> l
     return out
 
 
-def _comb(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
     total = 0
     for r in range(0, min(budget, n_external) + 1):
         m = k + r
-        total += _comb(n_external, r) * _comb(m * (m - 1) // 2, m - 1)
+        total += math.comb(n_external, r) * math.comb(m * (m - 1) // 2, m - 1)
     return total
 
 
@@ -369,18 +377,7 @@ def _full_candidates(
     for r in range(0, min(budget, len(externals)) + 1):
         for extra in combinations(externals, r):
             vertices = tuple(sorted(terminals.members + extra))
-            for edges in _spanning_edge_sets(vertices):
-                if not _rainbow_edge_set(edges, mat):
-                    continue
-                if r:
-                    deg = {v: 0 for v in extra}
-                    for u, v in edges:
-                        if u in deg:
-                            deg[u] += 1
-                        if v in deg:
-                            deg[v] += 1
-                    if any(d < 2 for d in deg.values()):
-                        continue  # external leaf: tree is not leaf-pruned
+            for edges in _rainbow_trees(vertices, extra, mat):
                 out.append(STree(terms | set(extra), edges, terminals))
     out.sort(key=lambda tr: (len(tr.edges), tr.edges))
     return out
@@ -389,62 +386,61 @@ def _full_candidates(
 # ---------------------------------------------------------------------------
 # Maximum packing by branch and bound
 
-def _conflict_free_masks(candidates: list[STree], terminal_members: tuple[int, ...]) -> list[int]:
-    """compat[i] = bitmask of candidates compatible with candidate i."""
-    terms = frozenset(terminal_members)
-    edge_sets = [frozenset(t.edges) for t in candidates]
-    ext_sets = [t.vertices - terms for t in candidates]
-    size = len(candidates)
-    compat = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if edge_sets[i] & edge_sets[j]:
-                continue
-            if ext_sets[i] & ext_sets[j]:
-                continue
-            compat[i] |= 1 << j
-            compat[j] |= 1 << i
-    return compat
-
-
-def _pack_max_size(avail: int, compat: list[int]) -> int:
-    best = 0
-
-    def dfs(mask: int, count: int) -> None:
-        nonlocal best
-        if count + mask.bit_count() <= best:
-            return
-        if mask == 0:
-            best = count
-            return
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        dfs(rest & compat[i], count + 1)
-        dfs(rest, count)
-
-    dfs(avail, 0)
-    return best
-
-
 def _max_packing(candidates: list[STree], terminals: VertexSet) -> list[int]:
-    """Indices of a maximum packing, lexicographically first in candidate order."""
-    if not candidates:
-        return []
-    compat = _conflict_free_masks(candidates, terminals.members)
-    full = (1 << len(candidates)) - 1
-    best = _pack_max_size(full, compat)
-    chosen: list[int] = []
-    avail = full
-    for i in range(len(candidates)):
+    """Indices of a maximum packing, lexicographically least in candidate order.
+
+    Compatibility masks are built from per-edge and per-external-vertex
+    owner bitmasks. An explicit-stack DFS takes the lowest available
+    candidate before skipping it, so it meets packings in lexicographic
+    order and the first maximum it keeps is the least one. A node is
+    bounded by the smaller of two clique covers, counted over classes with
+    an available candidate: trees sharing their first edge at s =
+    members[0] pairwise conflict (at most n-1 classes), and so do trees
+    sharing their least external vertex (internal trees keep their edge
+    class).
+    """
+    terms = frozenset(terminals.members)
+    s = terminals.members[0]
+    owners: dict = {}
+    by_edge: dict = {}
+    by_vertex: dict = {}
+    keys = []
+    for i, tree in enumerate(candidates):
         bit = 1 << i
-        if not avail & bit:
+        external = tuple(tree.vertices - terms)
+        own = tree.edges + external
+        keys.append(own)
+        for key in own:
+            owners[key] = owners.get(key, 0) | bit
+        first = next(e for e in tree.edges if s in e)
+        by_edge[first] = by_edge.get(first, 0) | bit
+        least = min(external) if external else first
+        by_vertex[least] = by_vertex.get(least, 0) | bit
+    full = (1 << len(candidates)) - 1
+    compat = []
+    for own in keys:
+        clash = 0
+        for key in own:
+            clash |= owners[key]
+        compat.append(full & ~clash)
+    edge_classes = list(by_edge.values())
+    vertex_classes = list(by_vertex.values())
+    best: tuple[int, ...] = ()
+    stack = [(full, best)]
+    while stack:
+        avail, chosen = stack.pop()
+        room = len(best) - len(chosen)
+        if (sum(map(bool, map(avail.__and__, edge_classes))) <= room
+                or sum(map(bool, map(avail.__and__, vertex_classes))) <= room):
             continue
-        higher = avail & compat[i] & ~((bit << 1) - 1)
-        if len(chosen) + 1 + _pack_max_size(higher, compat) >= best:
-            chosen.append(i)
-            avail &= compat[i]
-    return chosen
+        if not avail:
+            best = chosen
+            continue
+        low = avail & -avail
+        i = low.bit_length() - 1
+        stack.append((avail ^ low, chosen))
+        stack.append((avail & compat[i], chosen + (i,)))
+    return list(best)
 
 
 def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring) -> DisjointFamily:
@@ -468,8 +464,9 @@ def max_disjoint_rainbow_trees(
 ) -> tuple[int, DisjointFamily]:
     """Exact maximum internally disjoint rainbow family over the mode's candidates.
 
-    Returns the maximum cardinality together with a witness family,
-    deterministic via lexicographic tie-breaking on sorted edge lists.
+    Returns the maximum cardinality together with a witness family: the
+    lexicographically least maximum family when trees are ordered by edge
+    count, then by sorted edge list.
     """
     _check_terminals(terminals, coloring.n)
     if mode.kind == "star":

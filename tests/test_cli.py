@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from rainbowindex import cli
 from rainbowindex.cli import main
 from rainbowindex.colorings import CompleteGraphColoring, read_coloring, write_coloring
 
@@ -150,6 +151,17 @@ def test_oracle_budget_exceeded_is_usage_error(capsys, tmp_path):
     assert "candidate" in err
 
 
+def test_oracle_packs_thousands_of_candidates(capsys, tmp_path):
+    # 2,312 candidates once raised RecursionError, which exited 1
+    path = tmp_path / "k9.coloring"
+    import rainbowindex
+    write_coloring(rainbowindex.random_coloring(9, 9, rainbowindex.SeededStream(3)), path)
+    code, out, _ = run(capsys, "oracle", str(path), "-S", "1,2,3,4", "--budget", "3")
+    assert code == 0
+    doc = validate("oracle_report", out)
+    assert doc["max"] == len(doc["witness"])
+
+
 # --- tail -------------------------------------------------------------------
 
 def test_tail_report(capsys):
@@ -232,6 +244,23 @@ def test_replay_detects_drift(capsys, tmp_path):
     code, _, err = run(capsys, "replay", str(manifest))
     assert code == 1
     assert "DIFFERS" in err
+
+
+def test_unexpected_exception_exits_4_with_manifest(capsys, tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+    manifest = tmp_path / "run.json"
+    code, out, err = run(capsys, "--manifest", str(manifest), "bounds", "-k", "3", "-l", "2")
+    assert code == 4
+    assert out == ""
+    assert "RuntimeError: boom" in err
+    doc = validate("run_manifest", manifest.read_text())
+    assert doc["exit_code"] == 4
+    code, _, err = run(capsys, "replay", str(manifest))
+    assert code == 0
+    assert "exit 4" in err
 
 
 # --- repro ------------------------------------------------------------------

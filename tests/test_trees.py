@@ -226,24 +226,52 @@ def test_max_disjoint_monochromatic_is_zero():
     assert len(family) == 0
 
 
+# (n, t, seed, colorings, terminal sets) with budget 2; the K_6 cases give
+# up to about 100 candidates, where the clique-cover bound prunes.
+BRUTE_FORCE_CASES = [
+    (5, 3, 55, 25, [(1, 2, 3), (2, 3, 5), (1, 4, 5)]),
+    (6, 5, 56, 3, [(1, 2, 3), (2, 4, 6)]),
+    (6, 6, 57, 3, [(1, 2, 3, 4), (2, 3, 5, 6)]),
+]
+
+
 def test_max_disjoint_matches_brute_force():
-    stream = SeededStream(55)
-    for i in range(25):
-        coloring = random_coloring(5, 3, stream.substream(i))
-        for members in [(1, 2, 3), (2, 3, 5), (1, 4, 5)]:
-            S = VertexSet(members)
-            value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full(2))
-            candidates = brute_force_stree_candidates(coloring, S, max_external=2)
-            assert value == brute_force_max_disjoint(candidates, S)
-            assert len(family) == value
+    for n, t, seed, count, sets in BRUTE_FORCE_CASES:
+        stream = SeededStream(seed)
+        for i in range(count):
+            coloring = random_coloring(n, t, stream.substream(i))
+            for members in sets:
+                S = VertexSet(members)
+                value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full(2))
+                candidates = brute_force_stree_candidates(coloring, S, max_external=2)
+                assert value == brute_force_max_disjoint(candidates, S)
+                assert len(family) == value
+
+
+def test_full_oracle_packs_thousands_of_candidates():
+    # 2,312 candidates: past the depth a per-candidate recursion can reach
+    coloring = random_coloring(9, 9, SeededStream(3))
+    S = VertexSet.of(1, 2, 3, 4)
+    value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full(3))
+    star_value, _ = max_disjoint_rainbow_trees(S, coloring, OracleMode.star())
+    DisjointFamily(S, family.trees, coloring)  # re-validates the witness
+    assert value == len(family) >= star_value
 
 
 def test_witness_is_lexicographically_least_maximum(k4_example):
-    S = VertexSet.of(1, 2, 3)
-    value, family = max_disjoint_rainbow_trees(S, k4_example, OracleMode.full(1))
-    key = tuple(t.edges for t in family.trees)
+    stream = SeededStream(58)
+    instances = [(k4_example, 1)] + [
+        (random_coloring(6, 5, stream.substream(i)), 2) for i in range(3)]
+    for coloring, budget in instances:
+        _check_witness_is_least_maximum(coloring, VertexSet.of(1, 2, 3), budget)
+
+
+def _check_witness_is_least_maximum(coloring, S, budget):
+    value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full(budget))
+    # trees are ordered by edge count, then by sorted edge list
+    key = tuple((len(t.edges), t.edges) for t in family.trees)
     # enumerate every maximum family by brute force and compare keys
-    candidates = brute_force_stree_candidates(k4_example, S, max_external=1)
+    candidates = brute_force_stree_candidates(coloring, S, max_external=budget)
     candidates.sort(key=lambda t: (len(t.edges), t.edges))
     terms = set(S.members)
 
@@ -257,7 +285,7 @@ def test_witness_is_lexicographically_least_maximum(k4_example):
 
     def recurse(i, chosen):
         if len(chosen) == value:
-            best_keys.append(tuple(t.edges for t in chosen))
+            best_keys.append(tuple((len(t.edges), t.edges) for t in chosen))
             return
         if i == len(candidates):
             return
