@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .colorings import CompleteGraphColoring, color_degrees
-from .trees import VertexSet, rainbow_star_count
+from .trees import _rainbow_centers
 
 __all__ = [
     "BoundReport",
@@ -383,7 +383,7 @@ def expected_X_upper(coloring: CompleteGraphColoring) -> tuple[Fraction, Fractio
     for v in range(1, n + 1):
         d1, d2, d3 = table.row(v)
         product_sum += d1 * d2 * d3
-    star_sum = 0
-    for members in combinations(range(1, n + 1), 3):
-        star_sum += rainbow_star_count(VertexSet(members), coloring)
+    mat = coloring.matrix
+    star_sum = sum(len(_rainbow_centers(members, mat, n, n))
+                   for members in combinations(range(1, n + 1), 3))
     return 3 + Fraction(product_sum, triples), Fraction(star_sum, triples)

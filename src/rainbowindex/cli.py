@@ -264,8 +264,9 @@ def _cmd_tail(args) -> tuple[int, str]:
         "power_bound": float(cmp.power_bound),
         "anomaly": cmp.anomaly,
     }
-    if (args.n - args.k) * bounds.rainbow_star_prob(args.k) > args.ell - 1:
-        doc["chernoff_tail"] = montecarlo.chernoff_tail_bound(args.n, args.k, args.ell)
+    chernoff = montecarlo.tail_comparators(args.n, args.k, args.ell).get("chernoff_tail")
+    if chernoff is not None:
+        doc["chernoff_tail"] = chernoff
     return 0, json.dumps(doc, indent=2) + "\n"
 
 

@@ -14,12 +14,12 @@ across workers.
 
 from __future__ import annotations
 
-import io
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "enumerate_colorings",
     "enumeration_state_count",
     "format_coloring",
+    "parallel_map",
     "parse_coloring",
     "random_coloring",
     "read_coloring",
@@ -119,6 +120,15 @@ class SeededStream:
         """Fresh generator positioned at the start of this stream."""
         bitgen = np.random.Philox(counter=self.stream_index << _COUNTER_STRIDE_BITS, key=self.master_seed)
         return np.random.Generator(bitgen)
+
+
+def parallel_map(fn: Callable, jobs: Iterable, workers: int) -> Iterable:
+    """``map(fn, jobs)`` in job order: lazily in this process for one worker,
+    else on a pool of ``workers`` processes (``fn`` and the jobs must pickle)."""
+    if workers <= 1:
+        return map(fn, jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +391,6 @@ def write_coloring(coloring: CompleteGraphColoring, destination: str | Path | IO
 
 def read_coloring(source: str | Path | IO[str]) -> CompleteGraphColoring:
     """Parse a coloring from a path or open text stream."""
-    if isinstance(source, io.TextIOBase):
-        return parse_coloring(source.read())
-    if hasattr(source, "read") and not isinstance(source, (str, Path)):
+    if hasattr(source, "read"):
         return parse_coloring(source.read())
     return parse_coloring(Path(source).read_text())

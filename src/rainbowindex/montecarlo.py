@@ -17,7 +17,6 @@ scheduled across workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import binomial_tail_below, rainbow_star_prob, union_bound_failure
-from .colorings import CompleteGraphColoring, SeededStream, random_coloring
+from .colorings import CompleteGraphColoring, SeededStream, parallel_map, random_coloring
 from .trees import OracleMode, verify_coloring
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
     "estimate_AS_all",
     "estimate_BS",
     "empirical_threshold",
+    "tail_comparators",
     "wilson_interval",
 ]
 
@@ -138,13 +138,17 @@ def _summary(successes: int, samples: int, comparators: dict[str, float]) -> Tri
     return TrialSummary(successes, samples, successes / samples, lo, hi, comparators)
 
 
-def _bs_comparators(n: int, k: int, ell: int) -> dict[str, float]:
+def tail_comparators(n: int, k: int, ell: int) -> dict[str, float]:
+    """Exact star tail Pr[Binomial(n-k, p) <= ell-1], plus the Chernoff and
+    union bounds wherever they are defined (k >= 3, ell >= 1, and each
+    bound's own admissibility condition). Needs 2 <= k <= n."""
     p = rainbow_star_prob(k)
     out = {"exact_tail": float(binomial_tail_below(n - k, p, ell - 1))}
-    if ell >= 1 and n > k and (n - k) * p > ell - 1:
-        out["chernoff_tail"] = chernoff_tail_bound(n, k, ell)
-    if ell >= 1 and n >= k + ell:
-        out["union_bound_total"] = union_bound_failure(n, k, ell)
+    if k >= 3 and ell >= 1:
+        if (n - k) * p > ell - 1:
+            out["chernoff_tail"] = chernoff_tail_bound(n, k, ell)
+        if n >= k + ell:
+            out["union_bound_total"] = union_bound_failure(n, k, ell)
     return out
 
 
@@ -176,7 +180,7 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
         successes += int((counts <= ell - 1).sum())
         done += size
         chunk_index += 1
-    return _summary(successes, config.samples, _bs_comparators(n, k, ell))
+    return _summary(successes, config.samples, tail_comparators(n, k, ell))
 
 
 def _as_all_chunk(args) -> tuple[int, Optional[int]]:
@@ -207,21 +211,13 @@ def estimate_AS_all(
               for start in range(0, config.samples, CHUNK)]
     successes = 0
     first_success: Optional[int] = None
-    if workers <= 1:
-        results = map(_as_all_chunk, chunks)
-        for got, first in results:
-            successes += got
-            if first is not None and first_success is None:
-                first_success = first
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for got, first in pool.map(_as_all_chunk, chunks):
-                successes += got
-                if first is not None and first_success is None:
-                    first_success = first
+    for got, first in parallel_map(_as_all_chunk, chunks, workers):
+        successes += got
+        if first_success is None:
+            first_success = first
     comparators: dict[str, float] = {}
-    if config.ell >= 1 and config.n >= config.k + config.ell and config.k >= 3:
-        total = union_bound_failure(config.n, config.k, config.ell)
+    total = tail_comparators(config.n, config.k, config.ell).get("union_bound_total")
+    if total is not None:
         comparators["union_bound_total"] = total
         comparators["success_lower_bound"] = 1.0 - total
     witness = None
@@ -251,29 +247,25 @@ def empirical_threshold(
         raise ValueError("target must be in (0, 1]")
     rows: list[dict] = []
     found: Optional[int] = None
-    p = rainbow_star_prob(k) if k >= 2 else None
     for position, n in enumerate(n_range):
         if n < k:
             raise ValueError(f"range value n={n} below k={k}")
         config = TrialConfig(n=n, k=k, ell=ell, t=t, samples=samples,
                              seed=seed.substream(position), mode=OracleMode.star())
         summary, _ = estimate_AS_all(config, workers=workers)
-        row = {
+        # with no external vertex (n = k) a row reports no comparator
+        tails = tail_comparators(n, k, ell) if n > k else {}
+        rows.append({
             "n": n,
             "samples": summary.samples,
             "successes": summary.successes,
             "estimate": summary.point_estimate,
             "wilson_lo": summary.wilson_low,
             "wilson_hi": summary.wilson_high,
-            "exact_tail": float(binomial_tail_below(n - k, p, ell - 1)) if n > k else None,
-            "chernoff": None,
-            "union_bound": None,
-        }
-        if k >= 3 and n > k and (n - k) * p > ell - 1:
-            row["chernoff"] = chernoff_tail_bound(n, k, ell)
-        if k >= 3 and n >= k + ell and ell >= 1:
-            row["union_bound"] = union_bound_failure(n, k, ell)
-        rows.append(row)
+            "exact_tail": tails.get("exact_tail"),
+            "chernoff": tails.get("chernoff_tail"),
+            "union_bound": tails.get("union_bound_total"),
+        })
         if found is None and summary.wilson_low >= target:
             found = n
     return found, rows

@@ -26,9 +26,8 @@ from .colorings import (
 from .trees import (
     DEFAULT_CANDIDATE_CAP,
     OracleMode,
-    VertexSet,
-    _certificate_count_generic,
-    max_disjoint_rainbow_trees,
+    _kset_count,
+    max_disjoint_rainbow_trees,  # unused here; perfbench/tracing.py wraps it by this name
     verify_coloring,
 )
 
@@ -70,18 +69,8 @@ def _failing_sets(
     candidate_cap: int,
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on misses."""
-    misses = 0
-    for members in combinations(range(1, coloring.n + 1), k):
-        terminals = VertexSet(members)
-        if _certificate_count_generic(terminals, coloring, ell) >= ell:
-            continue
-        if mode.kind == "full":
-            count, _ = max_disjoint_rainbow_trees(
-                terminals, coloring, mode, candidate_cap=candidate_cap)
-            if count >= ell:
-                continue
-        misses += 1
-    return misses
+    return sum(_kset_count(members, coloring, ell, mode, False, candidate_cap) < ell
+               for members in combinations(range(1, coloring.n + 1), k))
 
 
 def find_coloring(

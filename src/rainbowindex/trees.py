@@ -15,18 +15,25 @@ Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
 leaf-pruned candidates never changes the maximum family size while
 shrinking the search space drastically.
+
+Whole-coloring verification and the local-search objective decide each
+k-set with one function: the star certificate (internal packing plus
+rainbow stars), then the exact oracle of the mode where the certificate
+falls short. Inner loops work on plain tuples, a k-set as its sorted
+members and a candidate tree as ``(edges, external vertices)``; the
+validated ``VertexSet``, ``STree`` and ``DisjointFamily`` objects are
+built at the public entry points and for the witness families returned.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
-from .colorings import BudgetExceededError, CompleteGraphColoring
+from .colorings import BudgetExceededError, CompleteGraphColoring, parallel_map
 
 __all__ = [
     "DisjointFamily",
@@ -197,24 +204,28 @@ def rainbow_star_count(terminals: VertexSet, coloring: CompleteGraphColoring) ->
     is a sound lower-bound certificate on the maximum family size.
     """
     _check_terminals(terminals, coloring.n)
-    mat = coloring.matrix
-    members = terminals.members
-    count = 0
-    for u in range(1, coloring.n + 1):
-        if u in terminals:
+    return len(_rainbow_centers(terminals.members, coloring.matrix, coloring.n, coloring.n))
+
+
+def _rainbow_centers(members: tuple[int, ...], mat, n: int, stop_at: int) -> list[int]:
+    """External centers whose star on ``members`` is rainbow, at most stop_at of them."""
+    centers = []
+    member_set = set(members)
+    for u in range(1, n + 1):
+        if u in member_set:
             continue
         row = mat[u]
         seen = 0
-        ok = True
         for v in members:
             bit = 1 << row[v]
             if seen & bit:
-                ok = False
                 break
             seen |= bit
-        if ok:
-            count += 1
-    return count
+        else:
+            centers.append(u)
+            if len(centers) >= stop_at:
+                break
+    return centers
 
 
 @dataclass(frozen=True)
@@ -292,16 +303,6 @@ def _check_terminals(terminals: VertexSet, n: int) -> None:
         raise ValueError(f"terminal {terminals.members[-1]} exceeds vertex count {n}")
 
 
-def _rainbow_edge_set(edges: tuple[tuple[int, int], ...], mat) -> bool:
-    seen = 0
-    for u, v in edges:
-        bit = 1 << mat[u][v]
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
-
-
 def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> Iterator[tuple]:
     """Rainbow spanning trees of K[vertices] with no leaf in ``extra``.
 
@@ -327,25 +328,19 @@ def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> It
                     yield edges
 
 
-def _internal_candidates(terminals: VertexSet, coloring: CompleteGraphColoring) -> list[STree]:
-    mat = coloring.matrix
-    out = []
-    for edges in _rainbow_trees(terminals.members, (), mat):
-        out.append(STree(frozenset(terminals.members), edges, terminals))
-    out.sort(key=lambda tr: (len(tr.edges), tr.edges))
-    return out
+def _tree_order(candidate: tuple) -> tuple:
+    edges = candidate[0]
+    return len(edges), edges
 
 
-def _star_candidates(terminals: VertexSet, coloring: CompleteGraphColoring) -> list[STree]:
-    mat = coloring.matrix
-    out = []
-    for u in range(1, coloring.n + 1):
-        if u in terminals:
-            continue
-        edges = _normalize_edges((u, v) for v in terminals)
-        if _rainbow_edge_set(edges, mat):
-            out.append(STree(frozenset(terminals.members) | {u}, edges, terminals))
-    return out
+def _internal_candidates(members: tuple[int, ...], mat) -> list[tuple]:
+    # combinations of sorted edges come out in lexicographic order already
+    return [(edges, ()) for edges in _rainbow_trees(members, (), mat)]
+
+
+def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
+    return [(_normalize_edges((u, v) for v in members), (u,))
+            for u in _rainbow_centers(members, mat, n, n)]
 
 
 def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
@@ -357,37 +352,30 @@ def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
 
 
 def _full_candidates(
-    terminals: VertexSet,
-    coloring: CompleteGraphColoring,
-    budget: int,
-    candidate_cap: int,
-) -> list[STree]:
-    k = terminals.k
-    n = coloring.n
-    externals = [v for v in range(1, n + 1) if v not in terminals]
-    work = _full_candidate_work(len(externals), k, budget)
+    members: tuple[int, ...], mat, n: int, budget: int, candidate_cap: int
+) -> list[tuple]:
+    externals = [v for v in range(1, n + 1) if v not in members]
+    work = _full_candidate_work(len(externals), len(members), budget)
     if work > candidate_cap:
         raise BudgetExceededError(
             f"full oracle would scan {work} candidate edge sets (cap {candidate_cap})",
             size=work,
         )
-    mat = coloring.matrix
-    terms = frozenset(terminals.members)
     out = []
     for r in range(0, min(budget, len(externals)) + 1):
         for extra in combinations(externals, r):
-            vertices = tuple(sorted(terminals.members + extra))
-            for edges in _rainbow_trees(vertices, extra, mat):
-                out.append(STree(terms | set(extra), edges, terminals))
-    out.sort(key=lambda tr: (len(tr.edges), tr.edges))
+            vertices = tuple(sorted(members + extra))
+            out.extend((edges, extra) for edges in _rainbow_trees(vertices, extra, mat))
+    out.sort(key=_tree_order)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Maximum packing by branch and bound
 
-def _max_packing(candidates: list[STree], terminals: VertexSet) -> list[int]:
-    """Indices of a maximum packing, lexicographically least in candidate order.
+def _max_packing(candidates: list[tuple], members: tuple[int, ...]) -> list[tuple]:
+    """A maximum packing of ``(edges, external)`` candidates, lexicographically
+    least in candidate order.
 
     Compatibility masks are built from per-edge and per-external-vertex
     owner bitmasks. An explicit-stack DFS takes the lowest available
@@ -399,22 +387,20 @@ def _max_packing(candidates: list[STree], terminals: VertexSet) -> list[int]:
     sharing their least external vertex (internal trees keep their edge
     class).
     """
-    terms = frozenset(terminals.members)
-    s = terminals.members[0]
+    s = members[0]
     owners: dict = {}
     by_edge: dict = {}
     by_vertex: dict = {}
     keys = []
-    for i, tree in enumerate(candidates):
+    for i, (edges, external) in enumerate(candidates):
         bit = 1 << i
-        external = tuple(tree.vertices - terms)
-        own = tree.edges + external
+        own = edges + external
         keys.append(own)
         for key in own:
             owners[key] = owners.get(key, 0) | bit
-        first = next(e for e in tree.edges if s in e)
+        first = next(e for e in edges if s in e)
         by_edge[first] = by_edge.get(first, 0) | bit
-        least = min(external) if external else first
+        least = external[0] if external else first
         by_vertex[least] = by_vertex.get(least, 0) | bit
     full = (1 << len(candidates)) - 1
     compat = []
@@ -440,7 +426,13 @@ def _max_packing(candidates: list[STree], terminals: VertexSet) -> list[int]:
         i = low.bit_length() - 1
         stack.append((avail ^ low, chosen))
         stack.append((avail & compat[i], chosen + (i,)))
-    return list(best)
+    return [candidates[i] for i in best]
+
+
+def _family(terminals: VertexSet, coloring: CompleteGraphColoring, chosen: list[tuple]) -> DisjointFamily:
+    members = terminals.members
+    trees = tuple(STree(frozenset(members + external), edges, terminals) for edges, external in chosen)
+    return DisjointFamily(terminals, trees, coloring)
 
 
 def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring) -> DisjointFamily:
@@ -450,9 +442,8 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     counting caps its size at floor(k/2).
     """
     _check_terminals(terminals, coloring.n)
-    candidates = _internal_candidates(terminals, coloring)
-    chosen = _max_packing(candidates, terminals)
-    return DisjointFamily(terminals, tuple(candidates[i] for i in chosen), coloring)
+    members = terminals.members
+    return _family(terminals, coloring, _max_packing(_internal_candidates(members, coloring.matrix), members))
 
 
 def max_disjoint_rainbow_trees(
@@ -469,14 +460,14 @@ def max_disjoint_rainbow_trees(
     count, then by sorted edge list.
     """
     _check_terminals(terminals, coloring.n)
+    members, mat, n = terminals.members, coloring.matrix, coloring.n
     if mode.kind == "star":
-        candidates = _internal_candidates(terminals, coloring) + _star_candidates(terminals, coloring)
-        candidates.sort(key=lambda tr: (len(tr.edges), tr.edges))
+        candidates = _internal_candidates(members, mat) + _star_candidates(members, mat, n)
+        candidates.sort(key=_tree_order)
     else:
         candidates = _full_candidates(
-            terminals, coloring, mode.resolved_budget(terminals.k), candidate_cap)
-    chosen = _max_packing(candidates, terminals)
-    family = DisjointFamily(terminals, tuple(candidates[i] for i in chosen), coloring)
+            members, mat, n, mode.resolved_budget(terminals.k), candidate_cap)
+    family = _family(terminals, coloring, _max_packing(candidates, members))
     return len(family), family
 
 
@@ -514,89 +505,56 @@ class VerificationReport:
         return out
 
 
-def _star_scan(members: tuple[int, ...], mat, n: int, start: int, stop_at: int) -> int:
-    """Add rainbow-star centers to ``start``, stopping early at stop_at."""
-    count = start
-    member_set = set(members)
-    for u in range(1, n + 1):
-        if u in member_set:
-            continue
-        row = mat[u]
-        seen = 0
-        ok = True
-        for v in members:
-            bit = 1 << row[v]
-            if seen & bit:
-                ok = False
-                break
-            seen |= bit
-        if ok:
-            count += 1
-            if count >= stop_at:
-                return count
+def _kset_count(
+    members: tuple[int, ...],
+    coloring: CompleteGraphColoring,
+    ell: int,
+    mode: OracleMode,
+    exact: bool,
+    candidate_cap: int,
+) -> int:
+    """The count that decides one k-set: the star certificate, then the oracle.
+
+    The certificate is the internal packing size plus the rainbow star
+    count; unless ``exact``, it stops once it reaches ell. For k = 3 the
+    internal packing size is 1 unless the triangle is monochromatic: two
+    distinct internal colors always sit on adjacent edges, giving a rainbow
+    2-edge path, and 3 internal edges cannot hold two edge-disjoint
+    spanning trees. In full mode the exact oracle replaces a certificate
+    below ell, or every certificate when ``exact``.
+    """
+    mat = coloring.matrix
+    if len(members) == 3:
+        a, b, c = members
+        count = 0 if mat[a][b] == mat[a][c] == mat[b][c] else 1
+    else:
+        count = len(_max_packing(_internal_candidates(members, mat), members))
+    stop = coloring.n if exact else ell
+    if count < stop:
+        count += len(_rainbow_centers(members, mat, coloring.n, stop - count))
+    if mode.kind == "full" and (exact or count < ell):
+        count, _ = max_disjoint_rainbow_trees(
+            VertexSet(members), coloring, mode, candidate_cap=candidate_cap)
     return count
 
 
-def _certificate_count_generic(
-    terminals: VertexSet, coloring: CompleteGraphColoring, stop_at: int
-) -> int:
-    """Internal packing size + rainbow star count, stopping early at stop_at.
+def _scan_sets(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
+    """First failing set of one run of terminal sets, and their counts if wanted.
 
-    For k = 3 the internal packing size is 1 unless the triangle is
-    monochromatic: two distinct internal colors always sit on adjacent
-    edges, giving a rainbow 2-edge path, and 3 internal edges cannot hold
-    two edge-disjoint spanning trees. Larger k uses the exact packing.
+    Without counts the scan stops at the first failure.
     """
-    members = terminals.members
-    mat = coloring.matrix
-    if terminals.k == 3:
-        a, b, c = members
-        ra = mat[a]
-        internal = 0 if ra[b] == ra[c] == mat[b][c] else 1
-    else:
-        internal = len(internal_tree_packing(terminals, coloring))
-    if internal >= stop_at:
-        return internal
-    return _star_scan(members, mat, coloring.n, internal, stop_at)
-
-
-def _scan_sets(
-    coloring: CompleteGraphColoring,
-    k: int,
-    ell: int,
-    mode: OracleMode,
-    sets: Iterable[tuple[int, ...]],
-    collect_counts: bool,
-    candidate_cap: int,
-    early_exit: bool,
-) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
-    """Scan terminal sets in order; return first failure and optional counts."""
-    first_fail: Optional[tuple[tuple[int, ...], int]] = None
+    coloring, ell, mode, sets, collect_counts, candidate_cap = job
     counts: list[tuple[tuple[int, ...], int]] = []
-    want_exact = collect_counts
+    first_fail: Optional[tuple[tuple[int, ...], int]] = None
     for members in sets:
-        terminals = VertexSet(members)
-        stop = ell if not want_exact else coloring.n + k
-        cert = _certificate_count_generic(terminals, coloring, stop)
-        if cert >= ell and not want_exact:
-            continue
-        if mode.kind == "star":
-            count = cert
-        else:
-            count, _ = max_disjoint_rainbow_trees(
-                terminals, coloring, mode, candidate_cap=candidate_cap)
+        count = _kset_count(members, coloring, ell, mode, collect_counts, candidate_cap)
         if collect_counts:
             counts.append((members, count))
         if count < ell and first_fail is None:
             first_fail = (members, count)
-            if early_exit and not collect_counts:
+            if not collect_counts:
                 break
     return first_fail, counts
-
-
-def _scan_sets_job(args) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
-    coloring, k, ell, mode, chunk, collect_counts, candidate_cap = args
-    return _scan_sets(coloring, k, ell, mode, chunk, collect_counts, candidate_cap, early_exit=False)
 
 
 def verify_coloring(
@@ -614,36 +572,28 @@ def verify_coloring(
     Terminal sets are scanned in lexicographic order and the first failing
     set is reported, independent of worker count. The star certificate
     (internal packing + rainbow stars) accepts a set early; the exact
-    oracle of ``mode`` decides the rest.
+    oracle of ``mode`` decides the rest. One worker streams the sets;
+    more split them into ordered chunks.
     """
     n = coloring.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if ell < 0:
         raise ValueError(f"demand ell must be nonnegative, got {ell}")
-    if ell == 0:
-        return VerificationReport(n, coloring.t, k, ell, mode, True, None, None,
-                                  tuple() if per_set_counts else None)
-    all_sets = list(combinations(range(1, n + 1), k))
-    if workers <= 1:
-        first_fail, counts = _scan_sets(
-            coloring, k, ell, mode, all_sets, per_set_counts, candidate_cap, early_exit=True)
+    sets = combinations(range(1, n + 1), k)
+    if workers > 1:
+        size = -(-math.comb(n, k) // (workers * 4))
+        chunks = iter(lambda: tuple(islice(sets, size)), ())
     else:
-        chunk_size = max(1, (len(all_sets) + workers * 4 - 1) // (workers * 4))
-        chunks = [all_sets[i:i + chunk_size] for i in range(0, len(all_sets), chunk_size)]
-        jobs = [(coloring, k, ell, mode, chunk, per_set_counts, candidate_cap) for chunk in chunks]
-        first_fail = None
-        counts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for fail, chunk_counts in pool.map(_scan_sets_job, jobs):
-                counts.extend(chunk_counts)
-                if fail is not None and first_fail is None:
-                    first_fail = fail  # chunks are ordered, so this is the least witness
-    if first_fail is None:
-        return VerificationReport(
-            n, coloring.t, k, ell, mode, True, None, None,
-            tuple(counts) if per_set_counts else None)
-    witness, count = first_fail
+        chunks = [sets]
+    jobs = [(coloring, ell, mode, chunk, per_set_counts, candidate_cap) for chunk in chunks]
+    first_fail = None
+    counts = []
+    for fail, chunk_counts in parallel_map(_scan_sets, jobs, workers):
+        counts.extend(chunk_counts)
+        if first_fail is None:
+            first_fail = fail  # chunks are ordered, so the first failure is the least witness
+    witness, count = first_fail or (None, None)
     return VerificationReport(
-        n, coloring.t, k, ell, mode, False, witness, count,
+        n, coloring.t, k, ell, mode, witness is None, witness, count,
         tuple(counts) if per_set_counts else None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,13 @@ import pytest
 
 from rainbowindex import cli
 from rainbowindex.cli import main
-from rainbowindex.colorings import CompleteGraphColoring, read_coloring, write_coloring
+from rainbowindex.colorings import (
+    CompleteGraphColoring,
+    SeededStream,
+    random_coloring,
+    read_coloring,
+    write_coloring,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -218,6 +225,60 @@ def test_mc_sweep_bad_range(capsys):
     code, _, _ = run(capsys, "mc", "sweep", "-k", "3", "-l", "1", "-t", "3",
                      "--n", "12:6:2", "--samples", "10")
     assert code == 2
+
+
+def test_mc_bs_k2_reports_exact_tail_only(capsys):
+    # the Chernoff and union bounds need k >= 3, so only the exact tail is reported
+    code, out, _ = run(capsys, "mc", "bs", "-n", "6", "-k", "2", "-l", "1", "--samples", "10")
+    assert code == 0
+    doc = validate("trial_summary", out)
+    assert list(doc["comparators"]) == ["exact_tail"]
+
+
+def test_mc_sweep_vacuous_demand(capsys):
+    # no Chernoff or union bound exists for ell = 0; every sample passes
+    code, out, _ = run(capsys, "mc", "sweep", "-k", "3", "-l", "0", "-t", "3",
+                       "--n", "6:8:1", "--samples", "5")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["5", "5", "5"]
+    assert all(row.endswith(",0.0,,") for row in rows)
+
+
+# --- pinned output bytes ----------------------------------------------------
+
+# stdout SHA-256 of small runs: a change to any of these bytes breaks the
+# replay of existing manifests. "{coloring}" is a random 4-coloring of K_6.
+PINNED_RUNS = [
+    (("mc", "bs", "-n", "7", "-k", "3", "-l", "1", "--samples", "2000", "--seed", "1"),
+     "bceee5968deac965448d5ef495d29fa038dac7527e5c142981f1952bd426df97"),
+    (("mc", "sweep", "-k", "3", "-l", "1", "-t", "3", "--n", "6:12:3", "--samples", "20",
+      "--seed", "5"),
+     "b0341e140bfddd031a6fbbfb3bf601d7e5e306ed5236fe6d71644f30da24baf7"),
+    (("mc", "as-all", "-n", "6", "-k", "3", "-l", "1", "-t", "3", "--samples", "30",
+      "--seed", "3", "--workers", "1"),
+     "fac4294ee70c6c1a592b28664bff28d2e6888d2b63c23bf6eeb3211260ea3afe"),
+    (("mc", "as-all", "-n", "6", "-k", "3", "-l", "1", "-t", "3", "--samples", "30",
+      "--seed", "3", "--workers", "2"),
+     "fac4294ee70c6c1a592b28664bff28d2e6888d2b63c23bf6eeb3211260ea3afe"),
+    (("tail", "-n", "20", "-k", "3", "-l", "2"),
+     "d11aa71ec6bb05bf2dbf875a070a0d5d1a042af5e6065f487628d964860d8dc1"),
+    (("verify", "{coloring}", "-k", "4", "-l", "1", "--per-s-counts"),
+     "be202010c02e216fa53d544055400ad38c6d75552fda4838eea5a9b020f619ac"),
+    (("verify", "{coloring}", "-k", "4", "-l", "1", "--per-s-counts", "--mode", "full"),
+     "e5f4ad1f42dc989829b170865f3cb2938e57563bd708324c3c604a7745121db1"),
+    (("oracle", "{coloring}", "-S", "1,2,3", "--mode", "full"),
+     "0017c722f7706ade3618bf564aaf9e1e899491cbb229d2c8184341d5eeec8c6d"),
+]
+
+
+def test_pinned_output_digests(capsys, tmp_path):
+    path = tmp_path / "k6.coloring"
+    write_coloring(random_coloring(6, 4, SeededStream(21)), path)
+    for argv, sha in PINNED_RUNS:
+        code, out, _ = run(capsys, *(str(path) if tok == "{coloring}" else tok for tok in argv))
+        assert code in (0, 1), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
 
 # --- manifest / replay ------------------------------------------------------

@@ -1,8 +1,8 @@
 import pytest
 
-from rainbowindex.colorings import SeededStream
-from rainbowindex.search import find_coloring
-from rainbowindex.trees import OracleMode, verify_coloring
+from rainbowindex.colorings import SeededStream, random_coloring
+from rainbowindex.search import _failing_sets, find_coloring
+from rainbowindex.trees import DEFAULT_CANDIDATE_CAP, OracleMode, verify_coloring
 
 
 def test_random_search_finds_k6_demand_one():
@@ -48,6 +48,15 @@ def test_search_determinism():
     a = find_coloring(6, 3, 1, 3, "random", 200, SeededStream(42))
     b = find_coloring(6, 3, 1, 3, "random", 200, SeededStream(42))
     assert a == b
+    # the local-search objective counts the k-sets that verify finds below demand
+    stream = SeededStream(42)
+    for i, (k, t) in enumerate([(3, 3), (4, 4)]):
+        coloring = random_coloring(6, t, stream.substream(i))
+        for mode in (OracleMode.star(), OracleMode.full(1)):
+            for ell in (1, 2, 3):
+                report = verify_coloring(coloring, k, ell, mode, per_set_counts=True)
+                expected = sum(count < ell for _, count in report.per_set_counts)
+                assert _failing_sets(coloring, k, ell, mode, DEFAULT_CANDIDATE_CAP) == expected
 
 
 def test_search_validation():

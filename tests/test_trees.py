@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -400,30 +401,38 @@ def test_verify_some_k5_colorings_fail():
 
 
 def test_verify_per_set_counts():
-    coloring = random_coloring(5, 3, SeededStream(8))
-    report = verify_coloring(coloring, 3, 1, per_set_counts=True)
-    assert report.per_set_counts is not None
-    assert len(report.per_set_counts) == 10
-    for members, count in report.per_set_counts:
-        value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.star())
-        assert count == value
+    k5 = random_coloring(5, 3, SeededStream(8))
+    k6 = random_coloring(6, 4, SeededStream(8))
+    # a vacuous demand still reports every count
+    for coloring, k, ell in [(k5, 3, 1), (k5, 3, 0), (k6, 4, 1)]:
+        report = verify_coloring(coloring, k, ell, per_set_counts=True)
+        assert report.per_set_counts is not None
+        assert len(report.per_set_counts) == math.comb(coloring.n, k)
+        for members, count in report.per_set_counts:
+            value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.star())
+            assert count == value
 
 
 def test_verify_full_mode_counts_match_oracle():
-    coloring = random_coloring(5, 3, SeededStream(9))
-    report = verify_coloring(coloring, 3, 2, OracleMode.full(1), per_set_counts=True)
-    for members, count in report.per_set_counts:
-        value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.full(1))
-        assert count == value
+    k5 = random_coloring(5, 3, SeededStream(9))
+    k6 = random_coloring(6, 4, SeededStream(9))
+    for coloring, k in [(k5, 3), (k6, 4)]:
+        report = verify_coloring(coloring, k, 2, OracleMode.full(1), per_set_counts=True)
+        assert len(report.per_set_counts) == math.comb(coloring.n, k)
+        for members, count in report.per_set_counts:
+            value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.full(1))
+            assert count == value
 
 
 def test_verify_workers_agree_with_serial():
     stream = SeededStream(3)
     for i, (k, ell) in enumerate([(3, 1), (3, 2)]):
         coloring = random_coloring(6, 3, stream.substream(i))
-        serial = verify_coloring(coloring, k, ell, OracleMode.full(1))
-        parallel = verify_coloring(coloring, k, ell, OracleMode.full(1), workers=2)
-        assert serial == parallel
+        for counts in (False, True):
+            serial = verify_coloring(coloring, k, ell, OracleMode.full(1), per_set_counts=counts)
+            parallel = verify_coloring(
+                coloring, k, ell, OracleMode.full(1), per_set_counts=counts, workers=2)
+            assert serial == parallel
 
 
 def test_verify_rejects_bad_domain():
