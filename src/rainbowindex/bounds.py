@@ -29,13 +29,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import mpmath
 
 from .colorings import CompleteGraphColoring, color_degrees
-from .trees import _rainbow_centers
+from .trees import _certificate_chunks
 
 __all__ = [
     "BoundReport",
@@ -383,7 +382,5 @@ def expected_X_upper(coloring: CompleteGraphColoring) -> tuple[Fraction, Fractio
     for v in range(1, n + 1):
         d1, d2, d3 = table.row(v)
         product_sum += d1 * d2 * d3
-    mat = coloring.matrix
-    star_sum = sum(len(_rainbow_centers(members, mat, n, n))
-                   for members in combinations(range(1, n + 1), 3))
+    star_sum = sum(int(stars.sum()) for _, stars, _ in _certificate_chunks(coloring, 3, 0, True))
     return 3 + Fraction(product_sum, triples), Fraction(star_sum, triples)

@@ -19,6 +19,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -256,9 +257,11 @@ def _cmd_oracle(args) -> tuple[int, str]:
 
 def _cmd_tail(args) -> tuple[int, str]:
     cmp = bounds.binomial_upper_vs_union(args.n, args.k, args.ell)
+    # str(int) refuses more than 4300 digits; Decimal(int) is exact and has no such limit
+    numerator, denominator = (str(Decimal(x)) for x in (cmp.exact.numerator, cmp.exact.denominator))
     doc = {
         "n": args.n, "k": args.k, "ell": args.ell,
-        "exact_tail": {"rational": f"{cmp.exact.numerator}/{cmp.exact.denominator}",
+        "exact_tail": {"rational": f"{numerator}/{denominator}",
                        "decimal": float(cmp.exact)},
         "subset_bound": float(cmp.subset_bound),
         "power_bound": float(cmp.power_bound),

@@ -190,7 +190,7 @@ def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColori
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
     draws = stream.generator().integers(1, t + 1, size=edge_count(n))
-    return CompleteGraphColoring(n, t, tuple(int(c) for c in draws))
+    return CompleteGraphColoring(n, t, tuple(draws.tolist()))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ Three strategies, all seeded and deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .colorings import (
@@ -26,7 +25,7 @@ from .colorings import (
 from .trees import (
     DEFAULT_CANDIDATE_CAP,
     OracleMode,
-    _kset_count,
+    _decided_chunks,
     max_disjoint_rainbow_trees,  # unused here; perfbench/tracing.py wraps it by this name
     verify_coloring,
 )
@@ -69,8 +68,8 @@ def _failing_sets(
     candidate_cap: int,
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on misses."""
-    return sum(_kset_count(members, coloring, ell, mode, False, candidate_cap) < ell
-               for members in combinations(range(1, coloring.n + 1), k))
+    return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
+        coloring, k, ell, mode, candidate_cap, False, False))
 
 
 def find_coloring(

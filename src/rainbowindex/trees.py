@@ -16,11 +16,16 @@ non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
 leaf-pruned candidates never changes the maximum family size while
 shrinking the search space drastically.
 
-Whole-coloring verification and the local-search objective decide each
-k-set with one function: the star certificate (internal packing plus
-rainbow stars), then the exact oracle of the mode where the certificate
-falls short. Inner loops work on plain tuples, a k-set as its sorted
-members and a candidate tree as ``(edges, external vertices)``; the
+Whole-coloring verification, the local-search objective and the
+double-counting bound take the star certificate (internal packing plus
+rainbow stars) of every k-set from one numpy kernel. Its inner loops are
+array operations, not per-set tuples: it yields the certificates of
+consecutive k-sets chunk by chunk, from matmuls over pair-equality
+indicators for k = 3 and from the gathered colors at every center
+otherwise. The
+exact oracle of the mode then decides, in lexicographic order, the k-sets
+where the certificate falls short. Inside the oracle a k-set is its sorted
+members tuple and a candidate tree is ``(edges, external vertices)``; the
 validated ``VertexSet``, ``STree`` and ``DisjointFamily`` objects are
 built at the public entry points and for the witness families returned.
 """
@@ -30,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .colorings import BudgetExceededError, CompleteGraphColoring, parallel_map
 
@@ -204,11 +211,11 @@ def rainbow_star_count(terminals: VertexSet, coloring: CompleteGraphColoring) ->
     is a sound lower-bound certificate on the maximum family size.
     """
     _check_terminals(terminals, coloring.n)
-    return len(_rainbow_centers(terminals.members, coloring.matrix, coloring.n, coloring.n))
+    return len(_rainbow_centers(terminals.members, coloring.matrix, coloring.n))
 
 
-def _rainbow_centers(members: tuple[int, ...], mat, n: int, stop_at: int) -> list[int]:
-    """External centers whose star on ``members`` is rainbow, at most stop_at of them."""
+def _rainbow_centers(members: tuple[int, ...], mat, n: int) -> list[int]:
+    """External centers whose star on ``members`` is rainbow."""
     centers = []
     member_set = set(members)
     for u in range(1, n + 1):
@@ -223,8 +230,6 @@ def _rainbow_centers(members: tuple[int, ...], mat, n: int, stop_at: int) -> lis
             seen |= bit
         else:
             centers.append(u)
-            if len(centers) >= stop_at:
-                break
     return centers
 
 
@@ -340,7 +345,7 @@ def _internal_candidates(members: tuple[int, ...], mat) -> list[tuple]:
 
 def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
     return [(_normalize_edges((u, v) for v in members), (u,))
-            for u in _rainbow_centers(members, mat, n, n)]
+            for u in _rainbow_centers(members, mat, n)]
 
 
 def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
@@ -505,55 +510,182 @@ class VerificationReport:
         return out
 
 
-def _kset_count(
-    members: tuple[int, ...],
+# Elements one chunk of the k-set kernel may hold: for k = 3 the
+# pair-equality operand (first vertices x n x later vertices), otherwise the
+# gathered colors (k-sets x n x k). Every chunk holds at least one first vertex.
+# Small chunks keep the temporaries small and let a verify that fails
+# early stop after little work; larger caps were no faster on K_50..K_400.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _color_array(coloring: CompleteGraphColoring) -> np.ndarray:
+    """The n x n color table, 0-based, zero on the diagonal."""
+    n = coloring.n
+    colors = np.zeros((n, n), dtype=np.min_scalar_type(coloring.t))
+    vertices = np.arange(n)
+    colors[vertices[:, None] < vertices] = coloring.colors  # row-major: the edge order
+    return colors + colors.T
+
+
+def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
+    """(sets, stars, internal) of the 3-sets a < b < c with a in ``firsts``.
+
+    P[b,c] counts the centers u where b and c see one color (u is never b
+    or c, as the diagonal is zero). With the pair-equality indicators
+    Q_a[u,b] = [color(u,a) = color(u,b)], T = Q_a^T Q_a counts the centers
+    where a, b and c all see one color: one float32 matmul per first
+    vertex, exact as every value is an integer of at most n, and neither
+    time nor memory depends on the palette size. Inclusion-exclusion over
+    the three equal pairs gives stars = (n-3) - P'_ab - P'_ac - P'_bc +
+    2 T_abc, where P'_ab = P[a,b] - [color(c,a) = color(c,b)] leaves out
+    the third terminal. The internal part is 1 unless the triangle is
+    monochromatic: two distinct internal colors always sit on adjacent
+    edges, giving a rainbow 2-edge path, and 3 internal edges cannot hold
+    two edge-disjoint spanning trees.
+    """
+    n = len(colors)
+    P = np.empty((n, n), dtype=np.float32)
+    rows = max(1, _CHUNK_ELEMENTS // (n * n))
+    for r0 in range(0, n, rows):
+        P[r0:r0 + rows] = (colors[:, r0:r0 + rows].T[:, :, None] == colors).sum(axis=1)
+    rest = (n - 3) - P
+    vertices = np.arange(n)
+    before = vertices[:, None] < vertices
+    a0, stop = firsts.start - 1, firsts.stop - 1
+    while a0 < stop:
+        # a runs over a0..a1-1; b and c over a0+1..n-1 (0-based)
+        B = n - a0 - 1
+        A = min(stop - a0, max(1, _CHUNK_ELEMENTS // (n * B)))
+        a1 = a0 + A
+        ab, bc = np.s_[a0:a1, a0 + 1:], np.s_[a0 + 1:, a0 + 1:]
+        Q = (colors[:, a0:a1].T[:, :, None] == colors[:, a0 + 1:]).astype(np.float32)
+        stars = Q.transpose(0, 2, 1) @ Q
+        stars *= 2
+        stars += rest[bc]
+        stars -= P[ab][:, :, None]
+        stars -= P[ab][:, None, :]
+        xab, xbc = colors[ab], colors[bc]
+        ab_ac = xab[:, :, None] == xab[:, None, :]
+        ac_bc = xab[:, None, :] == xbc
+        stars += ab_ac
+        stars += ac_bc
+        stars += xab[:, :, None] == xbc
+        inside = before[ab][:, :, None] & before[bc]  # a < b < c
+        sets = np.transpose(inside.nonzero()) + (a0 + 1, a0 + 2, a0 + 2)
+        yield sets, stars[inside].astype(np.int64), 1 - (ab_ac & ac_bc)[inside]
+        a0 = a1
+
+
+def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tuple]:
+    """(sets, stars) of the k-sets with first vertex in ``firsts``, in lexicographic
+    order: a center counts when its k colors to the set are nonzero (it lies
+    outside the set) and pairwise distinct."""
+    n = len(colors)
+    size = max(1, _CHUNK_ELEMENTS // (n * k))
+    sets = chain.from_iterable(
+        ((a,) + rest for rest in combinations(range(a + 1, n + 1), k - 1)) for a in firsts)
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(sets, size)), dtype=np.intp).reshape(-1, k)
+        if not len(block):
+            return
+        seen = np.sort(colors[:, block - 1], axis=2)
+        yield block, ((seen[..., 0] > 0) & (np.diff(seen, axis=2) != 0).all(axis=2)).sum(axis=0)
+
+
+def _certificate_chunks(
     coloring: CompleteGraphColoring,
+    k: int,
+    ell: int,
+    exact: bool,
+    firsts: Optional[range] = None,
+) -> Iterator[tuple]:
+    """The star certificate of every k-set, as arrays in lexicographic chunks.
+
+    Yields ``(sets, stars, internal)``: the (m, k) array of 1-based k-sets
+    with first vertex in ``firsts`` (default: all), their rainbow star
+    counts and their internal packing sizes. Chunks hold consecutive sets
+    and are capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2) plus one
+    chunk. k = 3 uses matmuls, k = 2 has internal part 1, and for k >= 4
+    the internal packing is computed per set, for every set when ``exact``
+    and otherwise only where the stars fall below ell (elsewhere it is 0,
+    so stars + internal is exact below ell and at least ell above).
+    """
+    if firsts is None:
+        firsts = range(1, coloring.n - k + 2)
+    colors = _color_array(coloring)
+    if k == 3:
+        yield from _triple_chunks(colors, firsts)
+        return
+    mat = coloring.matrix
+    for sets, stars in _gathered_chunks(colors, k, firsts):
+        internal = np.full_like(stars, 1 if k == 2 else 0)
+        if k > 3:
+            for i in range(len(sets)) if exact else np.flatnonzero(stars < ell).tolist():
+                members = tuple(sets[i].tolist())
+                internal[i] = len(_max_packing(_internal_candidates(members, mat), members))
+        yield sets, stars, internal
+
+
+def _decided_chunks(
+    coloring: CompleteGraphColoring,
+    k: int,
     ell: int,
     mode: OracleMode,
-    exact: bool,
     candidate_cap: int,
-) -> int:
-    """The count that decides one k-set: the star certificate, then the oracle.
+    exact: bool,
+    until_failure: bool,
+    firsts: Optional[range] = None,
+) -> Iterator[tuple]:
+    """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
 
-    The certificate is the internal packing size plus the rainbow star
-    count; unless ``exact``, it stops once it reaches ell. For k = 3 the
-    internal packing size is 1 unless the triangle is monochromatic: two
-    distinct internal colors always sit on adjacent edges, giving a rainbow
-    2-edge path, and 3 internal edges cannot hold two edge-disjoint
-    spanning trees. In full mode the exact oracle replaces a certificate
-    below ell, or every certificate when ``exact``.
+    The count is the star certificate (internal packing plus rainbow
+    stars). In full mode the exact oracle replaces every count below ell,
+    or every count when ``exact``, called in lexicographic order through
+    the module global ``max_disjoint_rainbow_trees``. With
+    ``until_failure`` the last chunk ends at the first set below ell, and
+    no oracle call follows it.
     """
-    mat = coloring.matrix
-    if len(members) == 3:
-        a, b, c = members
-        count = 0 if mat[a][b] == mat[a][c] == mat[b][c] else 1
-    else:
-        count = len(_max_packing(_internal_candidates(members, mat), members))
-    stop = coloring.n if exact else ell
-    if count < stop:
-        count += len(_rainbow_centers(members, mat, coloring.n, stop - count))
-    if mode.kind == "full" and (exact or count < ell):
-        count, _ = max_disjoint_rainbow_trees(
-            VertexSet(members), coloring, mode, candidate_cap=candidate_cap)
-    return count
+    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts):
+        counts = stars + internal
+        if mode.kind == "full":
+            for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
+                counts[i], _ = max_disjoint_rainbow_trees(
+                    VertexSet(tuple(sets[i].tolist())), coloring, mode, candidate_cap=candidate_cap)
+                if until_failure and counts[i] < ell:
+                    break
+        if until_failure:
+            low = np.flatnonzero(counts < ell)
+            if low.size:
+                yield sets[:low[0] + 1], counts[:low[0] + 1]
+                return
+        yield sets, counts
 
 
-def _scan_sets(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
-    """First failing set of one run of terminal sets, and their counts if wanted.
+def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
+    """Consecutive first-vertex ranges of about C(n,k)/parts k-sets each."""
+    size = -(-math.comb(n, k) // parts)
+    ranges, start, held = [], 1, 0
+    for a in range(1, n - k + 2):
+        held += math.comb(n - a, k - 1)
+        if held >= size or a == n - k + 1:
+            ranges.append(range(start, a + 1))
+            start, held = a + 1, 0
+    return ranges
 
-    Without counts the scan stops at the first failure.
-    """
-    coloring, ell, mode, sets, collect_counts, candidate_cap = job
+
+def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
+    """First failing k-set among those with the job's first vertices, and their
+    counts if wanted; without counts the scan stops at the first failure."""
+    coloring, k, ell, mode, firsts, collect_counts, candidate_cap = job
     counts: list[tuple[tuple[int, ...], int]] = []
-    first_fail: Optional[tuple[tuple[int, ...], int]] = None
-    for members in sets:
-        count = _kset_count(members, coloring, ell, mode, collect_counts, candidate_cap)
+    first_fail = None
+    for sets, chunk_counts in _decided_chunks(
+            coloring, k, ell, mode, candidate_cap, collect_counts, not collect_counts, firsts):
         if collect_counts:
-            counts.append((members, count))
-        if count < ell and first_fail is None:
-            first_fail = (members, count)
-            if not collect_counts:
-                break
+            counts.extend(zip(zip(*sets.T.tolist()), chunk_counts.tolist()))
+        low = np.flatnonzero(chunk_counts < ell)
+        if first_fail is None and low.size:
+            first_fail = (tuple(sets[low[0]].tolist()), int(chunk_counts[low[0]]))
     return first_fail, counts
 
 
@@ -572,24 +704,20 @@ def verify_coloring(
     Terminal sets are scanned in lexicographic order and the first failing
     set is reported, independent of worker count. The star certificate
     (internal packing + rainbow stars) accepts a set early; the exact
-    oracle of ``mode`` decides the rest. One worker streams the sets;
-    more split them into ordered chunks.
+    oracle of ``mode`` decides the rest. One worker scans the sets in
+    chunks of consecutive first vertices; more split the first vertices
+    into ordered ranges.
     """
     n = coloring.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if ell < 0:
         raise ValueError(f"demand ell must be nonnegative, got {ell}")
-    sets = combinations(range(1, n + 1), k)
-    if workers > 1:
-        size = -(-math.comb(n, k) // (workers * 4))
-        chunks = iter(lambda: tuple(islice(sets, size)), ())
-    else:
-        chunks = [sets]
-    jobs = [(coloring, ell, mode, chunk, per_set_counts, candidate_cap) for chunk in chunks]
+    ranges = _first_vertex_ranges(n, k, workers * 4 if workers > 1 else 1)
+    jobs = [(coloring, k, ell, mode, firsts, per_set_counts, candidate_cap) for firsts in ranges]
     first_fail = None
     counts = []
-    for fail, chunk_counts in parallel_map(_scan_sets, jobs, workers):
+    for fail, chunk_counts in parallel_map(_verify_range, jobs, workers):
         counts.extend(chunk_counts)
         if first_fail is None:
             first_fail = fail  # chunks are ordered, so the first failure is the least witness

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from rainbowindex import cli
+from rainbowindex import bounds, cli
 from rainbowindex.cli import main
 from rainbowindex.colorings import (
     CompleteGraphColoring,
@@ -177,6 +180,18 @@ def test_tail_report(capsys):
     doc = validate("tail_report", out)
     assert doc["exact_tail"]["rational"] == "2401/6561"
     assert doc["anomaly"] is False
+
+
+def test_tail_prints_rationals_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "tail", "-n", "8000", "-k", "3", "-l", "20")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    numerator, denominator = validate("tail_report", out)["exact_tail"]["rational"].split("/")
+    assert len(denominator) > 4300
+    # int(str) would hit the same limit; Decimal parses exactly
+    printed = Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+    assert printed == bounds.binomial_upper_vs_union(8000, 3, 20).exact
 
 
 # --- mc ---------------------------------------------------------------------

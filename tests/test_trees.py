@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from rainbowindex.colorings import (
     enumerate_colorings,
     random_coloring,
 )
+from rainbowindex import trees
 from rainbowindex.trees import (
     DisjointFamily,
     OracleMode,
@@ -425,14 +427,16 @@ def test_verify_full_mode_counts_match_oracle():
 
 
 def test_verify_workers_agree_with_serial():
+    # workers split the first vertices into ordered ranges
     stream = SeededStream(3)
-    for i, (k, ell) in enumerate([(3, 1), (3, 2)]):
-        coloring = random_coloring(6, 3, stream.substream(i))
-        for counts in (False, True):
-            serial = verify_coloring(coloring, k, ell, OracleMode.full(1), per_set_counts=counts)
-            parallel = verify_coloring(
-                coloring, k, ell, OracleMode.full(1), per_set_counts=counts, workers=2)
-            assert serial == parallel
+    cases = [(6, 3, 3, 1), (6, 3, 3, 2), (9, 5, 3, 2), (8, 4, 4, 1), (7, 2, 2, 1)]
+    for i, (n, t, k, ell) in enumerate(cases):
+        coloring = random_coloring(n, t, stream.substream(i))
+        for mode in (OracleMode.star(), OracleMode.full(1)):
+            for counts in (False, True):
+                serial = verify_coloring(coloring, k, ell, mode, per_set_counts=counts)
+                parallel = verify_coloring(coloring, k, ell, mode, per_set_counts=counts, workers=2)
+                assert serial == parallel
 
 
 def test_verify_rejects_bad_domain():
@@ -441,3 +445,88 @@ def test_verify_rejects_bad_domain():
         verify_coloring(coloring, 5, 1)
     with pytest.raises(ValueError):
         verify_coloring(coloring, 3, -1)
+
+
+# --- k-set kernel -----------------------------------------------------------
+
+def _scalar_certificates(coloring, k):
+    """Per-set star certificates from the scalar public functions, in lexicographic order."""
+    out = []
+    for members in combinations(range(1, coloring.n + 1), k):
+        S = VertexSet(members)
+        out.append((members, len(internal_tree_packing(S, coloring)) + rainbow_star_count(S, coloring)))
+    return out
+
+
+def _scalar_first_failure(coloring, ell, mode, certificates, oracle_calls):
+    for members, count in certificates:
+        if count < ell and mode.kind == "full":
+            oracle_calls.append(members)
+            count, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)
+        if count < ell:
+            return members, count
+    return None, None
+
+
+def test_kset_kernel_matches_scalar_certificates(monkeypatch):
+    # every per-set count, witness and witness count, also with one-set chunks,
+    # and the oracle sees exactly the scalar loop's sets, in order
+    real_oracle = trees.max_disjoint_rainbow_trees
+    calls = []
+
+    def counted_oracle(terminals, *args, **kwargs):
+        calls.append(terminals.members)
+        return real_oracle(terminals, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "max_disjoint_rainbow_trees", counted_oracle)
+    default_cap = trees._CHUNK_ELEMENTS
+    grid = {2: (2, 3, 7, 14), 3: (3, 4, 7, 14), 4: (4, 5, 8, 11), 5: (5, 6, 9)}
+    stream = SeededStream(17)
+    case = 0
+    for k, sizes in grid.items():
+        for n in sizes:
+            for t in (1, 2, 3, 5, 8):
+                coloring = random_coloring(n, t, stream.substream(case))
+                case += 1
+                certificates = _scalar_certificates(coloring, k)
+                modes = [OracleMode.star()] + ([OracleMode.full(1)] if n <= 7 else [])
+                for cap in (default_cap, 1):
+                    monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", cap)
+                    report = verify_coloring(coloring, k, 0, per_set_counts=True)
+                    assert list(report.per_set_counts) == certificates
+                    for ell in (1, 2, 4):
+                        for mode in modes:
+                            expected_calls = []
+                            expected = _scalar_first_failure(coloring, ell, mode, certificates, expected_calls)
+                            calls.clear()
+                            report = verify_coloring(coloring, k, ell, mode)
+                            assert (report.witness, report.witness_count) == expected
+                            assert report.passed == (expected[0] is None)
+                            assert calls == expected_calls
+
+
+def test_kset_kernel_star_total_and_memory_at_scale():
+    # counting rainbow 3-stars by center: sum_v e3(d(v,1), ..., d(v,t))
+    n = 300
+    for t in (3, 5):
+        coloring = random_coloring(n, t, SeededStream(n + t))
+        table = color_degrees(coloring)
+        by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), 3))
+        by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, 3, 0, True))
+        assert by_set == by_center
+    # a rainbow coloring (a palette of C(n,2) colors) gives every triple n-3 stars
+    # and one internal tree; memory must not grow with the palette either
+    m = math.comb(120, 2)
+    rainbow = CompleteGraphColoring(120, m, tuple(range(1, m + 1)))
+    for coloring, ell, witness in [(random_coloring(n, 3, SeededStream(7)), 1, None),
+                                   (rainbow, 118, None), (rainbow, 119, (1, 2, 3))]:
+        tracemalloc.start()
+        try:
+            report = verify_coloring(coloring, 3, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.witness == witness
+        assert report.witness_count == (None if witness is None else 118)
+        # one int32 for each of the C(300,3) = 4,455,100 triples would already take 17 MiB
+        assert peak < 16 * 2**20
