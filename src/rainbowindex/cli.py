@@ -6,6 +6,9 @@ error, 3 = search budget exhausted without a find, 4 = internal error
 manifest (JSON, to --manifest or stderr) recording the arguments, seed,
 version, and a digest of the primary stdout output; `replay` re-runs a
 manifest and checks the digest, so primary outputs are byte-reproducible.
+JSON reports are indented by 2; `verify` writes its report, with one entry
+per k-set under --per-s-counts, through `VerificationReport.to_json_text`,
+which gives the same bytes without running the JSON encoder per entry.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     report = verify_coloring(
         coloring, args.k, args.ell, _mode_from_args(args),
         per_set_counts=args.per_s_counts, workers=args.workers)
-    return (0 if report.passed else 1), json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return (0 if report.passed else 1), report.to_json_text()
 
 
 def _witness_dump(coloring: CompleteGraphColoring, k: int, mode: OracleMode) -> str:

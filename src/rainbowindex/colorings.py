@@ -124,8 +124,11 @@ class SeededStream:
 
 def parallel_map(fn: Callable, jobs: Iterable, workers: int) -> Iterable:
     """``map(fn, jobs)`` in job order: lazily in this process for one worker,
-    else on a pool of ``workers`` processes (``fn`` and the jobs must pickle)."""
-    if workers <= 1:
+    else on a pool of ``workers`` processes (``fn`` and the jobs must pickle).
+    Raises ValueError for fewer than one worker."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return map(fn, jobs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
@@ -158,6 +161,14 @@ class CompleteGraphColoring:
         if m and not (1 <= min(self.colors) and max(self.colors) <= self.t):
             bad = next(c for c in self.colors if not 1 <= c <= self.t)
             raise ValueError(f"color {bad} outside palette 1..{self.t}")
+
+    @classmethod
+    def _unchecked(cls, n: int, t: int, colors: tuple[int, ...]) -> "CompleteGraphColoring":
+        """An instance built without ``__post_init__``, for callers whose colors
+        are in the palette and number C(n,2) by construction."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, t=t, colors=colors)
+        return self
 
     def color(self, u: int, v: int) -> int:
         """Color of edge {u, v}; symmetric in its arguments."""
@@ -311,8 +322,10 @@ def enumerate_colorings(
         seqs: Iterator[tuple[int, ...]] = _canonical_sequences(m, t)
     else:
         seqs = product(range(1, t + 1), repeat=m)
+    # both generators yield in-palette sequences of length m only
+    unchecked = CompleteGraphColoring._unchecked
     for seq in seqs:
-        yield CompleteGraphColoring(n, t, seq)
+        yield unchecked(n, t, seq)
 
 
 # ---------------------------------------------------------------------------

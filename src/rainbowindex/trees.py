@@ -4,8 +4,10 @@ For a terminal set S inside an edge-colored K_n, an S-tree is a tree whose
 vertex set contains S; it is rainbow when no two of its edges share a
 color. A family of S-trees is internally disjoint when the trees are
 pairwise edge-disjoint and meet only in S. Everything here is exact and
-built for small instances: candidate trees are enumerated explicitly and
-the lexicographically least maximum family is found by one iterative
+built for small instances: candidate trees are enumerated explicitly, from
+a table of the spanning-tree shapes of K_m built once per m (only trees
+are scanned, never edge subsets that are not trees), and the
+lexicographically least maximum family is found by one iterative
 branch and bound over their conflict graph, bounded by clique covers
 (trees sharing an edge, or an external vertex, pairwise conflict).
 Neither recursion depth nor the number of passes grows with the number
@@ -32,9 +34,11 @@ built at the public entry points and for the witness families returned.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Optional
 
@@ -308,29 +312,78 @@ def _check_terminals(terminals: VertexSet, n: int) -> None:
         raise ValueError(f"terminal {terminals.members[-1]} exceeds vertex count {n}")
 
 
-def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> Iterator[tuple]:
-    """Rainbow spanning trees of K[vertices] with no leaf in ``extra``.
+# Shape-table rows handled at once, when a table is decoded and when it is
+# scanned, so temporaries stay small even for the 4.8M trees of K_9
+_SHAPE_BLOCK = 1 << 16
 
-    Cheap bitmask tests on each (m-1)-edge subset (distinct colors, every
-    vertex covered, every extra vertex of degree >= 2) run before the
-    union-find acyclicity test.
+
+@lru_cache(maxsize=None)
+def _tree_shapes(m: int) -> np.ndarray:
+    """Every spanning tree of K_m, as rows of m-1 ascending edge indices.
+
+    Edge i is the i-th pair of ``combinations(range(m), 2)`` and the rows are
+    in lexicographic order. The m^(m-2) trees are decoded from their Prüfer
+    sequences, all of a block at once; tables past the default candidate
+    cap (m >= 10) raise BudgetExceededError.
     """
-    records = [((u, v), 1 << mat[u][v], 1 << u | 1 << v) for u, v in combinations(vertices, 2)]
-    covered = sum(1 << v for v in vertices)
-    branching = sum(1 << v for v in extra)
-    for subset in combinations(records, len(vertices) - 1):
-        colors = once = twice = 0
-        for _, color, ends in subset:
-            if colors & color:
-                break
-            colors |= color
-            twice |= once & ends
-            once |= ends
-        else:
-            if once == covered and not branching & ~twice:
-                edges = tuple(edge for edge, _, _ in subset)
-                if _is_acyclic(vertices, edges):
-                    yield edges
+    count = m ** (m - 2)
+    if count > DEFAULT_CANDIDATE_CAP:
+        raise BudgetExceededError(
+            f"K_{m} has {count} spanning trees (cap {DEFAULT_CANDIDATE_CAP})", size=count)
+    pair = np.zeros((m, m), dtype=np.uint8)
+    for i, (u, v) in enumerate(combinations(range(m), 2)):
+        pair[u, v] = pair[v, u] = i
+    blocks = []
+    for start in range(0, count, _SHAPE_BLOCK):
+        codes = np.arange(start, min(count, start + _SHAPE_BLOCK))
+        rows = np.arange(len(codes))
+        sequence = [codes // m ** (m - 3 - j) % m for j in range(m - 2)]
+        degree = np.ones((len(codes), m), dtype=np.int8)
+        for joined in sequence:
+            degree[rows, joined] += 1
+        edges = np.empty((len(codes), m - 1), dtype=np.uint8)
+        for j, joined in enumerate(sequence):
+            leaf = (degree == 1).argmax(axis=1)  # the least leaf
+            edges[:, j] = pair[leaf, joined]
+            degree[rows, leaf] = 0
+            degree[rows, joined] -= 1
+        last = degree == 1
+        edges[:, -1] = pair[last.argmax(axis=1), m - 1 - last[:, ::-1].argmax(axis=1)]
+        blocks.append(edges)
+    shapes = np.sort(np.concatenate(blocks), axis=1)
+    return shapes[np.lexsort(shapes.T[::-1])]
+
+
+@lru_cache(maxsize=None)
+def _branching_shapes(m: int, positions: tuple[int, ...]) -> np.ndarray:
+    """The rows of ``_tree_shapes(m)`` where every vertex in ``positions`` has degree >= 2."""
+    shapes = _tree_shapes(m)
+    ends = np.array(list(combinations(range(m), 2)))
+    for p in positions:
+        shapes = shapes[(ends == p).any(axis=1)[shapes].sum(axis=1) >= 2]
+    return shapes
+
+
+def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> Iterator[tuple]:
+    """Rainbow spanning trees of K[vertices] with no leaf in ``extra``, in
+    lexicographic order of their sorted edges.
+
+    Only trees are scanned: the shapes of K_m whose ``extra`` positions
+    branch, kept when their m-1 edge colors are distinct.
+    """
+    m = len(vertices)
+    pairs = list(combinations(vertices, 2))
+    bits = [1 << mat[u][v] for u, v in pairs]
+    if len(set(bits)) < m - 1:
+        return  # fewer than m-1 colors: no spanning tree is rainbow
+    shapes = _branching_shapes(m, tuple(map(vertices.index, extra)))
+    for start in range(0, len(shapes), _SHAPE_BLOCK):
+        for shape in shapes[start:start + _SHAPE_BLOCK].tolist():
+            colors = 0
+            for e in shape:
+                colors |= bits[e]
+            if colors.bit_count() == m - 1:
+                yield tuple([pairs[e] for e in shape])
 
 
 def _tree_order(candidate: tuple) -> tuple:
@@ -491,7 +544,7 @@ class VerificationReport:
     witness_count: Optional[int]
     per_set_counts: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
 
-    def to_json_dict(self) -> dict:
+    def _json_header(self) -> dict:
         out = {
             "n": self.n,
             "t": self.t,
@@ -503,11 +556,32 @@ class VerificationReport:
         }
         if self.witness_count is not None:
             out["witness_count"] = self.witness_count
+        return out
+
+    def to_json_dict(self) -> dict:
+        out = self._json_header()
         if self.per_set_counts is not None:
             out["per_S_counts"] = [
                 {"S": list(s), "count": c} for s, c in self.per_set_counts
             ]
         return out
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\n"``, byte for byte.
+
+        Only the header fields go through the JSON encoder; every per-set
+        entry is one %-template fill, so no dict is built per k-set.
+        """
+        doc = self._json_header()
+        if self.per_set_counts is not None:
+            doc["per_S_counts"] = []
+        text = json.dumps(doc, indent=2) + "\n"
+        if not self.per_set_counts:
+            return text
+        entry = ('    {\n      "S": [\n' + ",\n".join(["        %d"] * self.k)
+                 + '\n      ],\n      "count": %d\n    }')
+        body = ",\n".join([entry % (*s, c) for s, c in self.per_set_counts])
+        return "".join((text[:-len("[]\n}\n")], "[\n", body, "\n  ]\n}\n"))
 
 
 # Elements one chunk of the k-set kernel may hold: for k = 3 the

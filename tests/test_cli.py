@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from rainbowindex.colorings import (
     read_coloring,
     write_coloring,
 )
+from rainbowindex.trees import OracleMode, verify_coloring
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -91,6 +93,37 @@ def test_verify_pass_and_fail(capsys, tmp_path):
     assert doc["pass"] is True
 
 
+def test_verify_json_text_is_the_indent_encoding():
+    # the direct encoder against the JSON encoder it replaces: k = 2..5 (k = n
+    # included), a vacuous, a passing and a failing demand, both oracle modes
+    for n, t in ((5, 3), (7, 4)):
+        coloring = random_coloring(n, t, SeededStream(n))
+        for k in range(2, min(n, 5) + 1):
+            for mode in (OracleMode.star(), OracleMode.full(1)):
+                low = min(c for _, c in verify_coloring(
+                    coloring, k, 0, mode, per_set_counts=True).per_set_counts)
+                for ell, workers in ((0, 1), (low, 1), (low + 1, 1), (low + 1, 2)):
+                    for counts in (False, True):
+                        report = verify_coloring(coloring, k, ell, mode,
+                                                 per_set_counts=counts, workers=workers)
+                        assert (report.witness_count is None) == (ell <= low)
+                        text = report.to_json_text()
+                        assert text == json.dumps(report.to_json_dict(), indent=2) + "\n"
+                        validate("verification_report", text)
+
+
+def test_verify_json_text_memory():
+    # K_80, k = 3: 82,160 entries; the indent encoder peaks near 83 MiB
+    report = verify_coloring(random_coloring(80, 3, SeededStream(5)), 3, 3, per_set_counts=True)
+    tracemalloc.start()
+    try:
+        report.to_json_text()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_verify_truncated_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.coloring"
     bad.write_text("6 3\n1 2 3\n")
@@ -102,6 +135,20 @@ def test_verify_truncated_file_is_usage_error(capsys, tmp_path):
 def test_verify_missing_file_is_usage_error(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", str(tmp_path / "nope"), "-k", "3", "-l", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_usage_errors(capsys, tmp_path, workers):
+    path = tmp_path / "k6.coloring"
+    write_coloring(random_coloring(6, 3, SeededStream(2)), path)
+    for argv in (("verify", str(path), "-k", "3", "-l", "1"),
+                 ("mc", "as-all", "-n", "6", "-k", "3", "-l", "1", "-t", "3", "--samples", "5"),
+                 ("mc", "sweep", "-k", "3", "-l", "1", "-t", "3", "--n", "6:7:1",
+                  "--samples", "5")):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == 2, argv
+        assert out == ""
+        assert "workers must be at least 1" in err
 
 
 # --- search -----------------------------------------------------------------
@@ -284,6 +331,12 @@ PINNED_RUNS = [
      "e5f4ad1f42dc989829b170865f3cb2938e57563bd708324c3c604a7745121db1"),
     (("oracle", "{coloring}", "-S", "1,2,3", "--mode", "full"),
      "0017c722f7706ade3618bf564aaf9e1e899491cbb229d2c8184341d5eeec8c6d"),
+    (("verify", "{coloring}", "-k", "3", "-l", "0", "--per-s-counts"),
+     "cfb2356fb7a1eb6fd210d23131989abe76006ee2e5bac9b8024a7457e92e30c3"),
+    (("verify", "{coloring}", "-k", "3", "-l", "3", "--per-s-counts"),
+     "c3fdda3e0216a6c223645a49bff98b3948eafe89e0eee4e9f24800a95306021c"),
+    (("verify", "{coloring}", "-k", "3", "-l", "3", "--per-s-counts", "--workers", "2"),
+     "c3fdda3e0216a6c223645a49bff98b3948eafe89e0eee4e9f24800a95306021c"),
 ]
 
 

@@ -193,6 +193,17 @@ def test_orbits_partition_full_space(n, t):
     assert len(seen) == t ** edge_count(n)
 
 
+@pytest.mark.parametrize("symmetry_breaking", [False, True])
+def test_enumerated_colorings_equal_validated_ones(symmetry_breaking):
+    # enumeration skips validation; its colorings must still behave like
+    # publicly constructed ones
+    for coloring in enumerate_colorings(4, 3, symmetry_breaking=symmetry_breaking):
+        built = CompleteGraphColoring(4, 3, coloring.colors)
+        assert coloring == built
+        assert hash(coloring) == hash(built)
+        assert coloring.matrix == built.matrix
+
+
 def test_enumeration_budget_error_reports_size():
     with pytest.raises(BudgetExceededError) as err:
         list(enumerate_colorings(6, 3, max_states=1000))

@@ -261,6 +261,42 @@ def test_full_oracle_packs_thousands_of_candidates():
     assert value == len(family) >= star_value
 
 
+def _subset_scan_trees(vertices, mat):
+    """The former enumerator: every (m-1)-edge subset of K[vertices], kept when
+    rainbow, spanning and acyclic; yields (edges, bitmask of degree >= 2 vertices)."""
+    records = [((u, v), 1 << mat[u][v], 1 << u | 1 << v) for u, v in combinations(vertices, 2)]
+    covered = sum(1 << v for v in vertices)
+    for subset in combinations(records, len(vertices) - 1):
+        colors = once = twice = 0
+        for _, color, ends in subset:
+            if colors & color:
+                break
+            colors |= color
+            twice |= once & ends
+            once |= ends
+        else:
+            edges = tuple(edge for edge, _, _ in subset)
+            if once == covered and trees._is_acyclic(vertices, edges):
+                yield edges, twice
+
+
+def test_rainbow_trees_match_the_subset_scan():
+    # same trees in the same (lexicographic) order, for every set of branch vertices
+    rng = random.Random(11)
+    stream = SeededStream(12)
+    for m in range(2, 8):
+        for t in (1, 2, m + 1, 4 * m):
+            n = m + 2
+            mat = random_coloring(n, t, stream.substream(m * 100 + t)).matrix
+            vertices = tuple(sorted(rng.sample(range(1, n + 1), m)))
+            scanned = list(_subset_scan_trees(vertices, mat))
+            for r in range(m + 1):
+                for extra in combinations(vertices, r):
+                    branching = sum(1 << v for v in extra)
+                    expected = [edges for edges, twice in scanned if not branching & ~twice]
+                    assert list(trees._rainbow_trees(vertices, extra, mat)) == expected
+
+
 def test_witness_is_lexicographically_least_maximum(k4_example):
     stream = SeededStream(58)
     instances = [(k4_example, 1)] + [
@@ -346,6 +382,14 @@ def test_oracle_budget_cap():
         max_disjoint_rainbow_trees(
             VertexSet.of(1, 2, 3), coloring, OracleMode.full(3), candidate_cap=10)
     assert err.value.size > 10
+    # K_10 has 10^8 spanning trees: past the cap, so no shape table is built
+    # (with fewer than 9 colors no tree is rainbow and none is needed)
+    rainbow = CompleteGraphColoring(10, 45, tuple(range(1, 46)))
+    with pytest.raises(BudgetExceededError) as err:
+        internal_tree_packing(VertexSet(tuple(range(1, 11))), rainbow)
+    assert err.value.size == 10 ** 8
+    three = random_coloring(10, 3, SeededStream(1))
+    assert len(internal_tree_packing(VertexSet(tuple(range(1, 11))), three)) == 0
 
 
 def test_oracle_mode_validation():
