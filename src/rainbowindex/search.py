@@ -6,7 +6,10 @@ Three strategies, all seeded and deterministic:
 * exhaustive — scan the symmetry-broken enumeration in canonical order;
   exhausting it without a hit is a definitive nonexistence certificate.
 * local — hill climb on the number of failing k-sets, single-edge
-  recolor moves, random restarts on stalls.
+  recolor moves, random restarts on stalls. The certificate kernel
+  scores every k-set on each move; in full mode with a resolved budget
+  <= 1 a move on edge {u,v} sends only the short sets through u or v
+  to the exact oracle, and the others keep their counts.
 """
 
 from __future__ import annotations
@@ -66,10 +69,16 @@ def _failing_sets(
     ell: int,
     mode: OracleMode,
     candidate_cap: int,
+    reuse: Optional[tuple[dict, tuple[int, int]]] = None,
+    decided: Optional[dict] = None,
 ) -> int:
-    """Number of k-sets below demand; certificate first, exact oracle on misses."""
+    """Number of k-sets below demand; certificate first, exact oracle on misses.
+
+    ``reuse`` and ``decided`` pass the exact-oracle counts from one coloring
+    to the next, as ``_decided_chunks`` describes.
+    """
     return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
-        coloring, k, ell, mode, candidate_cap, False, False))
+        coloring, k, ell, mode, candidate_cap, False, False, reuse=reuse, decided=decided))
 
 
 def find_coloring(
@@ -138,7 +147,8 @@ def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
         stream = seed.substream(restart)
         gen = stream.generator()
         coloring = random_coloring(n, t, stream.substream(0))
-        objective = _failing_sets(coloring, k, ell, mode, cap)
+        decided: dict = {}  # the exact-oracle counts of the current coloring
+        objective = _failing_sets(coloring, k, ell, mode, cap, decided=decided)
         evals += 1
         stall = 0
         while objective > 0 and evals < budget and stall < _STALL_LIMIT:
@@ -146,11 +156,13 @@ def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
             shift = int(gen.integers(1, t)) if t > 1 else 0
             color = (coloring.color(u, v) - 1 + shift) % t + 1
             candidate = coloring.recolored(u, v, color)
-            cand_objective = _failing_sets(candidate, k, ell, mode, cap)
+            cand_decided: dict = {}
+            cand_objective = _failing_sets(
+                candidate, k, ell, mode, cap, (decided, (u, v)), cand_decided)
             evals += 1
             if cand_objective <= objective:
                 stall = stall + 1 if cand_objective == objective else 0
-                coloring, objective = candidate, cand_objective
+                coloring, objective, decided = candidate, cand_objective, cand_decided
             else:
                 stall += 1
         if objective == 0:

@@ -26,10 +26,14 @@ consecutive k-sets chunk by chunk, from matmuls over pair-equality
 indicators for k = 3 and from the gathered colors at every center
 otherwise. The
 exact oracle of the mode then decides, in lexicographic order, the k-sets
-where the certificate falls short. Inside the oracle a k-set is its sorted
-members tuple and a candidate tree is ``(edges, external vertices)``; the
-validated ``VertexSet``, ``STree`` and ``DisjointFamily`` objects are
-built at the public entry points and for the witness families returned.
+where the certificate falls short, through the count-only ``_packing``.
+After a single-edge recoloring, the local search passes the previous
+coloring's oracle counts back in, and with at most one external vertex
+per tree only the sets through the edge's ends reach the oracle again.
+Inside the oracle a k-set is its sorted members tuple and a candidate
+tree is ``(edges, external vertices)``; the validated ``VertexSet``,
+``STree`` and ``DisjointFamily`` objects are built only at the public
+entry points, for the witness families they return.
 """
 
 from __future__ import annotations
@@ -402,10 +406,12 @@ def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
 
 
 def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
+    """Trees the full oracle scans: the m^(m-2) shapes of K_m, m = k + r, for
+    each choice of r <= budget external vertices."""
     total = 0
     for r in range(0, min(budget, n_external) + 1):
         m = k + r
-        total += math.comb(n_external, r) * math.comb(m * (m - 1) // 2, m - 1)
+        total += math.comb(n_external, r) * m ** (m - 2)
     return total
 
 
@@ -416,7 +422,7 @@ def _full_candidates(
     work = _full_candidate_work(len(externals), len(members), budget)
     if work > candidate_cap:
         raise BudgetExceededError(
-            f"full oracle would scan {work} candidate edge sets (cap {candidate_cap})",
+            f"full oracle would scan {work} candidate trees (cap {candidate_cap})",
             size=work,
         )
     out = []
@@ -504,6 +510,24 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     return _family(terminals, coloring, _max_packing(_internal_candidates(members, coloring.matrix), members))
 
 
+def _packing(
+    members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode, candidate_cap: int
+) -> list[tuple]:
+    """The lexicographically least maximum family of the mode's candidates for
+    the sorted k-set ``members``, as unvalidated ``(edges, external)`` tuples.
+
+    The per-k-set decision reads only its length.
+    """
+    mat, n = coloring.matrix, coloring.n
+    if mode.kind == "star":
+        candidates = _internal_candidates(members, mat) + _star_candidates(members, mat, n)
+        candidates.sort(key=_tree_order)
+    else:
+        candidates = _full_candidates(
+            members, mat, n, mode.resolved_budget(len(members)), candidate_cap)
+    return _max_packing(candidates, members)
+
+
 def max_disjoint_rainbow_trees(
     terminals: VertexSet,
     coloring: CompleteGraphColoring,
@@ -518,14 +542,7 @@ def max_disjoint_rainbow_trees(
     count, then by sorted edge list.
     """
     _check_terminals(terminals, coloring.n)
-    members, mat, n = terminals.members, coloring.matrix, coloring.n
-    if mode.kind == "star":
-        candidates = _internal_candidates(members, mat) + _star_candidates(members, mat, n)
-        candidates.sort(key=_tree_order)
-    else:
-        candidates = _full_candidates(
-            members, mat, n, mode.resolved_budget(terminals.k), candidate_cap)
-    family = _family(terminals, coloring, _max_packing(candidates, members))
+    family = _family(terminals, coloring, _packing(terminals.members, coloring, mode, candidate_cap))
     return len(family), family
 
 
@@ -709,23 +726,45 @@ def _decided_chunks(
     exact: bool,
     until_failure: bool,
     firsts: Optional[range] = None,
+    reuse: Optional[tuple[dict, tuple[int, int]]] = None,
+    decided: Optional[dict] = None,
 ) -> Iterator[tuple]:
     """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
 
     The count is the star certificate (internal packing plus rainbow
     stars). In full mode the exact oracle replaces every count below ell,
     or every count when ``exact``, called in lexicographic order through
-    the module global ``max_disjoint_rainbow_trees``. With
-    ``until_failure`` the last chunk ends at the first set below ell, and
-    no oracle call follows it.
+    the count-only ``_packing``. Each oracle count is stored in
+    ``decided[members]`` when a dict is given. ``reuse = (known, (u, v))``
+    holds the ``decided`` counts of a coloring that differs from this one
+    on edge {u,v} only. With a resolved budget <= 1, every edge of a
+    candidate tree (and of the certificate) has an end in the set, so a
+    set without u or v keeps its certificate, still below ell, and takes
+    its count from ``known``. With a larger budget a tree through two
+    external vertices can use {u,v}, and every set is decided afresh.
+    With ``until_failure`` the last chunk ends at the first set below ell,
+    and no oracle call follows it.
     """
+    if mode.kind != "full" or mode.resolved_budget(k) > 1:
+        reuse = None
     for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts):
         counts = stars + internal
         if mode.kind == "full":
+            if reuse is None:
+                kept = np.zeros(len(sets), dtype=bool)
+            else:
+                known, moved = reuse
+                kept = ~np.isin(sets, moved).any(axis=1)
             for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
-                counts[i], _ = max_disjoint_rainbow_trees(
-                    VertexSet(tuple(sets[i].tolist())), coloring, mode, candidate_cap=candidate_cap)
-                if until_failure and counts[i] < ell:
+                members = tuple(sets[i].tolist())
+                if kept[i]:
+                    count = known[members]
+                else:
+                    count = len(_packing(members, coloring, mode, candidate_cap))
+                counts[i] = count
+                if decided is not None:
+                    decided[members] = count
+                if until_failure and count < ell:
                     break
         if until_failure:
             low = np.flatnonzero(counts < ell)

@@ -349,6 +349,29 @@ def test_pinned_output_digests(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
 
+# exit code and stdout SHA-256 of local searches: the walk, and so the bytes,
+# must not depend on how the objective of each move is evaluated
+PINNED_SEARCH_RUNS = [
+    (("-n", "6", "-k", "3", "-l", "2", "-t", "3", "--mode", "full", "--budget", "1",
+      "--seed", "13"),
+     0, "7c2c6e1e5f073c743d54397bad5de6bcd1a81e0715df47dd404128ae96938c8e"),
+    (("-n", "8", "-k", "3", "-l", "4", "-t", "3", "--mode", "full", "--search-budget", "50"),
+     3, "ca673f764388a9386a853f06ed7b63ea4413ea086e087b3b4a1970050d65e630"),
+    (("-n", "7", "-k", "4", "-l", "2", "-t", "5", "--search-budget", "300", "--seed", "3"),
+     0, "792fd9fd14eaadc4996b368ae1c787dfbb78465c455fc08321d20b2f2a975767"),
+    # k = 4 in full mode: default budget 2, so every move re-decides every set
+    (("-n", "7", "-k", "4", "-l", "2", "-t", "4", "--mode", "full", "--search-budget", "150"),
+     0, "8ca092ec1aaee70a9ad5f99e0c5c30c63e7281bb5fa17136e795c8030be2fec9"),
+]
+
+
+def test_pinned_local_search_digests(capsys):
+    for argv, expected_code, sha in PINNED_SEARCH_RUNS:
+        code, out, _ = run(capsys, "search", "--strategy", "local", *argv)
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
+
+
 # --- manifest / replay ------------------------------------------------------
 
 def test_manifest_written_and_replay_identical(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
-from rainbowindex.colorings import SeededStream, random_coloring
+from rainbowindex import trees
+from rainbowindex.colorings import SeededStream, edge_pairs, random_coloring
 from rainbowindex.search import _failing_sets, find_coloring
 from rainbowindex.trees import DEFAULT_CANDIDATE_CAP, OracleMode, verify_coloring
 
@@ -66,3 +70,48 @@ def test_search_validation():
         find_coloring(6, 3, 1, 3, "random", 0, SeededStream(0))
     with pytest.raises(ValueError):
         find_coloring(2, 3, 1, 3, "random", 10, SeededStream(0))
+
+
+def test_incremental_objective_matches_from_scratch(monkeypatch):
+    # seeded walks of single-edge moves, accepted or rejected at random: after
+    # each move the reused counts give the objective and oracle counts of a
+    # from-scratch evaluation, they hold only the sets the oracle decides
+    # (certificate below ell), and only the short sets through the moved
+    # edge's ends reach the oracle, except with budget 2, where all of them do
+    real_packing = trees._packing
+    calls = []
+
+    def counted_packing(members, *args, **kwargs):
+        calls.append(members)
+        return real_packing(members, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "_packing", counted_packing)
+    cap = DEFAULT_CANDIDATE_CAP
+    rng = random.Random(5)
+    stream = SeededStream(29)
+    modes = (OracleMode.star(), OracleMode.full(1), OracleMode.full(2))
+    for case, (k, n, t, mode) in enumerate(product((3, 4), range(6, 10), (2, 3, 4), modes)):
+        ell = rng.randint(1, 3)
+        coloring = random_coloring(n, t, stream.substream(case))
+        decided = {}
+        _failing_sets(coloring, k, ell, mode, cap, decided=decided)
+        for _ in range(6 if k == 3 else 4):
+            u, v = rng.choice(edge_pairs(n))
+            color = rng.choice([c for c in range(1, t + 1) if c != coloring.color(u, v)])
+            candidate = coloring.recolored(u, v, color)
+            calls.clear()
+            cand_decided = {}
+            value = _failing_sets(candidate, k, ell, mode, cap, (decided, (u, v)), cand_decided)
+            reached = list(calls)
+            scratch = {}
+            assert value == _failing_sets(candidate, k, ell, mode, cap, decided=scratch)
+            assert cand_decided == scratch
+            if mode.kind == "star":
+                assert cand_decided == {} and reached == []
+            else:
+                below = sorted(S for S, count in verify_coloring(
+                    candidate, k, 0, per_set_counts=True).per_set_counts if count < ell)
+                assert sorted(cand_decided) == below
+                assert reached == (below if mode.budget == 2 else [S for S in below if u in S or v in S])
+            if rng.random() < 0.5:
+                coloring, decided = candidate, cand_decided

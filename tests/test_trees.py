@@ -390,6 +390,31 @@ def test_oracle_budget_cap():
     assert err.value.size == 10 ** 8
     three = random_coloring(10, 3, SeededStream(1))
     assert len(internal_tree_packing(VertexSet(tuple(range(1, 11))), three)) == 0
+    # the cap prices the trees scanned, sum_r C(9, r) (3+r)^(1+r) on K_12:
+    # 2,231,193 up to budget 4, and 35,261,337 once r = 5 adds K_8's 8^6 trees
+    twelve = random_coloring(12, 5, SeededStream(2))
+    value, _ = max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), twelve, OracleMode.full(4))
+    assert value == 9
+    with pytest.raises(BudgetExceededError) as err:
+        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), twelve, OracleMode.full(5))
+    assert err.value.size == 35_261_337
+
+
+def test_packing_matches_the_public_oracle():
+    # the count-only packing is the validated witness family, tree for tree
+    stream = SeededStream(23)
+    modes = [OracleMode.star(), OracleMode.full(1), OracleMode.full(2), OracleMode.full()]
+    case = 0
+    for n, k in [(4, 2), (5, 3), (7, 3), (8, 4), (7, 5)]:
+        for t in (1, 2, 3, 6):
+            coloring = random_coloring(n, t, stream.substream(case))
+            case += 1
+            for members in list(combinations(range(1, n + 1), k))[::3]:
+                for mode in modes:
+                    chosen = trees._packing(members, coloring, mode, trees.DEFAULT_CANDIDATE_CAP)
+                    value, family = max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)
+                    assert len(chosen) == value
+                    assert [edges for edges, _ in chosen] == [tree.edges for tree in family.trees]
 
 
 def test_oracle_mode_validation():
@@ -515,14 +540,14 @@ def _scalar_first_failure(coloring, ell, mode, certificates, oracle_calls):
 def test_kset_kernel_matches_scalar_certificates(monkeypatch):
     # every per-set count, witness and witness count, also with one-set chunks,
     # and the oracle sees exactly the scalar loop's sets, in order
-    real_oracle = trees.max_disjoint_rainbow_trees
+    real_packing = trees._packing
     calls = []
 
-    def counted_oracle(terminals, *args, **kwargs):
-        calls.append(terminals.members)
-        return real_oracle(terminals, *args, **kwargs)
+    def counted_packing(members, *args, **kwargs):
+        calls.append(members)
+        return real_packing(members, *args, **kwargs)
 
-    monkeypatch.setattr(trees, "max_disjoint_rainbow_trees", counted_oracle)
+    monkeypatch.setattr(trees, "_packing", counted_packing)
     default_cap = trees._CHUNK_ELEMENTS
     grid = {2: (2, 3, 7, 14), 3: (3, 4, 7, 14), 4: (4, 5, 8, 11), 5: (5, 6, 9)}
     stream = SeededStream(17)
