@@ -68,9 +68,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _mode_from_args(args) -> OracleMode:
-    if args.mode == "star":
-        return OracleMode.star()
-    return OracleMode.full(args.budget)
+    return OracleMode(args.mode, args.budget)  # rejects a budget in star mode
 
 
 def _add_mode_flags(parser, default="star"):
@@ -342,6 +340,8 @@ def _cmd_repro(args) -> tuple[int, str]:
                if bounds.n_threshold(Fraction(2, 3), 3, l) != -((-3 * (9 * l - 7)) // 2)]
         check(not bad, "n_threshold(2/3, 3, ell) = ceil(3(9*ell - 7)/2) on ell = 28..60")
     elif args.target == "averaging":
+        if args.samples < 1:
+            raise ValueError(f"need samples >= 1, got {args.samples}")
         stream = SeededStream(args.seed)
         bound = bounds.averaging_bound(args.n)
         identity_ok = True

@@ -7,9 +7,10 @@ Three strategies, all seeded and deterministic:
   exhausting it without a hit is a definitive nonexistence certificate.
 * local — hill climb on the number of failing k-sets, single-edge
   recolor moves, random restarts on stalls. The certificate kernel
-  scores every k-set on each move; in full mode with a resolved budget
-  <= 1 a move on edge {u,v} sends only the short sets through u or v
-  to the exact oracle, and the others keep their counts.
+  scores every k-set on each move. In full mode with a resolved budget
+  <= 1 no set reaches the exact oracle at k <= 3, where the exact count
+  has a closed form, and at k >= 4 a move on edge {u,v} sends only the
+  short sets through u or v to the oracle; the others keep their counts.
 """
 
 from __future__ import annotations

@@ -24,12 +24,16 @@ rainbow stars) of every k-set from one numpy kernel. Its inner loops are
 array operations, not per-set tuples: it yields the certificates of
 consecutive k-sets chunk by chunk, from matmuls over pair-equality
 indicators for k = 3 and from the gathered colors at every center
-otherwise. The
-exact oracle of the mode then decides, in lexicographic order, the k-sets
-where the certificate falls short, through the count-only ``_packing``.
-After a single-edge recoloring, the local search passes the previous
-coloring's oracle counts back in, and with at most one external vertex
-per tree only the sets through the edge's ends reach the oracle again.
+otherwise. In full mode the exact count then decides the k-sets where the
+certificate falls short. With k <= 3 and at most one external vertex per
+tree it has a closed form: the certificate itself at k = 2, and at k = 3
+the rainbow stars plus the larger of a Hall matching of the other
+centers to the internal edges and one internal path, from one array pass
+per slice of sets. Otherwise the exact oracle of the mode decides them,
+in lexicographic order, through the count-only ``_packing``. After a
+single-edge recoloring, the local search passes the previous coloring's
+oracle counts back in, and with at most one external vertex per tree
+only the sets through the edge's ends reach the oracle again.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
@@ -405,26 +409,26 @@ def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
             for u in _rainbow_centers(members, mat, n)]
 
 
-def _full_candidate_work(n_external: int, k: int, budget: int) -> int:
-    """Trees the full oracle scans: the m^(m-2) shapes of K_m, m = k + r, for
-    each choice of r <= budget external vertices."""
-    total = 0
+def _check_full_work(n_external: int, k: int, budget: int, candidate_cap: int) -> None:
+    """Raise BudgetExceededError when the full oracle would scan more trees
+    than ``candidate_cap``: the m^(m-2) shapes of K_m, m = k + r, for each
+    choice of r <= budget external vertices."""
+    work = 0
     for r in range(0, min(budget, n_external) + 1):
         m = k + r
-        total += math.comb(n_external, r) * m ** (m - 2)
-    return total
+        work += math.comb(n_external, r) * m ** (m - 2)
+    if work > candidate_cap:
+        raise BudgetExceededError(
+            f"full oracle would scan {work} candidate trees (cap {candidate_cap})",
+            size=work,
+        )
 
 
 def _full_candidates(
     members: tuple[int, ...], mat, n: int, budget: int, candidate_cap: int
 ) -> list[tuple]:
     externals = [v for v in range(1, n + 1) if v not in members]
-    work = _full_candidate_work(len(externals), len(members), budget)
-    if work > candidate_cap:
-        raise BudgetExceededError(
-            f"full oracle would scan {work} candidate trees (cap {candidate_cap})",
-            size=work,
-        )
+    _check_full_work(len(externals), len(members), budget, candidate_cap)
     out = []
     for r in range(0, min(budget, len(externals)) + 1):
         for extra in combinations(externals, r):
@@ -667,6 +671,52 @@ def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
         a0 = a1
 
 
+# Hall's deficiency form of the matching number of centers to internal
+# edges: nu = min over edge subsets R of 3 - |R| + |N(R)|. _NEIGHBORS[m, R]
+# is 1 when a center with usable-edge mask m lies in N(R).
+_EDGE_SUBSETS = np.arange(1, 8)
+_NEIGHBORS = ((np.arange(8)[:, None] & _EDGE_SUBSETS) != 0).astype(np.int64)
+_SUBSET_SLACK = 3 - np.array([bin(r).count("1") for r in _EDGE_SUBSETS])
+
+
+def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Full-mode budget-1 counts of the 1-based 3-sets ``sets``, less their
+    rainbow stars.
+
+    A leaf-pruned tree of S = {a,b,c} with at most one external vertex is a
+    rainbow internal 2-edge path, the star at an external x, or x joined to
+    one terminal q and to one end of the edge e = S - {q}, plus e. Trees
+    through distinct centers share only internal edges and a center carries
+    at most one tree, so every rainbow star belongs to some maximum family,
+    and the rest is the larger of a matching of the other centers to the
+    internal edges they can use, and one rainbow internal path plus a
+    center using its free edge.
+    """
+    a, b, c = (sets - 1).T
+    ca, cb, cc = colors[a], colors[b], colors[c]  # sets x centers: the table is symmetric
+    ab, ac, bc = colors[a, b], colors[a, c], colors[b, c]
+    ne_ab, ne_ac, ne_bc = ca != cb, ca != cc, cb != cc
+    # bit e of mask: some tree through the center uses internal edge e (bc: 1, ac: 2, ab: 4)
+    p, q, r = bc[:, None], ac[:, None], ab[:, None]
+    uses = (ca != p) & ((ne_ab & (cb != p)) | (ne_ac & (cc != p)))
+    mask = uses.view(np.uint8)
+    uses = (cb != q) & ((ne_ab & (ca != q)) | (ne_bc & (cc != q)))
+    mask |= uses.view(np.uint8) << 1
+    uses = (cc != r) & ((ne_ac & (ca != r)) | (ne_bc & (cb != r)))
+    mask |= uses.view(np.uint8) << 2
+    # only external centers without a rainbow star (a terminal sees color 0)
+    mask *= (ne_ab & ne_ac & ne_bc) < ((ca > 0) & (cb > 0) & (cc > 0))
+    m = len(sets)
+    hist = np.bincount((mask + np.arange(0, 8 * m, 8)[:, None]).ravel(), minlength=8 * m)
+    reach = hist.reshape(m, 8) @ _NEIGHBORS  # |N(R)| for each nonempty R
+    matched = np.minimum(3, (_SUBSET_SLACK + reach).min(axis=1))
+    # the path centered at a frees bc, and so on
+    path = np.zeros(m, dtype=np.int64)
+    for rainbow, free in ((ab != ac, 1), (ab != bc, 2), (ac != bc, 4)):
+        path = np.maximum(path, rainbow * (1 + (reach[:, free - 1] > 0)))
+    return np.maximum(matched, path)
+
+
 def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tuple]:
     """(sets, stars) of the k-sets with first vertex in ``firsts``, in lexicographic
     order: a center counts when its k colors to the set are nonzero (it lies
@@ -689,6 +739,7 @@ def _certificate_chunks(
     ell: int,
     exact: bool,
     firsts: Optional[range] = None,
+    colors: Optional[np.ndarray] = None,
 ) -> Iterator[tuple]:
     """The star certificate of every k-set, as arrays in lexicographic chunks.
 
@@ -700,10 +751,12 @@ def _certificate_chunks(
     the internal packing is computed per set, for every set when ``exact``
     and otherwise only where the stars fall below ell (elsewhere it is 0,
     so stars + internal is exact below ell and at least ell above).
+    ``colors`` is ``_color_array(coloring)`` when the caller has it already.
     """
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
-    colors = _color_array(coloring)
+    if colors is None:
+        colors = _color_array(coloring)
     if k == 3:
         yield from _triple_chunks(colors, firsts)
         return
@@ -732,9 +785,13 @@ def _decided_chunks(
     """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
 
     The count is the star certificate (internal packing plus rainbow
-    stars). In full mode the exact oracle replaces every count below ell,
-    or every count when ``exact``, called in lexicographic order through
-    the count-only ``_packing``. Each oracle count is stored in
+    stars). In full mode the exact count replaces every count below ell,
+    or every count when ``exact``. With k <= 3 and a resolved budget <= 1
+    it has a closed form: at k = 2 the certificate already counts every
+    candidate, and at k = 3 ``_full_triple_excess`` adds to the stars, in
+    one array pass per slice of at most ``_CHUNK_ELEMENTS // n`` sets.
+    Otherwise the oracle is called in lexicographic order through the
+    count-only ``_packing``, and each oracle count is stored in
     ``decided[members]`` when a dict is given. ``reuse = (known, (u, v))``
     holds the ``decided`` counts of a coloring that differs from this one
     on edge {u,v} only. With a resolved budget <= 1, every edge of a
@@ -743,13 +800,26 @@ def _decided_chunks(
     its count from ``known``. With a larger budget a tree through two
     external vertices can use {u,v}, and every set is decided afresh.
     With ``until_failure`` the last chunk ends at the first set below ell,
-    and no oracle call follows it.
+    and no exact count is taken after it.
     """
-    if mode.kind != "full" or mode.resolved_budget(k) > 1:
+    full = mode.kind == "full"
+    closed = full and k <= 3 and mode.resolved_budget(k) <= 1
+    if not full or mode.resolved_budget(k) > 1:
         reuse = None
-    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts):
+    colors = _color_array(coloring)
+    step = max(1, _CHUNK_ELEMENTS // coloring.n)  # sets per closed-form slice
+    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts, colors):
         counts = stars + internal
-        if mode.kind == "full":
+        if closed:
+            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
+            if short.size:
+                _check_full_work(coloring.n - k, k, 1, candidate_cap)
+            for start in range(0, short.size, step) if k == 3 else ():
+                part = short[start:start + step]
+                counts[part] = stars[part] + _full_triple_excess(colors, sets[part])
+                if until_failure and (counts[part] < ell).any():
+                    break
+        elif full:
             if reuse is None:
                 kept = np.zeros(len(sets), dtype=bool)
             else:

@@ -198,6 +198,19 @@ def test_oracle_k4_example(capsys, tmp_path):
     assert len(doc["witness"]) == 2
 
 
+def test_star_mode_with_a_budget_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "k6.coloring"
+    write_coloring(random_coloring(6, 3, SeededStream(4)), path)
+    for argv in (("verify", str(path), "-k", "3", "-l", "1", "--budget", "2"),
+                 ("oracle", str(path), "-S", "1,2,3", "--mode", "star", "--budget", "3"),
+                 ("search", "-n", "6", "-k", "3", "-l", "1", "-t", "3", "--budget", "1"),
+                 ("mc", "as-all", "-n", "6", "-k", "3", "-l", "1", "-t", "3", "--samples", "5",
+                  "--mode", "star", "--budget", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "star mode takes no budget" in err, argv
+
+
 def test_oracle_budget_exceeded_is_usage_error(capsys, tmp_path):
     path = tmp_path / "k9.coloring"
     import rainbowindex
@@ -337,14 +350,38 @@ PINNED_RUNS = [
      "c3fdda3e0216a6c223645a49bff98b3948eafe89e0eee4e9f24800a95306021c"),
     (("verify", "{coloring}", "-k", "3", "-l", "3", "--per-s-counts", "--workers", "2"),
      "c3fdda3e0216a6c223645a49bff98b3948eafe89e0eee4e9f24800a95306021c"),
+    # full mode at k <= 3 with budget 1, recorded while each set still went
+    # through the branch and bound
+    (("verify", "{coloring}", "-k", "3", "-l", "0", "--per-s-counts", "--mode", "full"),
+     "0a3cbf61ad6d66c032574ae0cfe294fe1d71e532012b4e3da47f6ecb8fc88d82"),
+    (("verify", "{coloring}", "-k", "3", "-l", "3", "--per-s-counts", "--mode", "full"),
+     "52cc615e07f2f4c5aea0670e3ba3016d626cf28affb66c0e95ee3b8a6b3fdddc"),
+    (("verify", "{coloring}", "-k", "2", "-l", "2", "--per-s-counts", "--mode", "full"),
+     "4080afd864018284f551dcfecf90e44554048cd97c3d7fc0fe25dd4471747e77"),
+    (("verify", "{k12}", "-k", "3", "-l", "4", "--mode", "full"),
+     "3d5f01b6997f0b09c3cd5d35fc1b1969c3cba0da1a0456e4824fea897af229b2"),
+    (("verify", "{k12}", "-k", "3", "-l", "3", "--per-s-counts", "--mode", "full"),
+     "9e456ac716bbefd65c5b8bba4d442a1d35fc0c5d67af346bf3cb09aed1ed7470"),
+    (("verify", "{k12}", "-k", "2", "-l", "3", "--per-s-counts", "--mode", "full"),
+     "a7660f6ca4af749e334c0132e127909d529b984ad6d1d540440649729324ba80"),
+    (("mc", "as-all", "-n", "7", "-k", "3", "-l", "1", "-t", "3", "--mode", "full",
+      "--samples", "20"),
+     "78cb6552f77d1b5fb9ef497d7d387209b8485249511ac714cba4c3a8af2eb00a"),
+    (("mc", "as-all", "-n", "7", "-k", "3", "-l", "2", "-t", "3", "--mode", "full",
+      "--samples", "20"),
+     "051ae4f65da6662d0d8ac0c544734e53585006b8da2217ffa26549d47d83fe54"),
+    (("mc", "as-all", "-n", "8", "-k", "3", "-l", "2", "-t", "3", "--mode", "full",
+      "--samples", "10", "--workers", "2"),
+     "8f4e0e0db8e7e63d98f0f9b09255ca856c26899046a342b0e18b5c5217b63200"),
 ]
 
 
 def test_pinned_output_digests(capsys, tmp_path):
-    path = tmp_path / "k6.coloring"
-    write_coloring(random_coloring(6, 4, SeededStream(21)), path)
+    files = {"{coloring}": tmp_path / "k6.coloring", "{k12}": tmp_path / "k12.coloring"}
+    write_coloring(random_coloring(6, 4, SeededStream(21)), files["{coloring}"])
+    write_coloring(random_coloring(12, 3, SeededStream(21)), files["{k12}"])
     for argv, sha in PINNED_RUNS:
-        code, out, _ = run(capsys, *(str(path) if tok == "{coloring}" else tok for tok in argv))
+        code, out, _ = run(capsys, *(str(files.get(tok, tok)) for tok in argv))
         assert code in (0, 1), argv
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
@@ -433,6 +470,13 @@ def test_repro_averaging(capsys):
     code, out, _ = run(capsys, "repro", "averaging", "-n", "8", "--samples", "60")
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+def test_repro_averaging_zero_samples_rejected(capsys):
+    code, out, err = run(capsys, "repro", "averaging", "-n", "8", "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "need samples >= 1" in err
 
 
 def test_repro_k6(capsys, tmp_path):

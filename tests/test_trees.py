@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +417,80 @@ def test_packing_matches_the_public_oracle():
                     assert [edges for edges, _ in chosen] == [tree.edges for tree in family.trees]
 
 
+def _full_counts(coloring, k, mode, cap=trees.DEFAULT_CANDIDATE_CAP):
+    """Every k-set's full-mode count from the per-set decision, in lexicographic order."""
+    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, cap, True, False)
+            for count in counts.tolist()]
+
+
+def test_closed_form_triple_counts_match_the_packing(monkeypatch):
+    # budget 1 at k = 3: stars plus the center matching or a path, on every
+    # triple, with the default slices and with one set per slice
+    stream = SeededStream(41)
+    case = 0
+    for n in range(3, 13):
+        for t in sorted({1, 2, 3, 5, 8, math.comb(n, 2)}):
+            coloring = random_coloring(n, t, stream.substream(case))
+            case += 1
+            expected = [len(trees._packing(members, coloring, OracleMode.full(1), trees.DEFAULT_CANDIDATE_CAP))
+                        for members in combinations(range(1, n + 1), 3)]
+            for elements in (trees._CHUNK_ELEMENTS, 1):
+                monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
+                assert _full_counts(coloring, 3, OracleMode.full(1)) == expected
+                assert _full_counts(coloring, 3, OracleMode.full()) == expected
+
+
+def test_full_budget_one_pairs_are_the_certificate():
+    # at k = 2 the budget-1 candidates are the edge ab and the paths a-x-b,
+    # which are exactly the certificate's internal tree and rainbow stars
+    stream = SeededStream(43)
+    for case, (n, t) in enumerate(product(range(2, 10), (1, 2, 3, 7))):
+        coloring = random_coloring(n, t, stream.substream(case))
+        certificate = verify_coloring(coloring, 2, 0, per_set_counts=True).per_set_counts
+        assert _full_counts(coloring, 2, OracleMode.full(1)) == [count for _, count in certificate]
+        assert [count for _, count in certificate] == [
+            len(trees._packing(members, coloring, OracleMode.full(1), trees.DEFAULT_CANDIDATE_CAP))
+            for members, _ in certificate]
+
+
+def test_closed_form_memory_at_scale():
+    # the exact full-mode scan of K_300 evaluates its triples slice by slice;
+    # the peak holds over the first three first vertices (132,760 triples)
+    coloring = random_coloring(300, 3, SeededStream(300))
+    tracemalloc.start()
+    try:
+        sets_seen = 0
+        for sets, counts in trees._decided_chunks(
+                coloring, 3, 0, OracleMode.full(), trees.DEFAULT_CANDIDATE_CAP, True, False,
+                firsts=range(1, 4)):
+            sets_seen += len(sets)
+            assert (counts >= 1).all() and (counts <= 297 + 3).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets_seen == 132_760
+    assert peak < 16 * 2**20
+
+
+def test_closed_form_keeps_the_candidate_cap():
+    # budget 1 prices 1 + 3(n-2) trees at k = 2 and 3 + 16(n-3) at k = 3;
+    # a cap below that raises as soon as a set needs its exact count
+    rainbow = CompleteGraphColoring(8, 28, tuple(range(1, 29)))
+    for k, price in ((2, 1 + 3 * 6), (3, 3 + 16 * 5)):
+        for coloring in (random_coloring(8, 2, SeededStream(k)), rainbow):
+            for kwargs in ({}, {"per_set_counts": True}):
+                with pytest.raises(BudgetExceededError) as err:
+                    verify_coloring(coloring, k, 9, OracleMode.full(1), candidate_cap=price - 1, **kwargs)
+                assert err.value.size == price
+                verify_coloring(coloring, k, 9, OracleMode.full(1), candidate_cap=price, **kwargs)
+            with pytest.raises(BudgetExceededError):
+                verify_coloring(coloring, k, 0, OracleMode.full(1), candidate_cap=price - 1,
+                                per_set_counts=True)
+        # no set is short: every certificate of the rainbow K_8 is at least 5
+        report = verify_coloring(rainbow, k, 5, OracleMode.full(1), candidate_cap=price - 1)
+        assert report.passed
+
+
 def test_oracle_mode_validation():
     with pytest.raises(ValueError):
         OracleMode("bogus")
@@ -539,7 +613,8 @@ def _scalar_first_failure(coloring, ell, mode, certificates, oracle_calls):
 
 def test_kset_kernel_matches_scalar_certificates(monkeypatch):
     # every per-set count, witness and witness count, also with one-set chunks,
-    # and the oracle sees exactly the scalar loop's sets, in order
+    # and the oracle sees exactly the scalar loop's sets, in order, except at
+    # k <= 3 with budget 1, where the closed form decides them and it sees none
     real_packing = trees._packing
     calls = []
 
@@ -559,6 +634,8 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                 case += 1
                 certificates = _scalar_certificates(coloring, k)
                 modes = [OracleMode.star()] + ([OracleMode.full(1)] if n <= 7 else [])
+                if k == 3 and n <= 7:
+                    modes.append(OracleMode.full(2))
                 for cap in (default_cap, 1):
                     monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", cap)
                     report = verify_coloring(coloring, k, 0, per_set_counts=True)
@@ -571,7 +648,8 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                             report = verify_coloring(coloring, k, ell, mode)
                             assert (report.witness, report.witness_count) == expected
                             assert report.passed == (expected[0] is None)
-                            assert calls == expected_calls
+                            closed = mode.kind == "full" and k <= 3 and mode.resolved_budget(k) <= 1
+                            assert calls == ([] if closed else expected_calls)
 
 
 def test_kset_kernel_star_total_and_memory_at_scale():
