@@ -413,15 +413,22 @@ def _manifest(args, argv: list[str], code: int, output: str, wall: float) -> Run
 
 
 def _cmd_replay(args) -> int:
-    doc = json.loads(Path(args.manifest).read_text())
-    argv = doc["argv"]
+    try:
+        doc = json.loads(Path(args.manifest).read_text())
+        argv, expected = doc["argv"], (doc["output_sha256"], doc["exit_code"])
+    except KeyError as exc:
+        print(f"error: manifest {args.manifest} has no {exc} field", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: cannot read manifest {args.manifest}: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     replay_args = parser.parse_args(argv)
     start = time.perf_counter()
     code, output = _dispatch(replay_args)
     wall = time.perf_counter() - start
     digest = hashlib.sha256(output.encode()).hexdigest()
-    same = digest == doc["output_sha256"] and code == doc["exit_code"]
+    same = (digest, code) == expected
     sys.stdout.write(output)
     print(f"replay of {' '.join(argv)}: "
           f"{'byte-identical' if same else 'OUTPUT DIFFERS'} "

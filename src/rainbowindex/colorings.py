@@ -10,6 +10,12 @@ Randomness comes from a counter-based generator (Philox-4x64) so that
 substreams addressed by index are provably non-overlapping, which makes
 every sampling routine reproducible independent of how work is chunked
 across workers.
+
+Only this module knows the triangular edge layout: ``CompleteGraphColoring``
+also serves the colors as a 1-based nested-tuple ``matrix`` for scalar
+lookups and as a 0-based numpy ``array`` for the array kernels, each built
+once per coloring. Exhaustive enumeration refuses state spaces larger than
+``ENUM_BUDGET``.
 """
 
 from __future__ import annotations
@@ -44,11 +50,11 @@ __all__ = [
     "write_coloring",
 ]
 
-DEFAULT_ENUM_BUDGET = 5_000_000
+ENUM_BUDGET = 5_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A search or enumeration state space exceeds the configured budget."""
+    """A search or enumeration state space exceeds its fixed cap."""
 
     def __init__(self, message: str, size: int):
         super().__init__(message)
@@ -187,6 +193,17 @@ class CompleteGraphColoring:
                 rows[j][i] = c
         return tuple(tuple(r) for r in rows)
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Read-only n x n numpy table, 0-based, zero on the diagonal."""
+        n = self.n
+        colors = np.zeros((n, n), dtype=np.min_scalar_type(self.t))
+        vertices = np.arange(n)
+        colors[vertices[:, None] < vertices] = self.colors  # row-major: the edge order
+        colors = colors + colors.T
+        colors.flags.writeable = False
+        return colors
+
     def recolored(self, u: int, v: int, color: int) -> "CompleteGraphColoring":
         """Copy with the single edge {u, v} set to ``color``."""
         idx = edge_index(u, v, self.n)
@@ -222,15 +239,10 @@ class ColorDegreeTable:
 def color_degrees(coloring: CompleteGraphColoring) -> ColorDegreeTable:
     """Tabulate d(v, i) = |{u != v : color(u,v) = i}|; rows sum to n-1."""
     n, t = coloring.n, coloring.t
-    counts = [[0] * t for _ in range(n)]
-    it = iter(coloring.colors)
-    for i in range(1, n):
-        row_i = counts[i - 1]
-        for j in range(i + 1, n + 1):
-            c = next(it) - 1
-            row_i[c] += 1
-            counts[j - 1][c] += 1
-    return ColorDegreeTable(n, t, tuple(tuple(r) for r in counts))
+    # entry (v, u) falls in bin v(t+1) + color; color 0 is the diagonal
+    bins = coloring.array + np.arange(0, n * (t + 1), t + 1)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=n * (t + 1)).reshape(n, t + 1)[:, 1:]
+    return ColorDegreeTable(n, t, tuple(map(tuple, counts.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +304,23 @@ def _canonical_sequences(m: int, t: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def enumerate_colorings(
-    n: int,
-    t: int,
-    symmetry_breaking: bool = False,
-    *,
-    max_states: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[CompleteGraphColoring]:
+def enumerate_colorings(n: int, t: int, symmetry_breaking: bool = False) -> Iterator[CompleteGraphColoring]:
     """Yield every coloring of K_n with palette 1..t exactly once.
 
     With ``symmetry_breaking`` on, exactly one representative per
     color-permutation orbit is yielded, namely the coloring whose colors
     first appear in increasing order along the lexicographic edge order.
     Raises BudgetExceededError (naming the state-space size) before
-    yielding anything if the space is larger than ``max_states``.
+    yielding anything if the space is larger than ``ENUM_BUDGET``.
     """
     if n < 2:
         raise ValueError(f"vertex count must be at least 2, got {n}")
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
     states = enumeration_state_count(n, t, symmetry_breaking)
-    if states > max_states:
+    if states > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumeration space has {states} colorings, budget is {max_states}",
+            f"enumeration space has {states} colorings, budget is {ENUM_BUDGET}",
             size=states,
         )
     m = edge_count(n)

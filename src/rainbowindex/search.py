@@ -11,6 +11,10 @@ Three strategies, all seeded and deterministic:
   <= 1 no set reaches the exact oracle at k <= 3, where the exact count
   has a closed form, and at k >= 4 a move on edge {u,v} sends only the
   short sets through u or v to the oracle; the others keep their counts.
+
+The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
+scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
+past either, ``find_coloring`` raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .colorings import (
-    BudgetExceededError,
     CompleteGraphColoring,
     SeededStream,
     edge_pairs,
@@ -27,7 +30,6 @@ from .colorings import (
     random_coloring,
 )
 from .trees import (
-    DEFAULT_CANDIDATE_CAP,
     OracleMode,
     _decided_chunks,
     max_disjoint_rainbow_trees,  # unused here; perfbench/tracing.py wraps it by this name
@@ -69,7 +71,6 @@ def _failing_sets(
     k: int,
     ell: int,
     mode: OracleMode,
-    candidate_cap: int,
     reuse: Optional[tuple[dict, tuple[int, int]]] = None,
     decided: Optional[dict] = None,
 ) -> int:
@@ -79,7 +80,7 @@ def _failing_sets(
     to the next, as ``_decided_chunks`` describes.
     """
     return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
-        coloring, k, ell, mode, candidate_cap, False, False, reuse=reuse, decided=decided))
+        coloring, k, ell, mode, False, False, reuse=reuse, decided=decided))
 
 
 def find_coloring(
@@ -91,9 +92,6 @@ def find_coloring(
     budget: int,
     seed: SeededStream,
     mode: OracleMode = OracleMode.star(),
-    *,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    enum_guard: int = 20_000_000,
 ) -> SearchResult:
     """Look for a coloring of K_n with t colors meeting demand ell on every k-set.
 
@@ -111,28 +109,28 @@ def find_coloring(
         raise ValueError(f"palette size must be at least 1, got {t}")
 
     if strategy == "random":
-        return _random_search(n, k, ell, t, budget, seed, mode, candidate_cap)
+        return _random_search(n, k, ell, t, budget, seed, mode)
     if strategy == "exhaustive":
-        return _exhaustive_search(n, k, ell, t, budget, mode, candidate_cap, enum_guard)
-    return _local_search(n, k, ell, t, budget, seed, mode, candidate_cap)
+        return _exhaustive_search(n, k, ell, t, budget, mode)
+    return _local_search(n, k, ell, t, budget, seed, mode)
 
 
-def _random_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
+def _random_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
     for attempt in range(budget):
         coloring = random_coloring(n, t, seed.substream(attempt))
-        report = verify_coloring(coloring, k, ell, mode, candidate_cap=cap)
+        report = verify_coloring(coloring, k, ell, mode)
         if report.passed:
             return SearchResult(True, coloring, "random", attempt + 1)
     return SearchResult(False, None, "random", budget)
 
 
-def _exhaustive_search(n, k, ell, t, budget, mode, cap, enum_guard) -> SearchResult:
+def _exhaustive_search(n, k, ell, t, budget, mode) -> SearchResult:
     scanned = 0
-    for coloring in enumerate_colorings(n, t, symmetry_breaking=True, max_states=enum_guard):
+    for coloring in enumerate_colorings(n, t, symmetry_breaking=True):
         if scanned >= budget:
             return SearchResult(False, None, "exhaustive", scanned, exhausted=False)
         scanned += 1
-        report = verify_coloring(coloring, k, ell, mode, candidate_cap=cap)
+        report = verify_coloring(coloring, k, ell, mode)
         if report.passed:
             return SearchResult(True, coloring, "exhaustive", scanned)
     # Every color-permutation orbit was checked: no representative passes,
@@ -140,7 +138,7 @@ def _exhaustive_search(n, k, ell, t, budget, mode, cap, enum_guard) -> SearchRes
     return SearchResult(False, None, "exhaustive", scanned, exhausted=True)
 
 
-def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
+def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
     pairs = edge_pairs(n)
     evals = 0
     restart = 0
@@ -149,7 +147,7 @@ def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
         gen = stream.generator()
         coloring = random_coloring(n, t, stream.substream(0))
         decided: dict = {}  # the exact-oracle counts of the current coloring
-        objective = _failing_sets(coloring, k, ell, mode, cap, decided=decided)
+        objective = _failing_sets(coloring, k, ell, mode, decided=decided)
         evals += 1
         stall = 0
         while objective > 0 and evals < budget and stall < _STALL_LIMIT:
@@ -158,8 +156,7 @@ def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
             color = (coloring.color(u, v) - 1 + shift) % t + 1
             candidate = coloring.recolored(u, v, color)
             cand_decided: dict = {}
-            cand_objective = _failing_sets(
-                candidate, k, ell, mode, cap, (decided, (u, v)), cand_decided)
+            cand_objective = _failing_sets(candidate, k, ell, mode, (decided, (u, v)), cand_decided)
             evals += 1
             if cand_objective <= objective:
                 stall = stall + 1 if cand_objective == objective else 0
@@ -167,7 +164,7 @@ def _local_search(n, k, ell, t, budget, seed, mode, cap) -> SearchResult:
             else:
                 stall += 1
         if objective == 0:
-            report = verify_coloring(coloring, k, ell, mode, candidate_cap=cap)
+            report = verify_coloring(coloring, k, ell, mode)
             if report.passed:
                 return SearchResult(True, coloring, "local", evals)
         restart += 1

@@ -11,7 +11,10 @@ lexicographically least maximum family is found by one iterative
 branch and bound over their conflict graph, bounded by clique covers
 (trees sharing an edge, or an external vertex, pairwise conflict).
 Neither recursion depth nor the number of passes grows with the number
-of candidates.
+of candidates. In star mode only the internal trees are searched: the
+rainbow stars conflict with nothing and all join the family. One
+constant, ``CANDIDATE_CAP``, bounds both the trees one full-mode call may
+scan and the size of any shape table; past it BudgetExceededError is raised.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -37,7 +40,8 @@ only the sets through the edge's ends reach the oracle again.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
-entry points, for the witness families they return.
+entry points, for the witness families they return. The array kernels
+read the coloring's own numpy table, ``CompleteGraphColoring.array``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ __all__ = [
     "verify_coloring",
 ]
 
-DEFAULT_CANDIDATE_CAP = 5_000_000
+# Most candidate trees one exact-oracle call may scan (its price), and the
+# most spanning trees a shape table may hold; past it BudgetExceededError.
+CANDIDATE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,6 @@ class STree:
         norm = _normalize_edges(edges)
         vertices = frozenset(v for e in norm for v in e)
         return cls(vertices, norm, terminal_set)
-
-    def external_vertices(self) -> frozenset[int]:
-        return self.vertices - frozenset(self.terminal_set.members)
 
 
 class TreeClass(Enum):
@@ -331,13 +334,12 @@ def _tree_shapes(m: int) -> np.ndarray:
 
     Edge i is the i-th pair of ``combinations(range(m), 2)`` and the rows are
     in lexicographic order. The m^(m-2) trees are decoded from their Prüfer
-    sequences, all of a block at once; tables past the default candidate
-    cap (m >= 10) raise BudgetExceededError.
+    sequences, all of a block at once; tables past ``CANDIDATE_CAP``
+    (m >= 10) raise BudgetExceededError.
     """
     count = m ** (m - 2)
-    if count > DEFAULT_CANDIDATE_CAP:
-        raise BudgetExceededError(
-            f"K_{m} has {count} spanning trees (cap {DEFAULT_CANDIDATE_CAP})", size=count)
+    if count > CANDIDATE_CAP:
+        raise BudgetExceededError(f"K_{m} has {count} spanning trees (cap {CANDIDATE_CAP})", size=count)
     pair = np.zeros((m, m), dtype=np.uint8)
     for i, (u, v) in enumerate(combinations(range(m), 2)):
         pair[u, v] = pair[v, u] = i
@@ -409,26 +411,24 @@ def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
             for u in _rainbow_centers(members, mat, n)]
 
 
-def _check_full_work(n_external: int, k: int, budget: int, candidate_cap: int) -> None:
+def _check_full_work(n_external: int, k: int, budget: int) -> None:
     """Raise BudgetExceededError when the full oracle would scan more trees
-    than ``candidate_cap``: the m^(m-2) shapes of K_m, m = k + r, for each
+    than ``CANDIDATE_CAP``: the m^(m-2) shapes of K_m, m = k + r, for each
     choice of r <= budget external vertices."""
     work = 0
     for r in range(0, min(budget, n_external) + 1):
         m = k + r
         work += math.comb(n_external, r) * m ** (m - 2)
-    if work > candidate_cap:
+    if work > CANDIDATE_CAP:
         raise BudgetExceededError(
-            f"full oracle would scan {work} candidate trees (cap {candidate_cap})",
+            f"full oracle would scan {work} candidate trees (cap {CANDIDATE_CAP})",
             size=work,
         )
 
 
-def _full_candidates(
-    members: tuple[int, ...], mat, n: int, budget: int, candidate_cap: int
-) -> list[tuple]:
+def _full_candidates(members: tuple[int, ...], mat, n: int, budget: int) -> list[tuple]:
     externals = [v for v in range(1, n + 1) if v not in members]
-    _check_full_work(len(externals), len(members), budget, candidate_cap)
+    _check_full_work(len(externals), len(members), budget)
     out = []
     for r in range(0, min(budget, len(externals)) + 1):
         for extra in combinations(externals, r):
@@ -514,30 +514,27 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     return _family(terminals, coloring, _max_packing(_internal_candidates(members, coloring.matrix), members))
 
 
-def _packing(
-    members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode, candidate_cap: int
-) -> list[tuple]:
+def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
     """The lexicographically least maximum family of the mode's candidates for
     the sorted k-set ``members``, as unvalidated ``(edges, external)`` tuples.
 
+    A rainbow star conflicts with no other star-mode candidate (its edges and
+    its center are its own), and stars sort after the k-1 edge internal
+    trees in center order. So the least maximum star-mode family is the
+    least maximum internal packing followed by every rainbow star, and the
+    branch and bound sees only the internal candidates.
     The per-k-set decision reads only its length.
     """
     mat, n = coloring.matrix, coloring.n
     if mode.kind == "star":
-        candidates = _internal_candidates(members, mat) + _star_candidates(members, mat, n)
-        candidates.sort(key=_tree_order)
-    else:
-        candidates = _full_candidates(
-            members, mat, n, mode.resolved_budget(len(members)), candidate_cap)
-    return _max_packing(candidates, members)
+        return _max_packing(_internal_candidates(members, mat), members) + _star_candidates(members, mat, n)
+    return _max_packing(_full_candidates(members, mat, n, mode.resolved_budget(len(members))), members)
 
 
 def max_disjoint_rainbow_trees(
     terminals: VertexSet,
     coloring: CompleteGraphColoring,
     mode: OracleMode = OracleMode.star(),
-    *,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> tuple[int, DisjointFamily]:
     """Exact maximum internally disjoint rainbow family over the mode's candidates.
 
@@ -546,7 +543,7 @@ def max_disjoint_rainbow_trees(
     count, then by sorted edge list.
     """
     _check_terminals(terminals, coloring.n)
-    family = _family(terminals, coloring, _packing(terminals.members, coloring, mode, candidate_cap))
+    family = _family(terminals, coloring, _packing(terminals.members, coloring, mode))
     return len(family), family
 
 
@@ -611,15 +608,6 @@ class VerificationReport:
 # Small chunks keep the temporaries small and let a verify that fails
 # early stop after little work; larger caps were no faster on K_50..K_400.
 _CHUNK_ELEMENTS = 1 << 15
-
-
-def _color_array(coloring: CompleteGraphColoring) -> np.ndarray:
-    """The n x n color table, 0-based, zero on the diagonal."""
-    n = coloring.n
-    colors = np.zeros((n, n), dtype=np.min_scalar_type(coloring.t))
-    vertices = np.arange(n)
-    colors[vertices[:, None] < vertices] = coloring.colors  # row-major: the edge order
-    return colors + colors.T
 
 
 def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
@@ -739,7 +727,6 @@ def _certificate_chunks(
     ell: int,
     exact: bool,
     firsts: Optional[range] = None,
-    colors: Optional[np.ndarray] = None,
 ) -> Iterator[tuple]:
     """The star certificate of every k-set, as arrays in lexicographic chunks.
 
@@ -751,17 +738,14 @@ def _certificate_chunks(
     the internal packing is computed per set, for every set when ``exact``
     and otherwise only where the stars fall below ell (elsewhere it is 0,
     so stars + internal is exact below ell and at least ell above).
-    ``colors`` is ``_color_array(coloring)`` when the caller has it already.
     """
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
-    if colors is None:
-        colors = _color_array(coloring)
     if k == 3:
-        yield from _triple_chunks(colors, firsts)
+        yield from _triple_chunks(coloring.array, firsts)
         return
     mat = coloring.matrix
-    for sets, stars in _gathered_chunks(colors, k, firsts):
+    for sets, stars in _gathered_chunks(coloring.array, k, firsts):
         internal = np.full_like(stars, 1 if k == 2 else 0)
         if k > 3:
             for i in range(len(sets)) if exact else np.flatnonzero(stars < ell).tolist():
@@ -775,7 +759,6 @@ def _decided_chunks(
     k: int,
     ell: int,
     mode: OracleMode,
-    candidate_cap: int,
     exact: bool,
     until_failure: bool,
     firsts: Optional[range] = None,
@@ -806,17 +789,16 @@ def _decided_chunks(
     closed = full and k <= 3 and mode.resolved_budget(k) <= 1
     if not full or mode.resolved_budget(k) > 1:
         reuse = None
-    colors = _color_array(coloring)
     step = max(1, _CHUNK_ELEMENTS // coloring.n)  # sets per closed-form slice
-    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts, colors):
+    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts):
         counts = stars + internal
         if closed:
             short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
             if short.size:
-                _check_full_work(coloring.n - k, k, 1, candidate_cap)
+                _check_full_work(coloring.n - k, k, 1)
             for start in range(0, short.size, step) if k == 3 else ():
                 part = short[start:start + step]
-                counts[part] = stars[part] + _full_triple_excess(colors, sets[part])
+                counts[part] = stars[part] + _full_triple_excess(coloring.array, sets[part])
                 if until_failure and (counts[part] < ell).any():
                     break
         elif full:
@@ -830,7 +812,7 @@ def _decided_chunks(
                 if kept[i]:
                     count = known[members]
                 else:
-                    count = len(_packing(members, coloring, mode, candidate_cap))
+                    count = len(_packing(members, coloring, mode))
                 counts[i] = count
                 if decided is not None:
                     decided[members] = count
@@ -859,11 +841,11 @@ def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
 def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
     """First failing k-set among those with the job's first vertices, and their
     counts if wanted; without counts the scan stops at the first failure."""
-    coloring, k, ell, mode, firsts, collect_counts, candidate_cap = job
+    coloring, k, ell, mode, firsts, collect_counts = job
     counts: list[tuple[tuple[int, ...], int]] = []
     first_fail = None
     for sets, chunk_counts in _decided_chunks(
-            coloring, k, ell, mode, candidate_cap, collect_counts, not collect_counts, firsts):
+            coloring, k, ell, mode, collect_counts, not collect_counts, firsts):
         if collect_counts:
             counts.extend(zip(zip(*sets.T.tolist()), chunk_counts.tolist()))
         low = np.flatnonzero(chunk_counts < ell)
@@ -880,7 +862,6 @@ def verify_coloring(
     *,
     per_set_counts: bool = False,
     workers: int = 1,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> VerificationReport:
     """Check that every k-set of vertices has ell internally disjoint rainbow trees.
 
@@ -897,7 +878,7 @@ def verify_coloring(
     if ell < 0:
         raise ValueError(f"demand ell must be nonnegative, got {ell}")
     ranges = _first_vertex_ranges(n, k, workers * 4 if workers > 1 else 1)
-    jobs = [(coloring, k, ell, mode, firsts, per_set_counts, candidate_cap) for firsts in ranges]
+    jobs = [(coloring, k, ell, mode, firsts, per_set_counts) for firsts in ranges]
     first_fail = None
     counts = []
     for fail, chunk_counts in parallel_map(_verify_range, jobs, workers):

@@ -178,6 +178,14 @@ def test_search_budget_exhaustion_exits_3(capsys):
     assert doc["definitive_nonexistence"] is False
 
 
+def test_search_exhaustive_past_the_enumeration_budget_exits_2(capsys):
+    code, out, err = run(capsys, "search", "-n", "7", "-k", "3", "-l", "1", "-t", "3",
+                         "--strategy", "exhaustive")
+    assert code == 2
+    assert out == ""
+    assert "enumeration space has 1743392201 colorings" in err
+
+
 def test_search_exhaustive_refutation(capsys):
     code, out, _ = run(capsys, "search", "-n", "4", "-k", "3", "-l", "1", "-t", "1",
                        "--strategy", "exhaustive", "--search-budget", "10")
@@ -373,6 +381,13 @@ PINNED_RUNS = [
     (("mc", "as-all", "-n", "8", "-k", "3", "-l", "2", "-t", "3", "--mode", "full",
       "--samples", "10", "--workers", "2"),
      "8f4e0e0db8e7e63d98f0f9b09255ca856c26899046a342b0e18b5c5217b63200"),
+    # star mode, recorded while the branch and bound still searched over the stars
+    (("oracle", "{k12}", "-S", "1,2,3", "--mode", "star"),
+     "d2719312aa4bac31a6b90972158cab1958b802e0c11b6e531793afeec85e1ca4"),
+    (("oracle", "{k12}", "-S", "2,5,7,11", "--mode", "star"),
+     "17590c42f567d9782e635c03aa78f3e9a1c029dd78aadb377682d77725975964"),
+    (("verify", "{k12}", "-k", "4", "-l", "0", "--per-s-counts"),
+     "966c33af871094a3bd7643cf9c93896dcfdcfae0c6bec2d4f6f532d8ca30ccfa"),
 ]
 
 
@@ -386,8 +401,9 @@ def test_pinned_output_digests(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
 
-# exit code and stdout SHA-256 of local searches: the walk, and so the bytes,
-# must not depend on how the objective of each move is evaluated
+# exit code and stdout SHA-256 of searches (local unless the row picks another
+# strategy): the walk, and so the bytes, must not depend on how the objective
+# of each move is evaluated
 PINNED_SEARCH_RUNS = [
     (("-n", "6", "-k", "3", "-l", "2", "-t", "3", "--mode", "full", "--budget", "1",
       "--seed", "13"),
@@ -399,6 +415,13 @@ PINNED_SEARCH_RUNS = [
     # k = 4 in full mode: default budget 2, so every move re-decides every set
     (("-n", "7", "-k", "4", "-l", "2", "-t", "4", "--mode", "full", "--search-budget", "150"),
      0, "8ca092ec1aaee70a9ad5f99e0c5c30c63e7281bb5fa17136e795c8030be2fec9"),
+    # k = 4 in full mode with budget 1: moves reuse the oracle counts of sets off the edge
+    (("-n", "7", "-k", "4", "-l", "2", "-t", "4", "--mode", "full", "--budget", "1",
+      "--search-budget", "150"),
+     0, "f2b472218ae294d06433539e291528cc2c04420a87cdc16d3d5dc23fa8a030c4"),
+    (("-n", "6", "-k", "3", "-l", "1", "-t", "3", "--strategy", "exhaustive",
+      "--search-budget", "100000"),
+     0, "07bd691f1df9c35229f068a018a66e589eb4402dbb3f27ec5b2218f9af074ce6"),
 ]
 
 
@@ -433,6 +456,24 @@ def test_replay_detects_drift(capsys, tmp_path):
     code, _, err = run(capsys, "replay", str(manifest))
     assert code == 1
     assert "DIFFERS" in err
+
+
+@pytest.mark.parametrize("kind, message", [("missing", "cannot read manifest"),
+                                           ("malformed", "cannot read manifest"),
+                                           ("unsigned", "has no 'output_sha256' field")])
+def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind, message):
+    path = tmp_path / f"{kind}.json"
+    if kind == "malformed":
+        path.write_text("{not json")
+    elif kind == "unsigned":
+        run(capsys, "--manifest", str(path), "bounds", "-k", "3", "-l", "2")
+        doc = json.loads(path.read_text())
+        del doc["output_sha256"]
+        path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_unexpected_exception_exits_4_with_manifest(capsys, tmp_path, monkeypatch):

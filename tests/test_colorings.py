@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowindex import colorings
 from rainbowindex.colorings import (
     BudgetExceededError,
     ColoringFormatError,
@@ -63,6 +64,15 @@ def test_color_lookup_symmetric():
     for u, v in edge_pairs(4):
         assert coloring.color(u, v) == coloring.color(v, u)
         assert coloring.matrix[u][v] == coloring.color(u, v)
+
+
+def test_color_array_is_the_matrix_read_only():
+    coloring = random_coloring(9, 300, SeededStream(8))
+    table = coloring.array
+    assert table is coloring.array  # built once per coloring
+    assert table.tolist() == [list(row[1:]) for row in coloring.matrix[1:]]
+    with pytest.raises(ValueError):
+        table[0, 1] = 1
 
 
 def test_recolored_changes_one_edge():
@@ -156,6 +166,8 @@ def test_color_degree_rows_sum_to_n_minus_1(seed, n, t):
     table = color_degrees(coloring)
     for v in range(1, n + 1):
         assert sum(table.row(v)) == n - 1
+        assert table.row(v) == tuple(
+            sum(coloring.color(u, v) == c for u in range(1, n + 1) if u != v) for c in range(1, t + 1))
 
 
 # --- enumeration ------------------------------------------------------------
@@ -204,9 +216,10 @@ def test_enumerated_colorings_equal_validated_ones(symmetry_breaking):
         assert coloring.matrix == built.matrix
 
 
-def test_enumeration_budget_error_reports_size():
+def test_enumeration_budget_error_reports_size(monkeypatch):
+    monkeypatch.setattr(colorings, "ENUM_BUDGET", 1000)
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_colorings(6, 3, max_states=1000))
+        list(enumerate_colorings(6, 3))
     assert err.value.size == 3 ** 15
 
 

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from rainbowindex import trees
-from rainbowindex.colorings import SeededStream, edge_pairs, random_coloring
+from rainbowindex import colorings, trees
+from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs, random_coloring
 from rainbowindex.search import _failing_sets, find_coloring
-from rainbowindex.trees import DEFAULT_CANDIDATE_CAP, OracleMode, verify_coloring
+from rainbowindex.trees import OracleMode, verify_coloring
 
 
 def test_random_search_finds_k6_demand_one():
@@ -40,6 +40,20 @@ def test_exhaustive_refutation_is_definitive():
     assert result.attempts == 1  # a single canonical coloring exists
 
 
+def test_exhaustive_search_refuses_a_space_past_the_enumeration_budget(monkeypatch):
+    # K_7 with 3 colors has S(21,1) + S(21,2) + S(21,3) canonical colorings
+    with pytest.raises(BudgetExceededError) as err:
+        find_coloring(7, 3, 1, 3, "exhaustive", 10, SeededStream(0))
+    assert err.value.size == 1_743_392_201
+    # 2-colorings of K_5: S(10,1) + S(10,2) = 512 canonical colorings
+    monkeypatch.setattr(colorings, "ENUM_BUDGET", 511)
+    with pytest.raises(BudgetExceededError) as err:
+        find_coloring(5, 3, 1, 2, "exhaustive", 600, SeededStream(0), OracleMode.full(1))
+    assert err.value.size == 512
+    monkeypatch.setattr(colorings, "ENUM_BUDGET", 512)
+    assert find_coloring(5, 3, 1, 2, "exhaustive", 600, SeededStream(0), OracleMode.full(1)).found
+
+
 def test_budget_exhaustion_is_not_a_refutation():
     result = find_coloring(6, 3, 2, 3, "exhaustive", 3, SeededStream(0), OracleMode.star())
     assert not result.found or result.attempts <= 3
@@ -60,7 +74,7 @@ def test_search_determinism():
             for ell in (1, 2, 3):
                 report = verify_coloring(coloring, k, ell, mode, per_set_counts=True)
                 expected = sum(count < ell for _, count in report.per_set_counts)
-                assert _failing_sets(coloring, k, ell, mode, DEFAULT_CANDIDATE_CAP) == expected
+                assert _failing_sets(coloring, k, ell, mode) == expected
 
 
 def test_search_validation():
@@ -87,7 +101,6 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
         return real_packing(members, *args, **kwargs)
 
     monkeypatch.setattr(trees, "_packing", counted_packing)
-    cap = DEFAULT_CANDIDATE_CAP
     rng = random.Random(5)
     stream = SeededStream(29)
     modes = (OracleMode.star(), OracleMode.full(1), OracleMode.full(2))
@@ -95,17 +108,17 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
         ell = rng.randint(1, 3)
         coloring = random_coloring(n, t, stream.substream(case))
         decided = {}
-        _failing_sets(coloring, k, ell, mode, cap, decided=decided)
+        _failing_sets(coloring, k, ell, mode, decided=decided)
         for _ in range(6 if k == 3 else 4):
             u, v = rng.choice(edge_pairs(n))
             color = rng.choice([c for c in range(1, t + 1) if c != coloring.color(u, v)])
             candidate = coloring.recolored(u, v, color)
             calls.clear()
             cand_decided = {}
-            value = _failing_sets(candidate, k, ell, mode, cap, (decided, (u, v)), cand_decided)
+            value = _failing_sets(candidate, k, ell, mode, (decided, (u, v)), cand_decided)
             reached = list(calls)
             scratch = {}
-            assert value == _failing_sets(candidate, k, ell, mode, cap, decided=scratch)
+            assert value == _failing_sets(candidate, k, ell, mode, decided=scratch)
             assert cand_decided == scratch
             if mode.kind == "star" or (k == 3 and mode.budget == 1):
                 assert cand_decided == {} and reached == []

@@ -357,6 +357,23 @@ def test_star_mode_value_is_packing_plus_stars():
         assert value == len(internal_tree_packing(S, coloring)) + rainbow_star_count(S, coloring)
 
 
+def test_star_mode_family_matches_the_search_over_stars():
+    # the branch and bound over internal trees and stars together, in candidate
+    # order, picks the same least maximum family as the internal search alone
+    stream = SeededStream(15)
+    case = 0
+    for n, t in product((4, 6, 8), (1, 2, 3, 5, 9)):
+        coloring = random_coloring(n, t, stream.substream(case))
+        case += 1
+        mat = coloring.matrix
+        for k in range(2, min(n, 5) + 1):
+            for members in list(combinations(range(1, n + 1), k))[::5]:
+                candidates = sorted(trees._internal_candidates(members, mat)
+                                    + trees._star_candidates(members, mat, n), key=trees._tree_order)
+                expected = trees._max_packing(candidates, members)
+                assert trees._packing(members, coloring, OracleMode.star()) == expected
+
+
 def test_certificate_soundness_exhaustive_k4():
     # star certificate <= full oracle on every canonical coloring of K_4
     for coloring in enumerate_colorings(4, 3, symmetry_breaking=True):
@@ -376,11 +393,11 @@ def test_certificate_soundness_exhaustive_k5_two_colors():
             assert cert <= full_value
 
 
-def test_oracle_budget_cap():
+def test_oracle_budget_cap(monkeypatch):
     coloring = random_coloring(9, 3, SeededStream(1))
-    with pytest.raises(BudgetExceededError) as err:
-        max_disjoint_rainbow_trees(
-            VertexSet.of(1, 2, 3), coloring, OracleMode.full(3), candidate_cap=10)
+    with monkeypatch.context() as patch, pytest.raises(BudgetExceededError) as err:
+        patch.setattr(trees, "CANDIDATE_CAP", 10)
+        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), coloring, OracleMode.full(3))
     assert err.value.size > 10
     # K_10 has 10^8 spanning trees: past the cap, so no shape table is built
     # (with fewer than 9 colors no tree is rainbow and none is needed)
@@ -400,6 +417,21 @@ def test_oracle_budget_cap():
     assert err.value.size == 35_261_337
 
 
+def test_one_cap_governs_the_shape_tables(monkeypatch):
+    # the constant that prices a full-mode call also refuses shape tables:
+    # a rainbow K_5 needs the 5^3 = 125 spanning trees of K_5
+    rainbow = CompleteGraphColoring(5, 10, tuple(range(1, 11)))
+    terminals = VertexSet(tuple(range(1, 6)))
+    for cached in (trees._tree_shapes, trees._branching_shapes):
+        cached.cache_clear()  # tables built earlier were checked against the real cap
+    monkeypatch.setattr(trees, "CANDIDATE_CAP", 100)
+    with pytest.raises(BudgetExceededError) as err:
+        internal_tree_packing(terminals, rainbow)
+    assert err.value.size == 125
+    monkeypatch.setattr(trees, "CANDIDATE_CAP", 125)
+    assert len(internal_tree_packing(terminals, rainbow)) == 2
+
+
 def test_packing_matches_the_public_oracle():
     # the count-only packing is the validated witness family, tree for tree
     stream = SeededStream(23)
@@ -411,15 +443,15 @@ def test_packing_matches_the_public_oracle():
             case += 1
             for members in list(combinations(range(1, n + 1), k))[::3]:
                 for mode in modes:
-                    chosen = trees._packing(members, coloring, mode, trees.DEFAULT_CANDIDATE_CAP)
+                    chosen = trees._packing(members, coloring, mode)
                     value, family = max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)
                     assert len(chosen) == value
                     assert [edges for edges, _ in chosen] == [tree.edges for tree in family.trees]
 
 
-def _full_counts(coloring, k, mode, cap=trees.DEFAULT_CANDIDATE_CAP):
+def _full_counts(coloring, k, mode):
     """Every k-set's full-mode count from the per-set decision, in lexicographic order."""
-    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, cap, True, False)
+    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, True, False)
             for count in counts.tolist()]
 
 
@@ -432,7 +464,7 @@ def test_closed_form_triple_counts_match_the_packing(monkeypatch):
         for t in sorted({1, 2, 3, 5, 8, math.comb(n, 2)}):
             coloring = random_coloring(n, t, stream.substream(case))
             case += 1
-            expected = [len(trees._packing(members, coloring, OracleMode.full(1), trees.DEFAULT_CANDIDATE_CAP))
+            expected = [len(trees._packing(members, coloring, OracleMode.full(1)))
                         for members in combinations(range(1, n + 1), 3)]
             for elements in (trees._CHUNK_ELEMENTS, 1):
                 monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
@@ -449,7 +481,7 @@ def test_full_budget_one_pairs_are_the_certificate():
         certificate = verify_coloring(coloring, 2, 0, per_set_counts=True).per_set_counts
         assert _full_counts(coloring, 2, OracleMode.full(1)) == [count for _, count in certificate]
         assert [count for _, count in certificate] == [
-            len(trees._packing(members, coloring, OracleMode.full(1), trees.DEFAULT_CANDIDATE_CAP))
+            len(trees._packing(members, coloring, OracleMode.full(1)))
             for members, _ in certificate]
 
 
@@ -461,8 +493,7 @@ def test_closed_form_memory_at_scale():
     try:
         sets_seen = 0
         for sets, counts in trees._decided_chunks(
-                coloring, 3, 0, OracleMode.full(), trees.DEFAULT_CANDIDATE_CAP, True, False,
-                firsts=range(1, 4)):
+                coloring, 3, 0, OracleMode.full(), True, False, firsts=range(1, 4)):
             sets_seen += len(sets)
             assert (counts >= 1).all() and (counts <= 297 + 3).all()
         peak = tracemalloc.get_traced_memory()[1]
@@ -472,22 +503,24 @@ def test_closed_form_memory_at_scale():
     assert peak < 16 * 2**20
 
 
-def test_closed_form_keeps_the_candidate_cap():
+def test_closed_form_keeps_the_candidate_cap(monkeypatch):
     # budget 1 prices 1 + 3(n-2) trees at k = 2 and 3 + 16(n-3) at k = 3;
     # a cap below that raises as soon as a set needs its exact count
     rainbow = CompleteGraphColoring(8, 28, tuple(range(1, 29)))
     for k, price in ((2, 1 + 3 * 6), (3, 3 + 16 * 5)):
         for coloring in (random_coloring(8, 2, SeededStream(k)), rainbow):
             for kwargs in ({}, {"per_set_counts": True}):
+                monkeypatch.setattr(trees, "CANDIDATE_CAP", price - 1)
                 with pytest.raises(BudgetExceededError) as err:
-                    verify_coloring(coloring, k, 9, OracleMode.full(1), candidate_cap=price - 1, **kwargs)
+                    verify_coloring(coloring, k, 9, OracleMode.full(1), **kwargs)
                 assert err.value.size == price
-                verify_coloring(coloring, k, 9, OracleMode.full(1), candidate_cap=price, **kwargs)
+                monkeypatch.setattr(trees, "CANDIDATE_CAP", price)
+                verify_coloring(coloring, k, 9, OracleMode.full(1), **kwargs)
+            monkeypatch.setattr(trees, "CANDIDATE_CAP", price - 1)
             with pytest.raises(BudgetExceededError):
-                verify_coloring(coloring, k, 0, OracleMode.full(1), candidate_cap=price - 1,
-                                per_set_counts=True)
+                verify_coloring(coloring, k, 0, OracleMode.full(1), per_set_counts=True)
         # no set is short: every certificate of the rainbow K_8 is at least 5
-        report = verify_coloring(rainbow, k, 5, OracleMode.full(1), candidate_cap=price - 1)
+        report = verify_coloring(rainbow, k, 5, OracleMode.full(1))
         assert report.passed
 
 
