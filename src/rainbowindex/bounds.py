@@ -58,6 +58,9 @@ __all__ = [
 
 _PRECISION_DPS = 60
 
+# |g(theta)| at which chernoff_theta stops bisecting
+THETA_TOL = 1e-9
+
 
 def rainbow_star_prob(k: int) -> Fraction:
     """p = k!/k^k, the rainbow probability of one external star."""
@@ -169,21 +172,19 @@ def binomial_upper_vs_union(n: int, k: int, ell: int) -> TailComparison:
     return TailComparison(exact, subset, power, anomaly=exact > subset)
 
 
-def chernoff_theta(eps: Fraction | float | str, k: int, tol: float = 1e-9) -> float:
+def chernoff_theta(eps: Fraction | float | str, k: int) -> float:
     """Largest root of x^k * exp(-(p eps^2/2)(x-k)) = 1.
 
     Solved on g(x) = k ln x - (p eps^2/2)(x-k), which is strictly concave
     with g(k) = k ln k > 0; the bracket starts at the maximizer
     x* = 2k/(p eps^2) and doubles until g < 0, then bisects until
-    |g(theta)| <= tol.
+    |g(theta)| <= THETA_TOL.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rate = float(rainbow_star_prob(k) * eps * eps / 2)
 
     def g(x: float) -> float:
@@ -198,7 +199,7 @@ def chernoff_theta(eps: Fraction | float | str, k: int, tol: float = 1e-9) -> fl
         if mid == lo or mid == hi:
             return mid  # float resolution exhausted
         val = g(mid)
-        if abs(val) <= tol:
+        if abs(val) <= THETA_TOL:
             return mid
         if val > 0:
             lo = mid
@@ -206,22 +207,22 @@ def chernoff_theta(eps: Fraction | float | str, k: int, tol: float = 1e-9) -> fl
             hi = mid
 
 
-def ell_min(eps: Fraction | float | str, k: int, tol: float = 1e-9) -> int:
+def ell_min(eps: Fraction | float | str, k: int) -> int:
     """Least demand covered by the concentration argument: ceil(p(theta-k)(1-eps)+1)."""
     eps = Fraction(eps)
-    theta = chernoff_theta(eps, k, tol)
+    theta = chernoff_theta(eps, k)
     p = rainbow_star_prob(k)
     return math.ceil(float(p) * (theta - k) * float(1 - eps) + 1)
 
 
-def n_threshold(eps: Fraction | float | str, k: int, ell: int, tol: float = 1e-9) -> int:
+def n_threshold(eps: Fraction | float | str, k: int, ell: int) -> int:
     """ceil((ell-1)/(p(1-eps)) + k), valid for ell >= ell_min(eps, k).
 
     The returned n also satisfies n >= theta(eps, k), which is what makes
     the union bound close.
     """
     eps = Fraction(eps)
-    minimum = ell_min(eps, k, tol)
+    minimum = ell_min(eps, k)
     if ell < minimum:
         raise ValueError(f"need ell >= {minimum} for eps={eps}, k={k}; got {ell}")
     p = rainbow_star_prob(k)
@@ -320,8 +321,6 @@ def combined_N(
     k: int,
     ell: int,
     eps: Fraction | float | str | None = None,
-    *,
-    theta_tol: float = 1e-9,
 ) -> BoundReport:
     """Assemble the full report; N = max(N1, N2) without eps.
 
@@ -340,10 +339,10 @@ def combined_N(
     if eps is None:
         return BoundReport(k, ell, p, f_k, n1, kind, n2, max(n1, n2))
     eps = Fraction(eps)
-    theta = chernoff_theta(eps, k, theta_tol)
-    lmin = ell_min(eps, k, theta_tol)
-    nthr = n_threshold(eps, k, ell, theta_tol)
-    if nthr < theta - theta_tol:
+    theta = chernoff_theta(eps, k)
+    lmin = ell_min(eps, k)
+    nthr = n_threshold(eps, k, ell)
+    if nthr < theta - THETA_TOL:
         raise AssertionError("n_threshold fell below theta")
     if k == 3:
         combined = max(6, nthr)  # 6 bounds the 2-coloring threshold R(3,3)
@@ -382,5 +381,5 @@ def expected_X_upper(coloring: CompleteGraphColoring) -> tuple[Fraction, Fractio
     for v in range(1, n + 1):
         d1, d2, d3 = table.row(v)
         product_sum += d1 * d2 * d3
-    star_sum = sum(int(stars.sum()) for _, stars, _ in _certificate_chunks(coloring, 3, 0, True))
+    star_sum = sum(int(stars.sum()) for _, stars, _ in _certificate_chunks(coloring, 3))
     return 3 + Fraction(product_sum, triples), Fraction(star_sum, triples)

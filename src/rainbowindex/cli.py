@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", "--ell", type=int, required=True)
     p.add_argument("--eps", type=_fraction, default=None,
                    help="rational in (0,1), e.g. 1/2, to add concentration thresholds")
-    p.add_argument("--theta-tol", type=float, default=1e-9)
 
     p = sub.add_parser("verify", help="check a coloring file against a (k, ell) demand")
     p.add_argument("coloring", help="coloring file path")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Command handlers: return (exit_code, primary_output_text)
 
 def _cmd_bounds(args) -> tuple[int, str]:
-    report = bounds.combined_N(args.k, args.ell, args.eps, theta_tol=args.theta_tol)
+    report = bounds.combined_N(args.k, args.ell, args.eps)
     doc = report.to_json_dict()
     rows = [("k", report.k), ("ell", report.ell),
             ("p", f"{report.p} = {float(report.p):.6f}"),

@@ -20,10 +20,10 @@ once per coloring. Exhaustive enumeration refuses state spaces larger than
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -265,21 +265,21 @@ def canonical_color_form(colors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _stirling2(m: int, j: int) -> int:
-    if m == 0:
-        return 1 if j == 0 else 0
-    if j == 0:
-        return 0
-    return j * _stirling2(m - 1, j) + _stirling2(m - 1, j - 1)
+def enumeration_state_count(n: int, t: int) -> int:
+    """Number of colorings enumerate_colorings yields: the partitions of the
+    m = C(n,2) edges into at most T = min(t, m) color classes.
 
-
-def enumeration_state_count(n: int, t: int, symmetry_breaking: bool) -> int:
-    """Number of colorings enumerate_colorings would yield."""
+    By Burnside's lemma over the T! permutations of T colors, C(T, r) D(T-r)
+    of which fix exactly r colors (D: the derangement numbers), that is
+    (1/T!) sum_r C(T, r) D(T-r) r^m: T big-integer powers, no recursion.
+    """
     m = edge_count(n)
-    if not symmetry_breaking:
-        return t ** m
-    return sum(_stirling2(m, j) for j in range(1, t + 1))
+    top = min(t, m)
+    derangements = [1, 0]
+    for s in range(2, top + 1):
+        derangements.append((s - 1) * (derangements[-1] + derangements[-2]))
+    total = sum(math.comb(top, r) * derangements[top - r] * r ** m for r in range(1, top + 1))
+    return total // math.factorial(top)
 
 
 def _canonical_sequences(m: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -304,33 +304,27 @@ def _canonical_sequences(m: int, t: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def enumerate_colorings(n: int, t: int, symmetry_breaking: bool = False) -> Iterator[CompleteGraphColoring]:
-    """Yield every coloring of K_n with palette 1..t exactly once.
+def enumerate_colorings(n: int, t: int) -> Iterator[CompleteGraphColoring]:
+    """Yield one coloring of K_n with palette 1..t per color-permutation orbit.
 
-    With ``symmetry_breaking`` on, exactly one representative per
-    color-permutation orbit is yielded, namely the coloring whose colors
-    first appear in increasing order along the lexicographic edge order.
-    Raises BudgetExceededError (naming the state-space size) before
-    yielding anything if the space is larger than ``ENUM_BUDGET``.
+    The representative is the coloring whose colors first appear in
+    increasing order along the lexicographic edge order. Raises
+    BudgetExceededError (naming the state-space size) before yielding
+    anything if the space is larger than ``ENUM_BUDGET``.
     """
     if n < 2:
         raise ValueError(f"vertex count must be at least 2, got {n}")
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
-    states = enumeration_state_count(n, t, symmetry_breaking)
+    states = enumeration_state_count(n, t)
     if states > ENUM_BUDGET:
         raise BudgetExceededError(
             f"enumeration space has {states} colorings, budget is {ENUM_BUDGET}",
             size=states,
         )
-    m = edge_count(n)
-    if symmetry_breaking:
-        seqs: Iterator[tuple[int, ...]] = _canonical_sequences(m, t)
-    else:
-        seqs = product(range(1, t + 1), repeat=m)
-    # both generators yield in-palette sequences of length m only
+    # the canonical sequences are in-palette and of length C(n,2) by construction
     unchecked = CompleteGraphColoring._unchecked
-    for seq in seqs:
+    for seq in _canonical_sequences(edge_count(n), t):
         yield unchecked(n, t, seq)
 
 

@@ -45,13 +45,14 @@ CHUNK = 4096
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, samples: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; well-behaved at frequencies 0 and 1."""
+def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
+    """95% Wilson score interval; well-behaved at frequencies 0 and 1."""
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
         raise ValueError("successes out of range")
     phat = successes / samples
+    z = Z95
     z2 = z * z
     denom = 1 + z2 / samples
     center = phat + z2 / (2 * samples)

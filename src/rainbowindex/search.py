@@ -9,8 +9,9 @@ Three strategies, all seeded and deterministic:
   recolor moves, random restarts on stalls. The certificate kernel
   scores every k-set on each move. In full mode with a resolved budget
   <= 1 no set reaches the exact oracle at k <= 3, where the exact count
-  has a closed form, and at k >= 4 a move on edge {u,v} sends only the
-  short sets through u or v to the oracle; the others keep their counts.
+  has a closed form. At k >= 4, in star mode and in full mode with a
+  resolved budget <= 1, a move on edge {u,v} packs and sends to the
+  oracle only the short sets through u or v; the others keep their counts.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
@@ -76,8 +77,8 @@ def _failing_sets(
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on misses.
 
-    ``reuse`` and ``decided`` pass the exact-oracle counts from one coloring
-    to the next, as ``_decided_chunks`` describes.
+    ``reuse`` and ``decided`` pass the per-set loop's counts from one
+    coloring to the next, as ``_decided_chunks`` describes.
     """
     return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
         coloring, k, ell, mode, False, False, reuse=reuse, decided=decided))
@@ -126,7 +127,7 @@ def _random_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
 
 def _exhaustive_search(n, k, ell, t, budget, mode) -> SearchResult:
     scanned = 0
-    for coloring in enumerate_colorings(n, t, symmetry_breaking=True):
+    for coloring in enumerate_colorings(n, t):
         if scanned >= budget:
             return SearchResult(False, None, "exhaustive", scanned, exhausted=False)
         scanned += 1
@@ -146,7 +147,7 @@ def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
         stream = seed.substream(restart)
         gen = stream.generator()
         coloring = random_coloring(n, t, stream.substream(0))
-        decided: dict = {}  # the exact-oracle counts of the current coloring
+        decided: dict = {}  # the per-set loop's counts of the current coloring
         objective = _failing_sets(coloring, k, ell, mode, decided=decided)
         evals += 1
         stall = 0

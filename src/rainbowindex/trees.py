@@ -22,21 +22,23 @@ leaf-pruned candidates never changes the maximum family size while
 shrinking the search space drastically.
 
 Whole-coloring verification, the local-search objective and the
-double-counting bound take the star certificate (internal packing plus
-rainbow stars) of every k-set from one numpy kernel. Its inner loops are
-array operations, not per-set tuples: it yields the certificates of
-consecutive k-sets chunk by chunk, from matmuls over pair-equality
-indicators for k = 3 and from the gathered colors at every center
-otherwise. In full mode the exact count then decides the k-sets where the
-certificate falls short. With k <= 3 and at most one external vertex per
-tree it has a closed form: the certificate itself at k = 2, and at k = 3
-the rainbow stars plus the larger of a Hall matching of the other
-centers to the internal edges and one internal path, from one array pass
-per slice of sets. Otherwise the exact oracle of the mode decides them,
-in lexicographic order, through the count-only ``_packing``. After a
-single-edge recoloring, the local search passes the previous coloring's
-oracle counts back in, and with at most one external vertex per tree
-only the sets through the edge's ends reach the oracle again.
+double-counting bound start from one numpy kernel. Its inner loops are
+array operations at every k, not per-set tuples: it yields, chunk by chunk
+of consecutive k-sets, the rainbow star counts and the internal packing
+where arrays know it (1 at k = 2, the triangle term at k = 3, 0 at
+k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
+gathered colors at every center otherwise. In full mode with k <= 3 and at
+most one external vertex per tree the exact count has a closed form: the
+certificate itself at k = 2, and at k = 3 the rainbow stars plus the
+larger of a Hall matching of the other centers to the internal edges and
+one internal path, from one array pass per slice of sets. Every other set
+the arrays leave short goes through one per-set loop, in lexicographic
+order: a count reused from the previous coloring, the internal packing at
+k >= 4, and in full mode the count-only ``_packing``. After a single-edge
+recoloring, the local search passes the previous coloring's counts back
+in, and when every candidate edge has an end in the set (star mode, or at
+most one external vertex per tree) only the sets through the edge's ends
+are counted again.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
@@ -263,11 +265,16 @@ class DisjointFamily:
                 raise ValueError("tree terminal set does not match the family")
             if not is_rainbow(tree, self.coloring):
                 raise ValueError(f"tree {tree.edges} is not rainbow")
-        for a, b in combinations(self.trees, 2):
-            if set(a.edges) & set(b.edges):
+        owned_edges: set = set()
+        owned_vertices: set = set()
+        for tree in self.trees:
+            if not owned_edges.isdisjoint(tree.edges):
                 raise ValueError("trees share an edge")
-            if (a.vertices & b.vertices) - terms:
+            external = tree.vertices - terms
+            if not owned_vertices.isdisjoint(external):
                 raise ValueError("trees share a vertex outside the terminal set")
+            owned_edges.update(tree.edges)
+            owned_vertices |= external
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -724,34 +731,25 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tupl
 def _certificate_chunks(
     coloring: CompleteGraphColoring,
     k: int,
-    ell: int,
-    exact: bool,
     firsts: Optional[range] = None,
 ) -> Iterator[tuple]:
-    """The star certificate of every k-set, as arrays in lexicographic chunks.
+    """What arrays compute of every k-set's count, in lexicographic chunks.
 
     Yields ``(sets, stars, internal)``: the (m, k) array of 1-based k-sets
     with first vertex in ``firsts`` (default: all), their rainbow star
-    counts and their internal packing sizes. Chunks hold consecutive sets
-    and are capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2) plus one
-    chunk. k = 3 uses matmuls, k = 2 has internal part 1, and for k >= 4
-    the internal packing is computed per set, for every set when ``exact``
-    and otherwise only where the stars fall below ell (elsewhere it is 0,
-    so stars + internal is exact below ell and at least ell above).
+    counts and the internal part the arrays know: 1 at k = 2, the triangle
+    term at k = 3 (both the internal packing itself) and 0 at k >= 4,
+    where ``_decided_chunks`` packs the sets it needs. Chunks hold
+    consecutive sets and are capped by ``_CHUNK_ELEMENTS``, so memory stays
+    O(n^2) plus one chunk.
     """
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
     if k == 3:
         yield from _triple_chunks(coloring.array, firsts)
         return
-    mat = coloring.matrix
     for sets, stars in _gathered_chunks(coloring.array, k, firsts):
-        internal = np.full_like(stars, 1 if k == 2 else 0)
-        if k > 3:
-            for i in range(len(sets)) if exact else np.flatnonzero(stars < ell).tolist():
-                members = tuple(sets[i].tolist())
-                internal[i] = len(_max_packing(_internal_candidates(members, mat), members))
-        yield sets, stars, internal
+        yield sets, stars, np.full_like(stars, 1 if k == 2 else 0)
 
 
 def _decided_chunks(
@@ -767,30 +765,32 @@ def _decided_chunks(
 ) -> Iterator[tuple]:
     """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
 
-    The count is the star certificate (internal packing plus rainbow
-    stars). In full mode the exact count replaces every count below ell,
-    or every count when ``exact``. With k <= 3 and a resolved budget <= 1
-    it has a closed form: at k = 2 the certificate already counts every
-    candidate, and at k = 3 ``_full_triple_excess`` adds to the stars, in
-    one array pass per slice of at most ``_CHUNK_ELEMENTS // n`` sets.
-    Otherwise the oracle is called in lexicographic order through the
-    count-only ``_packing``, and each oracle count is stored in
-    ``decided[members]`` when a dict is given. ``reuse = (known, (u, v))``
-    holds the ``decided`` counts of a coloring that differs from this one
-    on edge {u,v} only. With a resolved budget <= 1, every edge of a
-    candidate tree (and of the certificate) has an end in the set, so a
-    set without u or v keeps its certificate, still below ell, and takes
-    its count from ``known``. With a larger budget a tree through two
-    external vertices can use {u,v}, and every set is decided afresh.
-    With ``until_failure`` the last chunk ends at the first set below ell,
-    and no exact count is taken after it.
+    The count starts from ``_certificate_chunks``. In full mode with k <= 3
+    and a resolved budget <= 1 the exact count has a closed form: at k = 2
+    the certificate already counts every candidate, and at k = 3
+    ``_full_triple_excess`` adds to the stars, in one array pass per slice
+    of at most ``_CHUNK_ELEMENTS // n`` sets. Otherwise, in full mode or at
+    k >= 4, one loop takes each set the arrays leave below ell (every set
+    when ``exact``), in lexicographic order, through three steps: a reused
+    count; the internal packing at k >= 4, skipped when exact in full mode,
+    where the oracle's count replaces it; and in full mode the count-only
+    ``_packing``, when exact or while the set is still below ell. The loop
+    stores each count it settles in ``decided[members]`` when a dict is
+    given. ``reuse = (known, (u, v))`` holds the ``decided`` counts of a
+    coloring that differs from this one on edge {u,v} only. When every
+    candidate edge has an end in the set, as in star mode and at a resolved
+    budget <= 1, a set without u or v keeps its count, and its arrays'
+    count, also unchanged, put it in ``known``. With a larger budget a tree
+    through two external vertices can use {u,v}, and every set is decided
+    afresh. With ``until_failure`` the last chunk ends at the first set
+    below ell, and no count is taken after it.
     """
     full = mode.kind == "full"
     closed = full and k <= 3 and mode.resolved_budget(k) <= 1
-    if not full or mode.resolved_budget(k) > 1:
+    if full and mode.resolved_budget(k) > 1:
         reuse = None
     step = max(1, _CHUNK_ELEMENTS // coloring.n)  # sets per closed-form slice
-    for sets, stars, internal in _certificate_chunks(coloring, k, ell, exact, firsts):
+    for sets, stars, internal in _certificate_chunks(coloring, k, firsts):
         counts = stars + internal
         if closed:
             short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
@@ -801,18 +801,18 @@ def _decided_chunks(
                 counts[part] = stars[part] + _full_triple_excess(coloring.array, sets[part])
                 if until_failure and (counts[part] < ell).any():
                     break
-        elif full:
-            if reuse is None:
-                kept = np.zeros(len(sets), dtype=bool)
-            else:
-                known, moved = reuse
-                kept = ~np.isin(sets, moved).any(axis=1)
+        elif full or k > 3:
+            kept = np.zeros(len(sets), dtype=bool) if reuse is None else ~np.isin(sets, reuse[1]).any(axis=1)
             for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
                 members = tuple(sets[i].tolist())
                 if kept[i]:
-                    count = known[members]
+                    count = reuse[0][members]
                 else:
-                    count = len(_packing(members, coloring, mode))
+                    count = int(counts[i])
+                    if k > 3 and not (exact and full):
+                        count += len(_max_packing(_internal_candidates(members, coloring.matrix), members))
+                    if full and (exact or count < ell):
+                        count = len(_packing(members, coloring, mode))
                 counts[i] = count
                 if decided is not None:
                     decided[members] = count

@@ -85,7 +85,7 @@ def test_criterion_04_ramsey_bounds():
 
 def test_criterion_05_double_counting_identity():
     violations = 0
-    for coloring in enumerate_colorings(5, 3, symmetry_breaking=True):
+    for coloring in enumerate_colorings(5, 3):
         degree_avg, star_avg = expected_X_upper(coloring)
         if degree_avg != star_avg + 3:
             violations += 1

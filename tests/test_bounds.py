@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowindex.bounds import (
+    THETA_TOL,
     N2Kind,
     RamseyQuery,
     averaging_bound,
@@ -142,8 +143,8 @@ def test_theta_matches_reported_values():
 
 
 def test_theta_residual_within_tolerance():
-    tol = 1e-9
-    theta = chernoff_theta(Fraction(1, 2), 3, tol)
+    tol = THETA_TOL
+    theta = chernoff_theta(Fraction(1, 2), 3)
     g = 3 * math.log(theta) - (1 / 36) * (theta - 3)
     assert abs(g) <= tol
     # defining-equation form

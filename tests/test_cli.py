@@ -20,6 +20,8 @@ from rainbowindex.colorings import (
 )
 from rainbowindex.trees import OracleMode, verify_coloring
 
+from conftest import burnside_orbit_count
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
@@ -69,6 +71,17 @@ def test_bounds_rejects_malformed_eps(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "bounds", "-k", "3", "-l", "1", "--eps", "half")
     assert exc.value.code == 2
+
+
+def test_bounds_theta_tolerance_is_not_an_option(capsys):
+    # a loose tolerance used to stop the bisection early: theta 486.0 and
+    # ell_min 55 instead of 712.415 and 80
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "bounds", "-k", "3", "-l", "100", "--eps", "1/2", "--theta-tol", "1e9")
+    assert exc.value.code == 2
+    code, out, err = run(capsys, "bounds", "-k", "4", "-l", "3", "--eps", "2/3")
+    assert (code, out) == (2, "")
+    assert "need ell >= 45" in err
 
 
 # --- verify -----------------------------------------------------------------
@@ -184,6 +197,13 @@ def test_search_exhaustive_past_the_enumeration_budget_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "enumeration space has 1743392201 colorings" in err
+    # the count takes no recursion, so C(n,2) edges of any size are priced
+    for n in (32, 40):
+        code, out, err = run(capsys, "search", "-n", str(n), "-k", "3", "-l", "1", "-t", "3",
+                             "--strategy", "exhaustive")
+        assert code == 2
+        assert out == ""
+        assert f"enumeration space has {burnside_orbit_count(n * (n - 1) // 2, 3)} colorings" in err
 
 
 def test_search_exhaustive_refutation(capsys):
@@ -388,6 +408,11 @@ PINNED_RUNS = [
      "17590c42f567d9782e635c03aa78f3e9a1c029dd78aadb377682d77725975964"),
     (("verify", "{k12}", "-k", "4", "-l", "0", "--per-s-counts"),
      "966c33af871094a3bd7643cf9c93896dcfdcfae0c6bec2d4f6f532d8ca30ccfa"),
+    # recorded while the theta tolerance was still an option, at its default
+    (("bounds", "-k", "3", "-l", "100", "--eps", "1/2"),
+     "b330bf40ad1d91594def49eb3778dd386421b7b3310874eef728f8e9bb000b1c"),
+    (("bounds", "-k", "4", "-l", "50", "--eps", "2/3"),
+     "783e183dad482fe381a50d5cf00f18ed0bbc0b76c011e287f74b4ae568846ca7"),
 ]
 
 

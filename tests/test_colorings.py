@@ -172,21 +172,17 @@ def test_color_degree_rows_sum_to_n_minus_1(seed, n, t):
 
 # --- enumeration ------------------------------------------------------------
 
-def test_enumerate_all_k3_two_colors():
-    assert sum(1 for _ in enumerate_colorings(3, 2)) == 8
-
-
 def test_enumerate_symmetry_broken_k3_two_colors():
-    got = [c.colors for c in enumerate_colorings(3, 2, symmetry_breaking=True)]
+    got = [c.colors for c in enumerate_colorings(3, 2)]
     assert got == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
 
 
 @pytest.mark.parametrize("n,t", [(3, 2), (4, 2), (4, 3)])
 def test_enumeration_count_matches_burnside(n, t):
     m = edge_count(n)
-    count = sum(1 for _ in enumerate_colorings(n, t, symmetry_breaking=True))
+    count = sum(1 for _ in enumerate_colorings(n, t))
     assert count == burnside_orbit_count(m, t)
-    assert count == enumeration_state_count(n, t, True)
+    assert count == enumeration_state_count(n, t)
 
 
 @pytest.mark.parametrize("n,t", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -194,7 +190,7 @@ def test_orbits_partition_full_space(n, t):
     # applying every color permutation to each representative and
     # re-canonicalizing reproduces that representative, and the orbits
     # tile the unbroken space exactly
-    reps = list(enumerate_colorings(n, t, symmetry_breaking=True))
+    reps = list(enumerate_colorings(n, t))
     seen: set[tuple[int, ...]] = set()
     for rep in reps:
         for perm_images in permutations(range(1, t + 1)):
@@ -205,11 +201,10 @@ def test_orbits_partition_full_space(n, t):
     assert len(seen) == t ** edge_count(n)
 
 
-@pytest.mark.parametrize("symmetry_breaking", [False, True])
-def test_enumerated_colorings_equal_validated_ones(symmetry_breaking):
+def test_enumerated_colorings_equal_validated_ones():
     # enumeration skips validation; its colorings must still behave like
     # publicly constructed ones
-    for coloring in enumerate_colorings(4, 3, symmetry_breaking=symmetry_breaking):
+    for coloring in enumerate_colorings(4, 3):
         built = CompleteGraphColoring(4, 3, coloring.colors)
         assert coloring == built
         assert hash(coloring) == hash(built)
@@ -220,15 +215,28 @@ def test_enumeration_budget_error_reports_size(monkeypatch):
     monkeypatch.setattr(colorings, "ENUM_BUDGET", 1000)
     with pytest.raises(BudgetExceededError) as err:
         list(enumerate_colorings(6, 3))
-    assert err.value.size == 3 ** 15
+    assert err.value.size == 2_391_485
+
+
+def test_enumeration_state_count_matches_the_stirling_recurrence():
+    # sum_j S(m, j) by the recurrence S(m, j) = j S(m-1, j) + S(m-1, j-1),
+    # row by row; a palette larger than the edge count adds nothing
+    for t in (1, 2, 3, 5):
+        row = [1] + [0] * t
+        for m in range(1, edge_count(40) + 1):
+            row = [0] + [j * row[j] + row[j - 1] for j in range(1, t + 1)]
+            n = math.isqrt(2 * m) + 1
+            if edge_count(n) == m:
+                assert enumeration_state_count(n, t) == sum(row)
+    assert enumeration_state_count(3, 7) == enumeration_state_count(3, 3) == 5
 
 
 def test_enumeration_count_k6_three_colors_vs_burnside():
     # 2 391 485 canonical sequences of length 15 over three colors
     expected = burnside_orbit_count(15, 3)
     assert expected == 2391485
-    assert enumeration_state_count(6, 3, True) == expected
-    assert sum(1 for _ in enumerate_colorings(6, 3, symmetry_breaking=True)) == expected
+    assert enumeration_state_count(6, 3) == expected
+    assert sum(1 for _ in enumerate_colorings(6, 3)) == expected
 
 
 # --- file format ------------------------------------------------------------

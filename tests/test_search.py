@@ -6,7 +6,7 @@ import pytest
 from rainbowindex import colorings, trees
 from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs, random_coloring
 from rainbowindex.search import _failing_sets, find_coloring
-from rainbowindex.trees import OracleMode, verify_coloring
+from rainbowindex.trees import OracleMode, VertexSet, rainbow_star_count, verify_coloring
 
 
 def test_random_search_finds_k6_demand_one():
@@ -88,19 +88,26 @@ def test_search_validation():
 
 def test_incremental_objective_matches_from_scratch(monkeypatch):
     # seeded walks of single-edge moves, accepted or rejected at random: after
-    # each move the reused counts give the objective and oracle counts of a
-    # from-scratch evaluation, they hold only the sets the oracle decides
-    # (certificate below ell), and only the short sets through the moved
-    # edge's ends reach the oracle, except with budget 2, where all of them do;
-    # at k = 3 with budget 1 the closed form decides every set without the oracle
-    real_packing = trees._packing
-    calls = []
+    # each move the reused counts give the objective and stored counts of a
+    # from-scratch evaluation, they hold only the sets the arrays leave below
+    # ell (the certificate at k = 3, the rainbow stars at k = 4), and only
+    # the sets through the moved edge's ends are packed again, except with
+    # budget 2, where every short set reaches the oracle; star mode never
+    # calls the oracle, and at k = 3 with budget 1 the closed form decides
+    # every set, so neither stores a count at k = 3
+    real_packing, real_max_packing = trees._packing, trees._max_packing
+    calls, packed = [], []
 
     def counted_packing(members, *args, **kwargs):
         calls.append(members)
         return real_packing(members, *args, **kwargs)
 
+    def counted_max_packing(candidates, members):
+        packed.append(members)
+        return real_max_packing(candidates, members)
+
     monkeypatch.setattr(trees, "_packing", counted_packing)
+    monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
     rng = random.Random(5)
     stream = SeededStream(29)
     modes = (OracleMode.star(), OracleMode.full(1), OracleMode.full(2))
@@ -114,18 +121,27 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
             color = rng.choice([c for c in range(1, t + 1) if c != coloring.color(u, v)])
             candidate = coloring.recolored(u, v, color)
             calls.clear()
+            packed.clear()
             cand_decided = {}
             value = _failing_sets(candidate, k, ell, mode, (decided, (u, v)), cand_decided)
-            reached = list(calls)
+            reached, repacked = list(calls), list(packed)
             scratch = {}
             assert value == _failing_sets(candidate, k, ell, mode, decided=scratch)
             assert cand_decided == scratch
-            if mode.kind == "star" or (k == 3 and mode.budget == 1):
+            certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
+            below = sorted(S for S, count in certificates if count < ell)
+            stars_below = sorted(S for S, _ in certificates
+                                 if rainbow_star_count(VertexSet(S), candidate) < ell)
+            moved = [S for S in (below if k == 3 else stars_below) if u in S or v in S]
+            if k == 3 and (mode.kind == "star" or mode.budget == 1):
                 assert cand_decided == {} and reached == []
             else:
-                below = sorted(S for S, count in verify_coloring(
-                    candidate, k, 0, per_set_counts=True).per_set_counts if count < ell)
-                assert sorted(cand_decided) == below
-                assert reached == (below if mode.budget == 2 else [S for S in below if u in S or v in S])
+                assert sorted(cand_decided) == (below if k == 3 else stars_below)
+            if mode.kind == "star":
+                assert reached == [] and repacked == (moved if k == 4 else [])
+            elif mode.budget == 2:
+                assert reached == below
+            elif k == 4:
+                assert reached == [S for S in below if u in S or v in S]
             if rng.random() < 0.5:
                 coloring, decided = candidate, cand_decided

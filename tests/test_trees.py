@@ -376,7 +376,7 @@ def test_star_mode_family_matches_the_search_over_stars():
 
 def test_certificate_soundness_exhaustive_k4():
     # star certificate <= full oracle on every canonical coloring of K_4
-    for coloring in enumerate_colorings(4, 3, symmetry_breaking=True):
+    for coloring in enumerate_colorings(4, 3):
         for members in combinations(range(1, 5), 3):
             S = VertexSet(members)
             cert = len(internal_tree_packing(S, coloring)) + rainbow_star_count(S, coloring)
@@ -385,7 +385,7 @@ def test_certificate_soundness_exhaustive_k4():
 
 
 def test_certificate_soundness_exhaustive_k5_two_colors():
-    for coloring in enumerate_colorings(5, 2, symmetry_breaking=True):
+    for coloring in enumerate_colorings(5, 2):
         for members in combinations(range(1, 6), 3):
             S = VertexSet(members)
             cert = len(internal_tree_packing(S, coloring)) + rainbow_star_count(S, coloring)
@@ -602,6 +602,27 @@ def test_verify_full_mode_counts_match_oracle():
             assert count == value
 
 
+def test_exact_counts_pack_each_set_once(monkeypatch):
+    # exact star counts add the internal packing to the stars, and exact
+    # full counts take the oracle's packing alone: one branch and bound per
+    # k-set, in lexicographic order
+    real_max_packing = trees._max_packing
+    packed = []
+
+    def counted_max_packing(candidates, members):
+        packed.append(members)
+        return real_max_packing(candidates, members)
+
+    monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
+    coloring = random_coloring(8, 4, SeededStream(2))
+    for mode in (OracleMode.star(), OracleMode.full(1), OracleMode.full()):
+        packed.clear()
+        report = verify_coloring(coloring, 4, 0, mode, per_set_counts=True)
+        assert packed == [S for S, _ in report.per_set_counts] == list(combinations(range(1, 9), 4))
+        for members, count in report.per_set_counts[::7]:
+            assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)[0]
+
+
 def test_verify_workers_agree_with_serial():
     # workers split the first vertices into ordered ranges
     stream = SeededStream(3)
@@ -692,7 +713,7 @@ def test_kset_kernel_star_total_and_memory_at_scale():
         coloring = random_coloring(n, t, SeededStream(n + t))
         table = color_degrees(coloring)
         by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), 3))
-        by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, 3, 0, True))
+        by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, 3))
         assert by_set == by_center
     # a rainbow coloring (a palette of C(n,2) colors) gives every triple n-3 stars
     # and one internal tree; memory must not grow with the palette either
