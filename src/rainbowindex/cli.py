@@ -423,6 +423,9 @@ def _cmd_replay(args) -> int:
         return 2
     parser = build_parser()
     replay_args = parser.parse_args(argv)
+    if replay_args.command == "replay":
+        print(f"error: manifest {args.manifest} records a replay, not a run", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     code, output = _dispatch(replay_args)
     wall = time.perf_counter() - start

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -318,8 +319,9 @@ def enumerate_colorings(n: int, t: int) -> Iterator[CompleteGraphColoring]:
         raise ValueError(f"palette size must be at least 1, got {t}")
     states = enumeration_state_count(n, t)
     if states > ENUM_BUDGET:
+        # str(int) refuses more than 4300 digits; Decimal(int) is exact and has no such limit
         raise BudgetExceededError(
-            f"enumeration space has {states} colorings, budget is {ENUM_BUDGET}",
+            f"enumeration space has {Decimal(states)} colorings, budget is {ENUM_BUDGET}",
             size=states,
         )
     # the canonical sequences are in-palette and of length C(n,2) by construction

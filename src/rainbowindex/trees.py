@@ -9,7 +9,7 @@ a table of the spanning-tree shapes of K_m built once per m (only trees
 are scanned, never edge subsets that are not trees), and the
 lexicographically least maximum family is found by one iterative
 branch and bound over their conflict graph, bounded by clique covers
-(trees sharing an edge, or an external vertex, pairwise conflict).
+(a greedy one, and trees sharing their least external vertex).
 Neither recursion depth nor the number of passes grows with the number
 of candidates. In star mode only the internal trees are searched: the
 rainbow stars conflict with nothing and all join the family. One
@@ -52,8 +52,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, islice
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -448,7 +449,7 @@ def _full_candidates(members: tuple[int, ...], mat, n: int, budget: int) -> list
 # ---------------------------------------------------------------------------
 # Maximum packing by branch and bound
 
-def _max_packing(candidates: list[tuple], members: tuple[int, ...]) -> list[tuple]:
+def _max_packing(candidates: list[tuple]) -> list[tuple]:
     """A maximum packing of ``(edges, external)`` candidates, lexicographically
     least in candidate order.
 
@@ -457,41 +458,34 @@ def _max_packing(candidates: list[tuple], members: tuple[int, ...]) -> list[tupl
     candidate before skipping it, so it meets packings in lexicographic
     order and the first maximum it keeps is the least one. A node is
     bounded by the smaller of two clique covers, counted over classes with
-    an available candidate: trees sharing their first edge at s =
-    members[0] pairwise conflict (at most n-1 classes), and so do trees
-    sharing their least external vertex (internal trees keep their edge
-    class).
+    an available candidate: a greedy one (the key owning the most uncovered
+    candidates, the first in owner order, takes them as a class), and trees
+    sharing their least external vertex (internal trees, their least edge).
     """
-    s = members[0]
     owners: dict = {}
-    by_edge: dict = {}
     by_vertex: dict = {}
-    keys = []
     for i, (edges, external) in enumerate(candidates):
         bit = 1 << i
-        own = edges + external
-        keys.append(own)
-        for key in own:
+        for key in edges + external:
             owners[key] = owners.get(key, 0) | bit
-        first = next(e for e in edges if s in e)
-        by_edge[first] = by_edge.get(first, 0) | bit
-        least = external[0] if external else first
+        least = external[0] if external else edges[0]
         by_vertex[least] = by_vertex.get(least, 0) | bit
     full = (1 << len(candidates)) - 1
-    compat = []
-    for own in keys:
-        clash = 0
-        for key in own:
-            clash |= owners[key]
-        compat.append(full & ~clash)
-    edge_classes = list(by_edge.values())
+    compat = [full & ~reduce(or_, map(owners.__getitem__, edges + external))
+              for edges, external in candidates]
+    greedy_classes = []
+    left = full
+    while left:
+        group = max((left & mask for mask in owners.values()), key=int.bit_count)
+        greedy_classes.append(group)
+        left ^= group
     vertex_classes = list(by_vertex.values())
     best: tuple[int, ...] = ()
     stack = [(full, best)]
     while stack:
         avail, chosen = stack.pop()
         room = len(best) - len(chosen)
-        if (sum(map(bool, map(avail.__and__, edge_classes))) <= room
+        if (sum(map(bool, map(avail.__and__, greedy_classes))) <= room
                 or sum(map(bool, map(avail.__and__, vertex_classes))) <= room):
             continue
         if not avail:
@@ -517,8 +511,7 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     counting caps its size at floor(k/2).
     """
     _check_terminals(terminals, coloring.n)
-    members = terminals.members
-    return _family(terminals, coloring, _max_packing(_internal_candidates(members, coloring.matrix), members))
+    return _family(terminals, coloring, _max_packing(_internal_candidates(terminals.members, coloring.matrix)))
 
 
 def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
@@ -529,13 +522,13 @@ def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: Or
     its center are its own), and stars sort after the k-1 edge internal
     trees in center order. So the least maximum star-mode family is the
     least maximum internal packing followed by every rainbow star, and the
-    branch and bound sees only the internal candidates.
+    branch and bound sees only the internal candidates, never the set.
     The per-k-set decision reads only its length.
     """
     mat, n = coloring.matrix, coloring.n
     if mode.kind == "star":
-        return _max_packing(_internal_candidates(members, mat), members) + _star_candidates(members, mat, n)
-    return _max_packing(_full_candidates(members, mat, n, mode.resolved_budget(len(members))), members)
+        return _max_packing(_internal_candidates(members, mat)) + _star_candidates(members, mat, n)
+    return _max_packing(_full_candidates(members, mat, n, mode.resolved_budget(len(members))))
 
 
 def max_disjoint_rainbow_trees(
@@ -810,7 +803,7 @@ def _decided_chunks(
                 else:
                     count = int(counts[i])
                     if k > 3 and not (exact and full):
-                        count += len(_max_packing(_internal_candidates(members, coloring.matrix), members))
+                        count += len(_max_packing(_internal_candidates(members, coloring.matrix)))
                     if full and (exact or count < ell):
                         count = len(_packing(members, coloring, mode))
                 counts[i] = count

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from rainbowindex import trees
 from rainbowindex.colorings import CompleteGraphColoring
 from rainbowindex.trees import STree, VertexSet, is_rainbow
 
@@ -91,3 +92,25 @@ def permute_colors(coloring: CompleteGraphColoring, perm: dict[int, int]) -> Com
 def k4_example() -> CompleteGraphColoring:
     """K_4 with colors (1,2)=1 (1,3)=2 (1,4)=1 (2,3)=3 (2,4)=2 (3,4)=3."""
     return CompleteGraphColoring(4, 3, (1, 2, 1, 3, 2, 3))
+
+
+def count_packings(monkeypatch) -> list:
+    """Record the terminal set of every ``trees._max_packing`` call, taken from
+    the candidate builder called just before it; returns the growing list."""
+    built, packed = [], []
+    real_max_packing = trees._max_packing
+
+    def recorded(builder):
+        def build(members, *args):
+            built.append(members)
+            return builder(members, *args)
+        return build
+
+    def counted_max_packing(candidates):
+        packed.append(built[-1])
+        return real_max_packing(candidates)
+
+    for name in ("_internal_candidates", "_full_candidates"):
+        monkeypatch.setattr(trees, name, recorded(getattr(trees, name)))
+    monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
+    return packed

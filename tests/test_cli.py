@@ -14,6 +14,7 @@ from rainbowindex.cli import main
 from rainbowindex.colorings import (
     CompleteGraphColoring,
     SeededStream,
+    enumeration_state_count,
     random_coloring,
     read_coloring,
     write_coloring,
@@ -204,6 +205,12 @@ def test_search_exhaustive_past_the_enumeration_budget_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert f"enumeration space has {burnside_orbit_count(n * (n - 1) // 2, 3)} colorings" in err
+    # past 4,300 digits the count is still named in full
+    code, out, err = run(capsys, "search", "-n", "150", "-k", "3", "-l", "1", "-t", "3",
+                         "--strategy", "exhaustive")
+    assert code == 2
+    assert out == ""
+    assert f"enumeration space has {str(Decimal(enumeration_state_count(150, 3)))} colorings" in err
 
 
 def test_search_exhaustive_refutation(capsys):
@@ -351,7 +358,8 @@ def test_mc_sweep_vacuous_demand(capsys):
 # --- pinned output bytes ----------------------------------------------------
 
 # stdout SHA-256 of small runs: a change to any of these bytes breaks the
-# replay of existing manifests. "{coloring}" is a random 4-coloring of K_6.
+# replay of existing manifests. "{coloring}" is a random 4-coloring of K_6,
+# "{k12}" a random 3-coloring and "{k12r}" a random 10-coloring of K_12.
 PINNED_RUNS = [
     (("mc", "bs", "-n", "7", "-k", "3", "-l", "1", "--samples", "2000", "--seed", "1"),
      "bceee5968deac965448d5ef495d29fa038dac7527e5c142981f1952bd426df97"),
@@ -408,6 +416,14 @@ PINNED_RUNS = [
      "17590c42f567d9782e635c03aa78f3e9a1c029dd78aadb377682d77725975964"),
     (("verify", "{k12}", "-k", "4", "-l", "0", "--per-s-counts"),
      "966c33af871094a3bd7643cf9c93896dcfdcfae0c6bec2d4f6f532d8ca30ccfa"),
+    # full mode where the clique-cover bound prunes, recorded under the two
+    # fixed covers the greedy cover replaced
+    (("oracle", "{k12r}", "-S", "1,2,3", "--mode", "full", "--budget", "2"),
+     "a38351d4b2ba82142af5da660069017d6e671a040f10d5572eb8112e93c651f1"),
+    (("oracle", "{k12r}", "-S", "2,5,7,11", "--mode", "full"),
+     "e5e7a9091c93d21d51ddaf9a9ad03a8e71b7c337585ed48e87f8845a569e3282"),
+    (("oracle", "{k12r}", "-S", "1,4,6,9,12", "--mode", "full", "--budget", "1"),
+     "659ce6eb79d8a3694248cd75e3dbc5154c59d2c55f1e0d603a2dd70d5298f6c1"),
     # recorded while the theta tolerance was still an option, at its default
     (("bounds", "-k", "3", "-l", "100", "--eps", "1/2"),
      "b330bf40ad1d91594def49eb3778dd386421b7b3310874eef728f8e9bb000b1c"),
@@ -417,9 +433,11 @@ PINNED_RUNS = [
 
 
 def test_pinned_output_digests(capsys, tmp_path):
-    files = {"{coloring}": tmp_path / "k6.coloring", "{k12}": tmp_path / "k12.coloring"}
+    files = {"{coloring}": tmp_path / "k6.coloring", "{k12}": tmp_path / "k12.coloring",
+             "{k12r}": tmp_path / "k12r.coloring"}
     write_coloring(random_coloring(6, 4, SeededStream(21)), files["{coloring}"])
     write_coloring(random_coloring(12, 3, SeededStream(21)), files["{k12}"])
+    write_coloring(random_coloring(12, 10, SeededStream(1)), files["{k12r}"])
     for argv, sha in PINNED_RUNS:
         code, out, _ = run(capsys, *(str(files.get(tok, tok)) for tok in argv))
         assert code in (0, 1), argv
@@ -485,7 +503,8 @@ def test_replay_detects_drift(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind, message", [("missing", "cannot read manifest"),
                                            ("malformed", "cannot read manifest"),
-                                           ("unsigned", "has no 'output_sha256' field")])
+                                           ("unsigned", "has no 'output_sha256' field"),
+                                           ("replay", "records a replay")])
 def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind, message):
     path = tmp_path / f"{kind}.json"
     if kind == "malformed":
@@ -494,6 +513,11 @@ def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind,
         run(capsys, "--manifest", str(path), "bounds", "-k", "3", "-l", "2")
         doc = json.loads(path.read_text())
         del doc["output_sha256"]
+        path.write_text(json.dumps(doc))
+    elif kind == "replay":
+        run(capsys, "--manifest", str(path), "bounds", "-k", "3", "-l", "2")
+        doc = json.loads(path.read_text())
+        doc["argv"] = ["replay", str(path)]
         path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "replay", str(path))
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowindex import montecarlo
 from rainbowindex.bounds import binomial_tail_below, rainbow_star_prob
 from rainbowindex.colorings import SeededStream
 from rainbowindex.montecarlo import (
@@ -135,7 +136,9 @@ def test_estimate_as_all_k6_finds_certificates():
     assert verify_coloring(witness, 3, 1, OracleMode.full(1)).passed
 
 
-def test_estimate_as_all_worker_count_invariant():
+def test_estimate_as_all_worker_count_invariant(monkeypatch):
+    # chunks far smaller than the sample count, so two workers share many jobs
+    monkeypatch.setattr(montecarlo, "CHUNK", 16)
     config = TrialConfig(n=6, k=3, ell=1, t=3, samples=200, seed=SeededStream(10))
     serial, witness_serial = estimate_AS_all(config, workers=1)
     parallel, witness_parallel = estimate_AS_all(config, workers=2)

@@ -8,6 +8,8 @@ from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs
 from rainbowindex.search import _failing_sets, find_coloring
 from rainbowindex.trees import OracleMode, VertexSet, rainbow_star_count, verify_coloring
 
+from conftest import count_packings
+
 
 def test_random_search_finds_k6_demand_one():
     result = find_coloring(6, 3, 1, 3, "random", 500, SeededStream(11))
@@ -95,19 +97,15 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
     # budget 2, where every short set reaches the oracle; star mode never
     # calls the oracle, and at k = 3 with budget 1 the closed form decides
     # every set, so neither stores a count at k = 3
-    real_packing, real_max_packing = trees._packing, trees._max_packing
-    calls, packed = [], []
+    real_packing = trees._packing
+    calls = []
 
     def counted_packing(members, *args, **kwargs):
         calls.append(members)
         return real_packing(members, *args, **kwargs)
 
-    def counted_max_packing(candidates, members):
-        packed.append(members)
-        return real_max_packing(candidates, members)
-
     monkeypatch.setattr(trees, "_packing", counted_packing)
-    monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
+    packed = count_packings(monkeypatch)
     rng = random.Random(5)
     stream = SeededStream(29)
     modes = (OracleMode.star(), OracleMode.full(1), OracleMode.full(2))

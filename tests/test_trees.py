@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from rainbowindex.trees import (
     verify_coloring,
 )
 
-from conftest import brute_force_max_disjoint, brute_force_stree_candidates
+from conftest import brute_force_max_disjoint, brute_force_stree_candidates, count_packings
 
 
 # --- domain types -----------------------------------------------------------
@@ -370,7 +371,7 @@ def test_star_mode_family_matches_the_search_over_stars():
             for members in list(combinations(range(1, n + 1), k))[::5]:
                 candidates = sorted(trees._internal_candidates(members, mat)
                                     + trees._star_candidates(members, mat, n), key=trees._tree_order)
-                expected = trees._max_packing(candidates, members)
+                expected = trees._max_packing(candidates)
                 assert trees._packing(members, coloring, OracleMode.star()) == expected
 
 
@@ -606,14 +607,7 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
     # exact star counts add the internal packing to the stars, and exact
     # full counts take the oracle's packing alone: one branch and bound per
     # k-set, in lexicographic order
-    real_max_packing = trees._max_packing
-    packed = []
-
-    def counted_max_packing(candidates, members):
-        packed.append(members)
-        return real_max_packing(candidates, members)
-
-    monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
+    packed = count_packings(monkeypatch)
     coloring = random_coloring(8, 4, SeededStream(2))
     for mode in (OracleMode.star(), OracleMode.full(1), OracleMode.full()):
         packed.clear()
@@ -621,6 +615,18 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
         assert packed == [S for S, _ in report.per_set_counts] == list(combinations(range(1, 9), 4))
         for members, count in report.per_set_counts[::7]:
             assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)[0]
+
+
+def test_public_full_oracle_at_k3_matches_the_closed_form():
+    # the default full oracle at k = 3 (budget 1) still runs the branch and
+    # bound; on K_120 it must finish at once and agree with the closed form
+    coloring = random_coloring(120, 3, SeededStream(1))
+    sets = np.array([(1, 2, 3), (4, 60, 61), (17, 83, 120), (50, 99, 118)])
+    excess = trees._full_triple_excess(coloring.array, sets)
+    for members, extra in zip(sets.tolist(), excess.tolist()):
+        S = VertexSet(tuple(members))
+        value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full())
+        assert value == len(family) == rainbow_star_count(S, coloring) + extra
 
 
 def test_verify_workers_agree_with_serial():
