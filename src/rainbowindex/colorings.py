@@ -12,10 +12,10 @@ every sampling routine reproducible independent of how work is chunked
 across workers.
 
 Only this module knows the triangular edge layout: ``CompleteGraphColoring``
-also serves the colors as a 1-based nested-tuple ``matrix`` for scalar
-lookups and as a 0-based numpy ``array`` for the array kernels, each built
-once per coloring. Exhaustive enumeration refuses state spaces larger than
-``ENUM_BUDGET``.
+serves one edge's color through ``color`` and every color as one 0-based
+numpy ``array``, built once per coloring, which is the one table the
+kernels and the oracle read. Exhaustive enumeration refuses state spaces
+larger than ``ENUM_BUDGET``.
 """
 
 from __future__ import annotations
@@ -129,13 +129,14 @@ class SeededStream:
         return np.random.Generator(bitgen)
 
 
-def parallel_map(fn: Callable, jobs: Iterable, workers: int) -> Iterable:
-    """``map(fn, jobs)`` in job order: lazily in this process for one worker,
-    else on a pool of ``workers`` processes (``fn`` and the jobs must pickle).
-    Raises ValueError for fewer than one worker."""
+def parallel_map(fn: Callable, jobs: list, workers: int) -> Iterable:
+    """``map(fn, jobs)`` in job order: lazily in this process when one worker
+    or one job is left, else on a pool of at most one process per job (``fn``
+    and the jobs must pickle). Raises ValueError for fewer than one worker."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return map(fn, jobs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
@@ -180,19 +181,6 @@ class CompleteGraphColoring:
     def color(self, u: int, v: int) -> int:
         """Color of edge {u, v}; symmetric in its arguments."""
         return self.colors[edge_index(u, v, self.n)]
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """(n+1) x (n+1) lookup table, 1-based, zero on the diagonal."""
-        n = self.n
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-        it = iter(self.colors)
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                c = next(it)
-                rows[i][j] = c
-                rows[j][i] = c
-        return tuple(tuple(r) for r in rows)
 
     @cached_property
     def array(self) -> np.ndarray:

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bounds import binomial_tail_below, rainbow_star_prob, union_bound_failure
 from .colorings import CompleteGraphColoring, SeededStream, parallel_map, random_coloring
-from .trees import OracleMode, verify_coloring
+from .trees import OracleMode, _rainbow_rows, verify_coloring
 
 __all__ = [
     "CHUNK",
@@ -165,7 +163,6 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
         raise ValueError(f"star sampling needs t = k, got t={config.t}, k={config.k}")
     n, k, ell = config.n, config.k, config.ell
     m = n - k
-    target = np.arange(1, k + 1)
     successes = 0
     done = 0
     chunk_index = 0
@@ -173,11 +170,7 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
         size = min(CHUNK, config.samples - done)
         gen = config.seed.substream(chunk_index).generator()
         draws = gen.integers(1, k + 1, size=(size, m, k))
-        if m:
-            rainbow = (np.sort(draws, axis=2) == target).all(axis=2)
-            counts = rainbow.sum(axis=1)
-        else:
-            counts = np.zeros(size, dtype=int)
+        counts = _rainbow_rows(draws).sum(axis=1)  # all zero when m = 0
         successes += int((counts <= ell - 1).sum())
         done += size
         chunk_index += 1

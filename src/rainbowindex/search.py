@@ -4,14 +4,14 @@ Three strategies, all seeded and deterministic:
 
 * random — rejection sampling: draw colorings until one verifies.
 * exhaustive — scan the symmetry-broken enumeration in canonical order;
-  exhausting it without a hit is a definitive nonexistence certificate.
+  exhausting it without a hit refutes existence only under an exact
+  oracle: full mode with a resolved budget of at least n - k.
 * local — hill climb on the number of failing k-sets, single-edge
   recolor moves, random restarts on stalls. The certificate kernel
-  scores every k-set on each move. In full mode with a resolved budget
-  <= 1 no set reaches the exact oracle at k <= 3, where the exact count
-  has a closed form. At k >= 4, in star mode and in full mode with a
-  resolved budget <= 1, a move on edge {u,v} packs and sends to the
-  oracle only the short sets through u or v; the others keep their counts.
+  scores every k-set on each move and decides star mode. In full mode
+  with a resolved budget <= 1 the closed form decides k <= 3, and at
+  k >= 4 a move on edge {u,v} sends to the oracle only the short sets
+  through u or v; the others keep their counts.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
@@ -51,11 +51,7 @@ class SearchResult:
     strategy: str
     attempts: int
     exhausted: bool = False
-
-    @property
-    def definitive_nonexistence(self) -> bool:
-        """Only an exhausted exhaustive scan refutes existence."""
-        return self.exhausted and not self.found
+    definitive_nonexistence: bool = False  # exhausted under an exact oracle
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,8 +73,8 @@ def _failing_sets(
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on misses.
 
-    ``reuse`` and ``decided`` pass the per-set loop's counts from one
-    coloring to the next, as ``_decided_chunks`` describes.
+    ``reuse`` and ``decided`` pass the full-mode per-set loop's counts from
+    one coloring to the next, as ``_decided_chunks`` describes.
     """
     return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
         coloring, k, ell, mode, False, False, reuse=reuse, decided=decided))
@@ -135,8 +131,9 @@ def _exhaustive_search(n, k, ell, t, budget, mode) -> SearchResult:
         if report.passed:
             return SearchResult(True, coloring, "exhaustive", scanned)
     # Every color-permutation orbit was checked: no representative passes,
-    # so no coloring at all does.
-    return SearchResult(False, None, "exhaustive", scanned, exhausted=True)
+    # so under an oracle that counts every tree no coloring at all does.
+    exact = mode.kind == "full" and mode.resolved_budget(k) >= n - k
+    return SearchResult(False, None, "exhaustive", scanned, exhausted=True, definitive_nonexistence=exact)
 
 
 def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
@@ -147,7 +144,7 @@ def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
         stream = seed.substream(restart)
         gen = stream.generator()
         coloring = random_coloring(n, t, stream.substream(0))
-        decided: dict = {}  # the per-set loop's counts of the current coloring
+        decided: dict = {}  # the full-mode per-set loop's counts of the current coloring
         objective = _failing_sets(coloring, k, ell, mode, decided=decided)
         evals += 1
         stall = 0

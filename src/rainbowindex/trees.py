@@ -27,23 +27,24 @@ array operations at every k, not per-set tuples: it yields, chunk by chunk
 of consecutive k-sets, the rainbow star counts and the internal packing
 where arrays know it (1 at k = 2, the triangle term at k = 3, 0 at
 k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
-gathered colors at every center otherwise. In full mode with k <= 3 and at
+gathered colors at every center otherwise. At k >= 4 a color-pattern
+table packs the internal trees once per way a set's edges share colors,
+so arrays decide star mode at every k. In full mode with k <= 3 and at
 most one external vertex per tree the exact count has a closed form: the
 certificate itself at k = 2, and at k = 3 the rainbow stars plus the
 larger of a Hall matching of the other centers to the internal edges and
-one internal path, from one array pass per slice of sets. Every other set
-the arrays leave short goes through one per-set loop, in lexicographic
-order: a count reused from the previous coloring, the internal packing at
-k >= 4, and in full mode the count-only ``_packing``. After a single-edge
-recoloring, the local search passes the previous coloring's counts back
-in, and when every candidate edge has an end in the set (star mode, or at
-most one external vertex per tree) only the sets through the edge's ends
-are counted again.
+one internal path, from one array pass per slice of sets. Every other
+full-mode set the arrays leave short goes through one per-set loop, in
+lexicographic order: a count reused from the previous coloring, or the
+count-only ``_packing``. After a single-edge recoloring, the local search
+passes the previous coloring's counts back in, and when every candidate
+edge has an end in the set (at most one external vertex per tree) only
+the sets through the edge's ends are counted again.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
-entry points, for the witness families they return. The array kernels
-read the coloring's own numpy table, ``CompleteGraphColoring.array``.
+entry points, for the witness families they return. Everything reads the
+coloring's one table, ``CompleteGraphColoring.array``.
 """
 
 from __future__ import annotations
@@ -205,9 +206,8 @@ def classify_stree(tree: STree) -> TreeClass:
 def is_rainbow(tree: STree, coloring: CompleteGraphColoring) -> bool:
     """True iff all edge colors of the tree are pairwise distinct."""
     seen: set[int] = set()
-    mat = coloring.matrix
     for u, v in tree.edges:
-        c = mat[u][v]
+        c = coloring.color(u, v)
         if c in seen:
             return False
         seen.add(c)
@@ -229,26 +229,19 @@ def rainbow_star_count(terminals: VertexSet, coloring: CompleteGraphColoring) ->
     is a sound lower-bound certificate on the maximum family size.
     """
     _check_terminals(terminals, coloring.n)
-    return len(_rainbow_centers(terminals.members, coloring.matrix, coloring.n))
+    return len(_rainbow_centers(terminals.members, coloring.array))
 
 
-def _rainbow_centers(members: tuple[int, ...], mat, n: int) -> list[int]:
+def _rainbow_rows(colors: np.ndarray) -> np.ndarray:
+    """True where the colors along the last axis are nonzero and pairwise
+    distinct: a center's colors to a set, zero when it lies in the set."""
+    seen = np.sort(colors, axis=-1)
+    return (seen[..., 0] > 0) & (np.diff(seen, axis=-1) != 0).all(axis=-1)
+
+
+def _rainbow_centers(members: tuple[int, ...], colors: np.ndarray) -> list[int]:
     """External centers whose star on ``members`` is rainbow."""
-    centers = []
-    member_set = set(members)
-    for u in range(1, n + 1):
-        if u in member_set:
-            continue
-        row = mat[u]
-        seen = 0
-        for v in members:
-            bit = 1 << row[v]
-            if seen & bit:
-                break
-            seen |= bit
-        else:
-            centers.append(u)
-    return centers
+    return (np.flatnonzero(_rainbow_rows(colors[:, np.subtract(members, 1)])) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -382,16 +375,22 @@ def _branching_shapes(m: int, positions: tuple[int, ...]) -> np.ndarray:
     return shapes
 
 
-def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], mat) -> Iterator[tuple]:
+def _color_rows(coloring: CompleteGraphColoring) -> list[list[int]]:
+    """The color table as 1-based nested lists of Python ints (``1 << c``
+    must not wrap), converted once per oracle call for the candidate builders."""
+    return [[]] + [[0] + row for row in coloring.array.tolist()]
+
+
+def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], rows) -> Iterator[tuple]:
     """Rainbow spanning trees of K[vertices] with no leaf in ``extra``, in
-    lexicographic order of their sorted edges.
+    lexicographic order of their sorted edges; ``rows[u][v]`` is a color.
 
     Only trees are scanned: the shapes of K_m whose ``extra`` positions
     branch, kept when their m-1 edge colors are distinct.
     """
     m = len(vertices)
     pairs = list(combinations(vertices, 2))
-    bits = [1 << mat[u][v] for u, v in pairs]
+    bits = [1 << rows[u][v] for u, v in pairs]
     if len(set(bits)) < m - 1:
         return  # fewer than m-1 colors: no spanning tree is rainbow
     shapes = _branching_shapes(m, tuple(map(vertices.index, extra)))
@@ -409,14 +408,14 @@ def _tree_order(candidate: tuple) -> tuple:
     return len(edges), edges
 
 
-def _internal_candidates(members: tuple[int, ...], mat) -> list[tuple]:
+def _internal_candidates(members: tuple[int, ...], rows) -> list[tuple]:
     # combinations of sorted edges come out in lexicographic order already
-    return [(edges, ()) for edges in _rainbow_trees(members, (), mat)]
+    return [(edges, ()) for edges in _rainbow_trees(members, (), rows)]
 
 
-def _star_candidates(members: tuple[int, ...], mat, n: int) -> list[tuple]:
+def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple]:
     return [(_normalize_edges((u, v) for v in members), (u,))
-            for u in _rainbow_centers(members, mat, n)]
+            for u in _rainbow_centers(members, colors)]
 
 
 def _check_full_work(n_external: int, k: int, budget: int) -> None:
@@ -434,14 +433,14 @@ def _check_full_work(n_external: int, k: int, budget: int) -> None:
         )
 
 
-def _full_candidates(members: tuple[int, ...], mat, n: int, budget: int) -> list[tuple]:
+def _full_candidates(members: tuple[int, ...], rows, n: int, budget: int) -> list[tuple]:
     externals = [v for v in range(1, n + 1) if v not in members]
     _check_full_work(len(externals), len(members), budget)
     out = []
     for r in range(0, min(budget, len(externals)) + 1):
         for extra in combinations(externals, r):
             vertices = tuple(sorted(members + extra))
-            out.extend((edges, extra) for edges in _rainbow_trees(vertices, extra, mat))
+            out.extend((edges, extra) for edges in _rainbow_trees(vertices, extra, rows))
     out.sort(key=_tree_order)
     return out
 
@@ -511,7 +510,7 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     counting caps its size at floor(k/2).
     """
     _check_terminals(terminals, coloring.n)
-    return _family(terminals, coloring, _max_packing(_internal_candidates(terminals.members, coloring.matrix)))
+    return _family(terminals, coloring, _max_packing(_internal_candidates(terminals.members, _color_rows(coloring))))
 
 
 def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
@@ -525,10 +524,10 @@ def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: Or
     branch and bound sees only the internal candidates, never the set.
     The per-k-set decision reads only its length.
     """
-    mat, n = coloring.matrix, coloring.n
+    rows = _color_rows(coloring)
     if mode.kind == "star":
-        return _max_packing(_internal_candidates(members, mat)) + _star_candidates(members, mat, n)
-    return _max_packing(_full_candidates(members, mat, n, mode.resolved_budget(len(members))))
+        return _max_packing(_internal_candidates(members, rows)) + _star_candidates(members, coloring.array)
+    return _max_packing(_full_candidates(members, rows, coloring.n, mode.resolved_budget(len(members))))
 
 
 def max_disjoint_rainbow_trees(
@@ -717,8 +716,31 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tupl
         block = np.fromiter(chain.from_iterable(islice(sets, size)), dtype=np.intp).reshape(-1, k)
         if not len(block):
             return
-        seen = np.sort(colors[:, block - 1], axis=2)
-        yield block, ((seen[..., 0] > 0) & (np.diff(seen, axis=2) != 0).all(axis=2)).sum(axis=0)
+        yield block, _rainbow_rows(colors[:, block - 1]).sum(axis=0)
+
+
+# the memo holds every pattern of a 5-set's 10 edges (Bell(10) = 115,975)
+# and, at any k and any C(n,k), never more than 2^17
+@lru_cache(maxsize=1 << 17)
+def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
+    """Internal packing size of a k-set whose edges, in ``combinations``
+    order, carry the colors ``labels``."""
+    rows = [[0] * k for _ in range(k)]
+    for (u, v), label in zip(combinations(range(k), 2), labels):
+        rows[u][v] = rows[v][u] = label
+    return len(_max_packing(_internal_candidates(tuple(range(k)), rows)))
+
+
+def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Internal packing sizes of the 1-based k-sets ``sets``: each edge is
+    labelled by the first edge with its color, and each distinct row of
+    labels, all the packing depends on, is packed once."""
+    u, v = np.array(list(combinations(range(sets.shape[1]), 2))).T
+    edges = colors[sets[:, u] - 1, sets[:, v] - 1]
+    labels = (edges[:, :, None] == edges[:, None, :]).argmax(axis=1)
+    patterns, inverse = np.unique(labels, axis=0, return_inverse=True)
+    sizes = [_pattern_packing(sets.shape[1], pattern) for pattern in map(tuple, patterns.tolist())]
+    return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
 def _certificate_chunks(
@@ -732,7 +754,8 @@ def _certificate_chunks(
     with first vertex in ``firsts`` (default: all), their rainbow star
     counts and the internal part the arrays know: 1 at k = 2, the triangle
     term at k = 3 (both the internal packing itself) and 0 at k >= 4,
-    where ``_decided_chunks`` packs the sets it needs. Chunks hold
+    where ``_decided_chunks`` looks up the sets it needs in the
+    color-pattern table of ``_internal_packings``. Chunks hold
     consecutive sets and are capped by ``_CHUNK_ELEMENTS``, so memory stays
     O(n^2) plus one chunk.
     """
@@ -762,21 +785,21 @@ def _decided_chunks(
     and a resolved budget <= 1 the exact count has a closed form: at k = 2
     the certificate already counts every candidate, and at k = 3
     ``_full_triple_excess`` adds to the stars, in one array pass per slice
-    of at most ``_CHUNK_ELEMENTS // n`` sets. Otherwise, in full mode or at
-    k >= 4, one loop takes each set the arrays leave below ell (every set
-    when ``exact``), in lexicographic order, through three steps: a reused
-    count; the internal packing at k >= 4, skipped when exact in full mode,
-    where the oracle's count replaces it; and in full mode the count-only
-    ``_packing``, when exact or while the set is still below ell. The loop
-    stores each count it settles in ``decided[members]`` when a dict is
+    of at most ``_CHUNK_ELEMENTS // n`` sets. At k >= 4 the color-pattern
+    table adds the internal packing to the sets below ell (every set when
+    ``exact``), except when exact in full mode, where the oracle's count
+    replaces it; star mode is then decided. In full mode otherwise one loop
+    takes each set still below ell (every set when ``exact``), in
+    lexicographic order, to a reused count or the count-only ``_packing``,
+    and stores each count it settles in ``decided[members]`` when a dict is
     given. ``reuse = (known, (u, v))`` holds the ``decided`` counts of a
     coloring that differs from this one on edge {u,v} only. When every
-    candidate edge has an end in the set, as in star mode and at a resolved
-    budget <= 1, a set without u or v keeps its count, and its arrays'
-    count, also unchanged, put it in ``known``. With a larger budget a tree
-    through two external vertices can use {u,v}, and every set is decided
-    afresh. With ``until_failure`` the last chunk ends at the first set
-    below ell, and no count is taken after it.
+    candidate edge has an end in the set, at a resolved budget <= 1, a set
+    without u or v keeps its count, and its arrays' count, also unchanged,
+    put it in ``known``. With a larger budget a tree through two external
+    vertices can use {u,v}, and every set is decided afresh. With
+    ``until_failure`` the last chunk ends at the first set below ell, and
+    no count is taken after it.
     """
     full = mode.kind == "full"
     closed = full and k <= 3 and mode.resolved_budget(k) <= 1
@@ -794,18 +817,15 @@ def _decided_chunks(
                 counts[part] = stars[part] + _full_triple_excess(coloring.array, sets[part])
                 if until_failure and (counts[part] < ell).any():
                     break
-        elif full or k > 3:
+        elif k > 3 and not (exact and full):
+            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
+            if short.size:
+                counts[short] += _internal_packings(coloring.array, sets[short])
+        if full and not closed:
             kept = np.zeros(len(sets), dtype=bool) if reuse is None else ~np.isin(sets, reuse[1]).any(axis=1)
             for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
                 members = tuple(sets[i].tolist())
-                if kept[i]:
-                    count = reuse[0][members]
-                else:
-                    count = int(counts[i])
-                    if k > 3 and not (exact and full):
-                        count += len(_max_packing(_internal_candidates(members, coloring.matrix)))
-                    if full and (exact or count < ell):
-                        count = len(_packing(members, coloring, mode))
+                count = reuse[0][members] if kept[i] else len(_packing(members, coloring, mode))
                 counts[i] = count
                 if decided is not None:
                     decided[members] = count

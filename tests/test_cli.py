@@ -214,11 +214,16 @@ def test_search_exhaustive_past_the_enumeration_budget_exits_2(capsys):
 
 
 def test_search_exhaustive_refutation(capsys):
-    code, out, _ = run(capsys, "search", "-n", "4", "-k", "3", "-l", "1", "-t", "1",
-                       "--strategy", "exhaustive", "--search-budget", "10")
-    assert code == 3
-    doc = validate("search_report", out)
-    assert doc["definitive_nonexistence"] is True
+    # a drained space refutes only under an exact oracle: full mode with a
+    # budget of at least n - k (here 1); star mode counts fewer trees
+    argv = ("search", "-n", "4", "-k", "3", "-l", "1", "-t", "1",
+            "--strategy", "exhaustive", "--search-budget", "10")
+    for extra, refuted in (((), False), (("--mode", "full", "--budget", "1"), True)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 3
+        doc = validate("search_report", out)
+        assert doc["exhausted"] is True
+        assert doc["definitive_nonexistence"] is refuted
 
 
 # --- oracle -----------------------------------------------------------------

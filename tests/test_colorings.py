@@ -26,6 +26,8 @@ from rainbowindex.colorings import (
     write_coloring,
 )
 
+from rainbowindex.trees import verify_coloring
+
 from conftest import burnside_orbit_count, permute_colors
 
 
@@ -63,16 +65,51 @@ def test_color_lookup_symmetric():
     coloring = CompleteGraphColoring(4, 3, (1, 2, 1, 3, 2, 3))
     for u, v in edge_pairs(4):
         assert coloring.color(u, v) == coloring.color(v, u)
-        assert coloring.matrix[u][v] == coloring.color(u, v)
+        assert coloring.array[u - 1, v - 1] == coloring.color(u, v)
 
 
 def test_color_array_is_the_matrix_read_only():
     coloring = random_coloring(9, 300, SeededStream(8))
     table = coloring.array
     assert table is coloring.array  # built once per coloring
-    assert table.tolist() == [list(row[1:]) for row in coloring.matrix[1:]]
+    assert table.tolist() == [[coloring.color(u, v) if u != v else 0 for v in range(1, 10)]
+                              for u in range(1, 10)]
     with pytest.raises(ValueError):
         table[0, 1] = 1
+
+
+def test_parallel_map_starts_no_more_workers_than_jobs(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(colorings, "ProcessPoolExecutor", InlineExecutor)
+    square = (lambda x: x * x)
+    assert list(colorings.parallel_map(square, [1, 2, 3], 5000)) == [1, 4, 9]
+    assert list(colorings.parallel_map(square, [1, 2, 3], 2)) == [1, 4, 9]
+    # one job, or none, runs in this process with no pool at all
+    assert list(colorings.parallel_map(square, [7], 5000)) == [49]
+    assert list(colorings.parallel_map(square, [], 8)) == []
+    assert sizes == [3, 2]
+    with pytest.raises(ValueError):
+        colorings.parallel_map(square, [1], 0)
+    # verify on K_10 at k = 3 has 8 first vertices, so at most 8 jobs
+    coloring = random_coloring(10, 3, SeededStream(5))
+    assert verify_coloring(coloring, 3, 1, workers=5000) == verify_coloring(coloring, 3, 1)
+    assert 1 < sizes[-1] <= 8
 
 
 def test_recolored_changes_one_edge():
@@ -208,7 +245,7 @@ def test_enumerated_colorings_equal_validated_ones():
         built = CompleteGraphColoring(4, 3, coloring.colors)
         assert coloring == built
         assert hash(coloring) == hash(built)
-        assert coloring.matrix == built.matrix
+        assert (coloring.array == built.array).all()
 
 
 def test_enumeration_budget_error_reports_size(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from rainbowindex import colorings, trees
 from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs, random_coloring
 from rainbowindex.search import _failing_sets, find_coloring
-from rainbowindex.trees import OracleMode, VertexSet, rainbow_star_count, verify_coloring
+from rainbowindex.trees import OracleMode, verify_coloring
 
 from conftest import count_packings
 
@@ -56,6 +56,15 @@ def test_exhaustive_search_refuses_a_space_past_the_enumeration_budget(monkeypat
     assert find_coloring(5, 3, 1, 2, "exhaustive", 600, SeededStream(0), OracleMode.full(1)).found
 
 
+def test_exhausted_scan_refutes_only_with_an_exact_oracle():
+    # star mode and full mode with a budget below n - k count fewer trees
+    # than exist, so draining the space refutes nothing
+    for n, mode in ((4, OracleMode.star()), (5, OracleMode.full(1)), (5, OracleMode.full(2))):
+        result = find_coloring(n, 3, 1, 1, "exhaustive", 10, SeededStream(0), mode)
+        assert result.exhausted and not result.found
+        assert result.definitive_nonexistence == (mode.kind == "full" and mode.budget >= n - 3)
+
+
 def test_budget_exhaustion_is_not_a_refutation():
     result = find_coloring(6, 3, 2, 3, "exhaustive", 3, SeededStream(0), OracleMode.star())
     assert not result.found or result.attempts <= 3
@@ -91,12 +100,11 @@ def test_search_validation():
 def test_incremental_objective_matches_from_scratch(monkeypatch):
     # seeded walks of single-edge moves, accepted or rejected at random: after
     # each move the reused counts give the objective and stored counts of a
-    # from-scratch evaluation, they hold only the sets the arrays leave below
-    # ell (the certificate at k = 3, the rainbow stars at k = 4), and only
-    # the sets through the moved edge's ends are packed again, except with
-    # budget 2, where every short set reaches the oracle; star mode never
-    # calls the oracle, and at k = 3 with budget 1 the closed form decides
-    # every set, so neither stores a count at k = 3
+    # from-scratch evaluation, they hold only the sets the certificate leaves
+    # below ell, and only the sets through the moved edge's ends reach the
+    # oracle again, except with budget 2, where every short set does; the
+    # arrays decide star mode, and at k = 3 with budget 1 the closed form
+    # decides every set, so neither stores a count or packs a set
     real_packing = trees._packing
     calls = []
 
@@ -128,15 +136,13 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
             assert cand_decided == scratch
             certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
             below = sorted(S for S, count in certificates if count < ell)
-            stars_below = sorted(S for S, _ in certificates
-                                 if rainbow_star_count(VertexSet(S), candidate) < ell)
-            moved = [S for S in (below if k == 3 else stars_below) if u in S or v in S]
-            if k == 3 and (mode.kind == "star" or mode.budget == 1):
+            if mode.kind == "star" or (k == 3 and mode.budget == 1):
                 assert cand_decided == {} and reached == []
             else:
-                assert sorted(cand_decided) == (below if k == 3 else stars_below)
+                assert sorted(cand_decided) == below
             if mode.kind == "star":
-                assert reached == [] and repacked == (moved if k == 4 else [])
+                # only color patterns are packed, never a set of the coloring
+                assert set(repacked) <= {tuple(range(k))}
             elif mode.budget == 2:
                 assert reached == below
             elif k == 4:

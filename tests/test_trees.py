@@ -12,6 +12,7 @@ from rainbowindex.colorings import (
     BudgetExceededError,
     CompleteGraphColoring,
     SeededStream,
+    canonical_color_form,
     color_degrees,
     enumerate_colorings,
     random_coloring,
@@ -288,7 +289,7 @@ def test_rainbow_trees_match_the_subset_scan():
     for m in range(2, 8):
         for t in (1, 2, m + 1, 4 * m):
             n = m + 2
-            mat = random_coloring(n, t, stream.substream(m * 100 + t)).matrix
+            mat = trees._color_rows(random_coloring(n, t, stream.substream(m * 100 + t)))
             vertices = tuple(sorted(rng.sample(range(1, n + 1), m)))
             scanned = list(_subset_scan_trees(vertices, mat))
             for r in range(m + 1):
@@ -366,11 +367,11 @@ def test_star_mode_family_matches_the_search_over_stars():
     for n, t in product((4, 6, 8), (1, 2, 3, 5, 9)):
         coloring = random_coloring(n, t, stream.substream(case))
         case += 1
-        mat = coloring.matrix
+        rows = trees._color_rows(coloring)
         for k in range(2, min(n, 5) + 1):
             for members in list(combinations(range(1, n + 1), k))[::5]:
-                candidates = sorted(trees._internal_candidates(members, mat)
-                                    + trees._star_candidates(members, mat, n), key=trees._tree_order)
+                candidates = sorted(trees._internal_candidates(members, rows)
+                                    + trees._star_candidates(members, coloring.array), key=trees._tree_order)
                 expected = trees._max_packing(candidates)
                 assert trees._packing(members, coloring, OracleMode.star()) == expected
 
@@ -604,17 +605,52 @@ def test_verify_full_mode_counts_match_oracle():
 
 
 def test_exact_counts_pack_each_set_once(monkeypatch):
-    # exact star counts add the internal packing to the stars, and exact
-    # full counts take the oracle's packing alone: one branch and bound per
-    # k-set, in lexicographic order
+    # exact full counts take the oracle's packing alone, not the pattern
+    # table's: one branch and bound per k-set, in lexicographic order
     packed = count_packings(monkeypatch)
     coloring = random_coloring(8, 4, SeededStream(2))
-    for mode in (OracleMode.star(), OracleMode.full(1), OracleMode.full()):
+    for mode in (OracleMode.full(1), OracleMode.full()):
         packed.clear()
         report = verify_coloring(coloring, 4, 0, mode, per_set_counts=True)
         assert packed == [S for S, _ in report.per_set_counts] == list(combinations(range(1, 9), 4))
         for members, count in report.per_set_counts[::7]:
             assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)[0]
+
+
+def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
+    # the pattern table packs each way the edges of a set can share colors
+    # once; patterns are counted here by relabelling colors in edge order
+    packed = count_packings(monkeypatch)
+    for n, k, t in ((11, 4, 4), (9, 5, 3)):
+        coloring = random_coloring(n, t, SeededStream(n))
+        trees._pattern_packing.cache_clear()
+        packed.clear()
+        report = verify_coloring(coloring, k, 0, per_set_counts=True)
+        patterns = {canonical_color_form(tuple(coloring.color(u, v) for u, v in combinations(S, 2)))
+                    for S, _ in report.per_set_counts}
+        assert packed == [tuple(range(k))] * len(patterns)
+        for members, count in report.per_set_counts[::11]:
+            assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring)[0]
+
+
+def test_pattern_table_matches_the_internal_packing():
+    # every 4-coloring of K_4: its 187 color patterns (partitions of the six
+    # edges into at most four classes) are packed once each
+    trees._pattern_packing.cache_clear()
+    S = VertexSet.of(1, 2, 3, 4)
+    for colors in product(range(1, 5), repeat=6):
+        coloring = CompleteGraphColoring(4, 4, colors)
+        (got,) = trees._internal_packings(coloring.array, np.array([S.members]))
+        assert got == len(internal_tree_packing(S, coloring))
+    assert trees._pattern_packing.cache_info().misses == 187
+    # a sample of 5-sets, from one to ten colors
+    stream = SeededStream(44)
+    for t in (1, 2, 3, 5, 10):
+        coloring = random_coloring(9, t, stream.substream(t))
+        sets = np.array(list(combinations(range(1, 10), 5))[::3])
+        got = trees._internal_packings(coloring.array, sets)
+        assert got.tolist() == [len(internal_tree_packing(VertexSet(tuple(S)), coloring))
+                                for S in sets.tolist()]
 
 
 def test_public_full_oracle_at_k3_matches_the_closed_form():
@@ -713,19 +749,20 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
 
 
 def test_kset_kernel_star_total_and_memory_at_scale():
-    # counting rainbow 3-stars by center: sum_v e3(d(v,1), ..., d(v,t))
-    n = 300
-    for t in (3, 5):
-        coloring = random_coloring(n, t, SeededStream(n + t))
-        table = color_degrees(coloring)
-        by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), 3))
-        by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, 3))
-        assert by_set == by_center
+    # counting rainbow k-stars by center: sum_v e_k(d(v,1), ..., d(v,t)), at
+    # k = 3 through the matmul kernel and at k = 4 through the gathered colors
+    for n, k, palettes in ((300, 3, (3, 5)), (40, 4, (4, 6))):
+        for t in palettes:
+            coloring = random_coloring(n, t, SeededStream(n + t))
+            table = color_degrees(coloring)
+            by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), k))
+            by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, k))
+            assert by_set == by_center
     # a rainbow coloring (a palette of C(n,2) colors) gives every triple n-3 stars
     # and one internal tree; memory must not grow with the palette either
     m = math.comb(120, 2)
     rainbow = CompleteGraphColoring(120, m, tuple(range(1, m + 1)))
-    for coloring, ell, witness in [(random_coloring(n, 3, SeededStream(7)), 1, None),
+    for coloring, ell, witness in [(random_coloring(300, 3, SeededStream(7)), 1, None),
                                    (rainbow, 118, None), (rainbow, 119, (1, 2, 3))]:
         tracemalloc.start()
         try:
