@@ -2,10 +2,13 @@
 
 Exit codes: 0 = pass/success, 1 = verified failure, 2 = usage or domain
 error, 3 = search budget exhausted without a find, 4 = internal error
-(an unexpected exception; its traceback goes to stderr). Every run emits one
-manifest (JSON, to --manifest or stderr) recording the arguments, seed,
-version, and a digest of the primary stdout output; `replay` re-runs a
-manifest and checks the digest, so primary outputs are byte-reproducible.
+(an unexpected exception; its traceback goes to stderr). Every command runs
+through one path: the parser is built once per process, and `_run`
+dispatches, times and digests the run. `main` then writes the primary output
+and one manifest (JSON, to --manifest or stderr) recording the arguments,
+seed, version, and the digest; a manifest that cannot be written exits 2.
+`replay` re-runs a manifest through the same `_run` and checks the digest,
+so primary outputs are byte-reproducible.
 JSON reports are indented by 2; `verify` writes its report, with one entry
 per k-set under --per-s-counts, through `VerificationReport.to_json_text`,
 which gives the same bytes without running the JSON encoder per entry.
@@ -15,18 +18,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
 
 from . import __version__, bounds, montecarlo, search
 from .colorings import (
@@ -42,22 +44,6 @@ from .trees import OracleMode, VertexSet, max_disjoint_rainbow_trees, verify_col
 
 PASS = "[PASS]"
 FAIL = "[FAIL]"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One per run: enough to replay it and check the output digest."""
-
-    subcommand: str
-    argv: list[str]
-    seed: Optional[int]
-    version: str
-    exit_code: int
-    wall_time_s: float
-    output_sha256: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _fraction(text: str) -> Fraction:
@@ -78,7 +64,28 @@ def _add_mode_flags(parser, default="star"):
                         help="external-vertex budget for the full oracle (default k-2)")
 
 
+# Integer flags that several subcommands share: option strings and default
+# (None: required).
+_SHARED_FLAGS = {
+    "-n": (("-n",), None),
+    "-k": (("-k",), None),
+    "-l": (("-l", "--ell"), None),
+    "-t": (("-t",), None),
+    "--samples": (("--samples",), None),
+    "--seed": (("--seed",), 0),
+    "--workers": (("--workers",), 1),
+}
+
+
+def _add_shared_flags(parser, *names):
+    for name in names:
+        flags, default = _SHARED_FLAGS[name]
+        parser.add_argument(*flags, type=int, required=default is None, default=default)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it takes no arguments, so it is built once."""
     parser = argparse.ArgumentParser(
         prog="rainbowindex",
         description="Thresholds, certificates, and experiments for rainbow "
@@ -89,29 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="compute every analytic threshold for (k, ell)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
+    _add_shared_flags(p, "-k", "-l")
     p.add_argument("--eps", type=_fraction, default=None,
                    help="rational in (0,1), e.g. 1/2, to add concentration thresholds")
 
     p = sub.add_parser("verify", help="check a coloring file against a (k, ell) demand")
     p.add_argument("coloring", help="coloring file path")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
+    _add_shared_flags(p, "-k", "-l")
     _add_mode_flags(p)
     p.add_argument("--per-s-counts", action="store_true",
                    help="report the exact count for every k-set")
-    p.add_argument("--workers", type=int, default=1)
+    _add_shared_flags(p, "--workers")
 
     p = sub.add_parser("search", help="find a coloring meeting a (k, ell) demand")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
+    _add_shared_flags(p, "-n", "-k", "-l", "-t")
     p.add_argument("--strategy", choices=search.STRATEGIES, default="random")
     p.add_argument("--search-budget", type=int, default=10000,
                    help="colorings drawn / scanned / objective evaluations")
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared_flags(p, "--seed")
     _add_mode_flags(p)
     p.add_argument("-o", "--out", default=None, help="write the found coloring here")
     p.add_argument("--witness-out", default=None,
@@ -123,48 +125,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_flags(p, default="full")
 
     p = sub.add_parser("tail", help="exact binomial star tail vs its closed-form bounds")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
+    _add_shared_flags(p, "-n", "-k", "-l")
 
     mc = sub.add_parser("mc", help="Monte Carlo experiments")
     mcsub = mc.add_subparsers(dest="mc_command", required=True)
 
     p = mcsub.add_parser("bs", help="frequency of a star-starved terminal set")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared_flags(p, "-n", "-k", "-l", "--samples", "--seed")
 
     p = mcsub.add_parser("as-all", help="frequency of colorings passing every k-set")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared_flags(p, "-n", "-k", "-l", "-t", "--samples", "--seed")
     _add_mode_flags(p)
     p.add_argument("--save-witness", default=None,
                    help="write the first passing coloring here")
-    p.add_argument("--workers", type=int, default=1)
+    _add_shared_flags(p, "--workers")
 
     p = mcsub.add_parser("sweep", help="empirical threshold sweep over n (CSV)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
+    _add_shared_flags(p, "-k", "-l", "-t")
     p.add_argument("--n", dest="n_range", required=True,
                    help="range LO:HI:STEP (HI inclusive)")
-    p.add_argument("--samples", type=int, required=True)
+    _add_shared_flags(p, "--samples")
     p.add_argument("--target", type=float, default=0.99)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_shared_flags(p, "--seed", "--workers")
 
     p = sub.add_parser("repro", help="one-shot reproduction of the headline numbers")
     p.add_argument("target", choices=["theta", "thresholds", "averaging", "k6"])
     p.add_argument("-n", type=int, default=9, help="order for the averaging target")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared_flags(p, "--seed")
     p.add_argument("--out-dir", default="k6_certificates",
                    help="where the k6 target writes certificates")
 
@@ -388,48 +376,38 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args) -> tuple[int, str]:
+def _run(args) -> tuple[int, str, float, str]:
+    """Dispatch one parsed run: (exit code, primary output, wall time, output SHA-256)."""
+    start = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args)
+        code, output = _HANDLERS[args.command](args)
     except (ColoringFormatError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
+        code, output = 2, ""
     except Exception:
         traceback.print_exc()
-        return 4, ""
-
-
-def _manifest(args, argv: list[str], code: int, output: str, wall: float) -> RunManifest:
-    return RunManifest(
-        subcommand=args.command,
-        argv=argv,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        exit_code=code,
-        wall_time_s=wall,
-        output_sha256=hashlib.sha256(output.encode()).hexdigest(),
-    )
+        code, output = 4, ""
+    wall = time.perf_counter() - start
+    return code, output, wall, hashlib.sha256(output.encode()).hexdigest()
 
 
 def _cmd_replay(args) -> int:
     try:
         doc = json.loads(Path(args.manifest).read_text())
         argv, expected = doc["argv"], (doc["output_sha256"], doc["exit_code"])
+        if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
+            raise TypeError(f"argv is not a list of strings: {argv!r}")
     except KeyError as exc:
         print(f"error: manifest {args.manifest} has no {exc} field", file=sys.stderr)
         return 2
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: cannot read manifest {args.manifest}: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
-    replay_args = parser.parse_args(argv)
+    replay_args = build_parser().parse_args(argv)
     if replay_args.command == "replay":
         print(f"error: manifest {args.manifest} records a replay, not a run", file=sys.stderr)
         return 2
-    start = time.perf_counter()
-    code, output = _dispatch(replay_args)
-    wall = time.perf_counter() - start
-    digest = hashlib.sha256(output.encode()).hexdigest()
+    code, output, wall, digest = _run(replay_args)
     same = (digest, code) == expected
     sys.stdout.write(output)
     print(f"replay of {' '.join(argv)}: "
@@ -440,19 +418,22 @@ def _cmd_replay(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "replay":
         return _cmd_replay(args)
-    start = time.perf_counter()
-    code, output = _dispatch(args)
-    wall = time.perf_counter() - start
+    code, output, wall, digest = _run(args)
     sys.stdout.write(output)
-    text = _manifest(args, argv, code, output, wall).to_json()
-    if args.manifest:
-        Path(args.manifest).write_text(text + "\n")
-    else:
+    text = json.dumps({"subcommand": args.command, "argv": argv,
+                       "seed": getattr(args, "seed", None), "version": __version__,
+                       "exit_code": code, "wall_time_s": wall, "output_sha256": digest})
+    if not args.manifest:
         print(text, file=sys.stderr)
+        return code
+    try:
+        Path(args.manifest).write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write manifest {args.manifest}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

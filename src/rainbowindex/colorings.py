@@ -194,10 +194,12 @@ class CompleteGraphColoring:
         return colors
 
     def recolored(self, u: int, v: int, color: int) -> "CompleteGraphColoring":
-        """Copy with the single edge {u, v} set to ``color``."""
+        """Copy with the single edge {u, v} set to ``color``; only the new color is checked."""
         idx = edge_index(u, v, self.n)
+        if not 1 <= color <= self.t:
+            raise ValueError(f"color {color} outside palette 1..{self.t}")
         colors = self.colors[:idx] + (color,) + self.colors[idx + 1:]
-        return CompleteGraphColoring(self.n, self.t, colors)
+        return CompleteGraphColoring._unchecked(self.n, self.t, colors)
 
 
 def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColoring:
@@ -207,7 +209,7 @@ def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColori
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
     draws = stream.generator().integers(1, t + 1, size=edge_count(n))
-    return CompleteGraphColoring(n, t, tuple(draws.tolist()))
+    return CompleteGraphColoring._unchecked(n, t, tuple(draws.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -489,6 +490,8 @@ def test_manifest_written_and_replay_identical(capsys, tmp_path):
     assert code == 0
     doc = validate("run_manifest", manifest.read_text())
     assert doc["subcommand"] == "bounds"
+    assert list(doc) == ["subcommand", "argv", "seed", "version", "exit_code",
+                         "wall_time_s", "output_sha256"]
     code, replay_out, err = run(capsys, "replay", str(manifest))
     assert code == 0
     assert replay_out == out
@@ -509,11 +512,16 @@ def test_replay_detects_drift(capsys, tmp_path):
 @pytest.mark.parametrize("kind, message", [("missing", "cannot read manifest"),
                                            ("malformed", "cannot read manifest"),
                                            ("unsigned", "has no 'output_sha256' field"),
-                                           ("replay", "records a replay")])
+                                           ("replay", "records a replay"),
+                                           ("argv-int", "cannot read manifest"),
+                                           ("argv-items", "cannot read manifest")])
 def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind, message):
     path = tmp_path / f"{kind}.json"
     if kind == "malformed":
         path.write_text("{not json")
+    elif kind.startswith("argv-"):
+        argv = 5 if kind == "argv-int" else ["bounds", 3]
+        path.write_text(json.dumps({"argv": argv, "output_sha256": "0" * 64, "exit_code": 0}))
     elif kind == "unsigned":
         run(capsys, "--manifest", str(path), "bounds", "-k", "3", "-l", "2")
         doc = json.loads(path.read_text())
@@ -528,6 +536,33 @@ def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_unwritable_manifest_is_usage_error(capsys, tmp_path):
+    _, report, _ = run(capsys, "bounds", "-k", "3", "-l", "1")
+    manifest = tmp_path / "missing" / "m.json"
+    code, out, err = run(capsys, "--manifest", str(manifest), "bounds", "-k", "3", "-l", "1")
+    assert code == 2
+    assert out == report
+    # bounds writes its table to stderr first; the error is the last line
+    assert err.splitlines()[-1].startswith(f"error: cannot write manifest {manifest}: ")
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    manifest = tmp_path / "run.json"
+    assert run(capsys, "--manifest", str(manifest), "bounds", "-k", "3", "-l", "1")[0] == 0
+    assert run(capsys, "replay", str(manifest))[0] == 0
+    assert built == []
 
 
 def test_unexpected_exception_exits_4_with_manifest(capsys, tmp_path, monkeypatch):

@@ -117,6 +117,10 @@ def test_recolored_changes_one_edge():
     changed = coloring.recolored(2, 4, 3)
     assert changed.color(2, 4) == 3
     assert sum(a != b for a, b in zip(coloring.colors, changed.colors)) == 1
+    assert changed == CompleteGraphColoring(4, 3, changed.colors)
+    for color in (0, 4):
+        with pytest.raises(ValueError, match=f"color {color} outside palette 1..3"):
+            coloring.recolored(2, 4, color)
 
 
 # --- randomness -------------------------------------------------------------
@@ -129,7 +133,7 @@ def test_forced_single_color():
 def test_random_coloring_deterministic():
     a = random_coloring(6, 3, SeededStream(99, 5))
     b = random_coloring(6, 3, SeededStream(99, 5))
-    assert a == b
+    assert a == b == CompleteGraphColoring(6, 3, a.colors)
     c = random_coloring(6, 3, SeededStream(99, 6))
     assert a != c
 
