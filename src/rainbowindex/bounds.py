@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .colorings import CompleteGraphColoring, color_degrees
-from .trees import _certificate_chunks
+from .trees import _triple_chunks
 
 __all__ = [
     "BoundReport",
@@ -74,10 +74,16 @@ def _mpf(x: Fraction) -> mpmath.mpf:
 
 
 def _ceil_checked(compute) -> int:
-    """Ceiling of a high-precision value, cross-checked at doubled precision."""
+    """Ceiling of a high-precision value, cross-checked at doubled precision.
+
+    The precision is the value's integer digits plus ``_PRECISION_DPS``, so
+    a large value keeps as many digits after the point as a small one.
+    """
     with mpmath.workdps(_PRECISION_DPS):
+        dps = _PRECISION_DPS + max(0, int(mpmath.log10(abs(compute()) + 1)))
+    with mpmath.workdps(dps):
         first = int(mpmath.ceil(compute()))
-    with mpmath.workdps(2 * _PRECISION_DPS):
+    with mpmath.workdps(2 * dps):
         second = int(mpmath.ceil(compute()))
     if first != second:
         raise ArithmeticError("ceiling unstable under precision doubling")
@@ -97,7 +103,7 @@ def n1_bound(k: int, ell: int) -> int:
     p = rainbow_star_prob(k)
 
     def value() -> mpmath.mpf:
-        log = mpmath.log(1 / _mpf(1 - p))
+        log = -mpmath.log1p(-_mpf(p))  # exact to the last digit even when p is tiny
         return (mpmath.mpf(k + ell - 1) / log) ** 2
 
     return 4 * _ceil_checked(value)
@@ -381,5 +387,6 @@ def expected_X_upper(coloring: CompleteGraphColoring) -> tuple[Fraction, Fractio
     for v in range(1, n + 1):
         d1, d2, d3 = table.row(v)
         product_sum += d1 * d2 * d3
-    star_sum = sum(int(stars.sum()) for _, stars, _ in _certificate_chunks(coloring, 3))
+    chunks = _triple_chunks(coloring.array, range(1, n - 1))
+    star_sum = sum(int(stars.sum()) for _, stars, _ in chunks)
     return 3 + Fraction(product_sum, triples), Fraction(star_sum, triples)

@@ -22,6 +22,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 import traceback
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where the k6 target writes certificates")
 
     p = sub.add_parser("replay", help="re-run a manifest and check the output digest")
-    p.add_argument("manifest", help="manifest JSON path")
+    p.add_argument("replayed", metavar="manifest", help="manifest JSON path")
 
     return parser
 
@@ -251,14 +252,22 @@ def _cmd_tail(args) -> tuple[int, str]:
         "n": args.n, "k": args.k, "ell": args.ell,
         "exact_tail": {"rational": f"{numerator}/{denominator}",
                        "decimal": float(cmp.exact)},
-        "subset_bound": float(cmp.subset_bound),
-        "power_bound": float(cmp.power_bound),
+        "subset_bound": _float_or_inf(cmp.subset_bound),
+        "power_bound": _float_or_inf(cmp.power_bound),
         "anomaly": cmp.anomaly,
     }
-    chernoff = montecarlo.tail_comparators(args.n, args.k, args.ell).get("chernoff_tail")
-    if chernoff is not None:
-        doc["chernoff_tail"] = chernoff
+    if (args.n - args.k) * bounds.rainbow_star_prob(args.k) > args.ell - 1:
+        doc["chernoff_tail"] = montecarlo.chernoff_tail_bound(args.n, args.k, args.ell)
     return 0, json.dumps(doc, indent=2) + "\n"
+
+
+def _float_or_inf(x: Fraction) -> float:
+    """A bound as a float; one past the float range is printed as Infinity,
+    as ``mc bs`` prints ``union_bound_total``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def _cmd_mc(args) -> tuple[int, str]:
@@ -393,19 +402,19 @@ def _run(args) -> tuple[int, str, float, str]:
 
 def _cmd_replay(args) -> int:
     try:
-        doc = json.loads(Path(args.manifest).read_text())
+        doc = json.loads(Path(args.replayed).read_text())
         argv, expected = doc["argv"], (doc["output_sha256"], doc["exit_code"])
         if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
             raise TypeError(f"argv is not a list of strings: {argv!r}")
     except KeyError as exc:
-        print(f"error: manifest {args.manifest} has no {exc} field", file=sys.stderr)
+        print(f"error: manifest {args.replayed} has no {exc} field", file=sys.stderr)
         return 2
     except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot read manifest {args.manifest}: {exc}", file=sys.stderr)
+        print(f"error: cannot read manifest {args.replayed}: {exc}", file=sys.stderr)
         return 2
     replay_args = build_parser().parse_args(argv)
     if replay_args.command == "replay":
-        print(f"error: manifest {args.manifest} records a replay, not a run", file=sys.stderr)
+        print(f"error: manifest {args.replayed} records a replay, not a run", file=sys.stderr)
         return 2
     code, output, wall, digest = _run(replay_args)
     same = (digest, code) == expected
@@ -420,6 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     if args.command == "replay":
+        if args.manifest:
+            print("error: --manifest does not apply to replay, which writes no manifest",
+                  file=sys.stderr)
+            return 2
         return _cmd_replay(args)
     code, output, wall, digest = _run(args)
     sys.stdout.write(output)

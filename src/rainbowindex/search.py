@@ -7,11 +7,10 @@ Three strategies, all seeded and deterministic:
   exhausting it without a hit refutes existence only under an exact
   oracle: full mode with a resolved budget of at least n - k.
 * local — hill climb on the number of failing k-sets, single-edge
-  recolor moves, random restarts on stalls. The certificate kernel
-  scores every k-set on each move and decides star mode. In full mode
-  with a resolved budget <= 1 the closed form decides k <= 3, and at
-  k >= 4 a move on edge {u,v} sends to the oracle only the short sets
-  through u or v; the others keep their counts.
+  recolor moves, random restarts on stalls. Each move is scored from
+  scratch by the k-set scan: arrays decide star mode, and full mode at
+  k <= 3 with a resolved budget <= 1; otherwise every set the
+  certificate leaves short goes to the exact oracle.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
@@ -68,16 +67,10 @@ def _failing_sets(
     k: int,
     ell: int,
     mode: OracleMode,
-    reuse: Optional[tuple[dict, tuple[int, int]]] = None,
-    decided: Optional[dict] = None,
 ) -> int:
-    """Number of k-sets below demand; certificate first, exact oracle on misses.
-
-    ``reuse`` and ``decided`` pass the full-mode per-set loop's counts from
-    one coloring to the next, as ``_decided_chunks`` describes.
-    """
-    return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(
-        coloring, k, ell, mode, False, False, reuse=reuse, decided=decided))
+    """Number of k-sets below demand; certificate first, exact oracle on misses."""
+    return sum(int((counts < ell).sum())
+               for _, counts in _decided_chunks(coloring, k, ell, mode, False, False))
 
 
 def find_coloring(
@@ -144,8 +137,7 @@ def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
         stream = seed.substream(restart)
         gen = stream.generator()
         coloring = random_coloring(n, t, stream.substream(0))
-        decided: dict = {}  # the full-mode per-set loop's counts of the current coloring
-        objective = _failing_sets(coloring, k, ell, mode, decided=decided)
+        objective = _failing_sets(coloring, k, ell, mode)
         evals += 1
         stall = 0
         while objective > 0 and evals < budget and stall < _STALL_LIMIT:
@@ -153,12 +145,11 @@ def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:
             shift = int(gen.integers(1, t)) if t > 1 else 0
             color = (coloring.color(u, v) - 1 + shift) % t + 1
             candidate = coloring.recolored(u, v, color)
-            cand_decided: dict = {}
-            cand_objective = _failing_sets(candidate, k, ell, mode, (decided, (u, v)), cand_decided)
+            cand_objective = _failing_sets(candidate, k, ell, mode)
             evals += 1
             if cand_objective <= objective:
                 stall = stall + 1 if cand_objective == objective else 0
-                coloring, objective, decided = candidate, cand_objective, cand_decided
+                coloring, objective = candidate, cand_objective
             else:
                 stall += 1
         if objective == 0:

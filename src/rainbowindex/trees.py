@@ -35,11 +35,9 @@ certificate itself at k = 2, and at k = 3 the rainbow stars plus the
 larger of a Hall matching of the other centers to the internal edges and
 one internal path, from one array pass per slice of sets. Every other
 full-mode set the arrays leave short goes through one per-set loop, in
-lexicographic order: a count reused from the previous coloring, or the
-count-only ``_packing``. After a single-edge recoloring, the local search
-passes the previous coloring's counts back in, and when every candidate
-edge has an end in the set (at most one external vertex per tree) only
-the sets through the edge's ends are counted again.
+lexicographic order, to the count-only ``_packing``. The scan reads the
+coloring alone and keeps nothing between calls: a local-search move is
+scored from scratch.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
@@ -705,9 +703,10 @@ def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tuple]:
-    """(sets, stars) of the k-sets with first vertex in ``firsts``, in lexicographic
-    order: a center counts when its k colors to the set are nonzero (it lies
-    outside the set) and pairwise distinct."""
+    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``, in
+    lexicographic order: a center counts when its k colors to the set are
+    nonzero (it lies outside the set) and pairwise distinct. The internal
+    part is the edge itself at k = 2 and left to the caller (0) at k >= 4."""
     n = len(colors)
     size = max(1, _CHUNK_ELEMENTS // (n * k))
     sets = chain.from_iterable(
@@ -716,7 +715,8 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tupl
         block = np.fromiter(chain.from_iterable(islice(sets, size)), dtype=np.intp).reshape(-1, k)
         if not len(block):
             return
-        yield block, _rainbow_rows(colors[:, block - 1]).sum(axis=0)
+        stars = _rainbow_rows(colors[:, block - 1]).sum(axis=0)
+        yield block, stars, np.full_like(stars, k == 2)
 
 
 # the memo holds every pattern of a 5-set's 10 edges (Bell(10) = 115,975)
@@ -743,31 +743,6 @@ def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
-def _certificate_chunks(
-    coloring: CompleteGraphColoring,
-    k: int,
-    firsts: Optional[range] = None,
-) -> Iterator[tuple]:
-    """What arrays compute of every k-set's count, in lexicographic chunks.
-
-    Yields ``(sets, stars, internal)``: the (m, k) array of 1-based k-sets
-    with first vertex in ``firsts`` (default: all), their rainbow star
-    counts and the internal part the arrays know: 1 at k = 2, the triangle
-    term at k = 3 (both the internal packing itself) and 0 at k >= 4,
-    where ``_decided_chunks`` looks up the sets it needs in the
-    color-pattern table of ``_internal_packings``. Chunks hold
-    consecutive sets and are capped by ``_CHUNK_ELEMENTS``, so memory stays
-    O(n^2) plus one chunk.
-    """
-    if firsts is None:
-        firsts = range(1, coloring.n - k + 2)
-    if k == 3:
-        yield from _triple_chunks(coloring.array, firsts)
-        return
-    for sets, stars in _gathered_chunks(coloring.array, k, firsts):
-        yield sets, stars, np.full_like(stars, 1 if k == 2 else 0)
-
-
 def _decided_chunks(
     coloring: CompleteGraphColoring,
     k: int,
@@ -776,37 +751,34 @@ def _decided_chunks(
     exact: bool,
     until_failure: bool,
     firsts: Optional[range] = None,
-    reuse: Optional[tuple[dict, tuple[int, int]]] = None,
-    decided: Optional[dict] = None,
 ) -> Iterator[tuple]:
     """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
 
-    The count starts from ``_certificate_chunks``. In full mode with k <= 3
-    and a resolved budget <= 1 the exact count has a closed form: at k = 2
-    the certificate already counts every candidate, and at k = 3
-    ``_full_triple_excess`` adds to the stars, in one array pass per slice
-    of at most ``_CHUNK_ELEMENTS // n`` sets. At k >= 4 the color-pattern
-    table adds the internal packing to the sets below ell (every set when
-    ``exact``), except when exact in full mode, where the oracle's count
-    replaces it; star mode is then decided. In full mode otherwise one loop
-    takes each set still below ell (every set when ``exact``), in
-    lexicographic order, to a reused count or the count-only ``_packing``,
-    and stores each count it settles in ``decided[members]`` when a dict is
-    given. ``reuse = (known, (u, v))`` holds the ``decided`` counts of a
-    coloring that differs from this one on edge {u,v} only. When every
-    candidate edge has an end in the set, at a resolved budget <= 1, a set
-    without u or v keeps its count, and its arrays' count, also unchanged,
-    put it in ``known``. With a larger budget a tree through two external
-    vertices can use {u,v}, and every set is decided afresh. With
+    Chunks hold the consecutive k-sets with first vertex in ``firsts``
+    (default: all), capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2)
+    plus one chunk. The count starts from what arrays compute, the rainbow
+    stars (``_triple_chunks`` at k = 3, ``_gathered_chunks`` otherwise) plus
+    the internal part they know: 1 at k = 2, the triangle term at k = 3.
+    In full mode with k <= 3 and a resolved budget <= 1 the exact count has
+    a closed form: at k = 2 the certificate already counts every candidate,
+    and at k = 3 ``_full_triple_excess`` adds to the stars, in one array
+    pass per slice of at most ``_CHUNK_ELEMENTS // n`` sets. At k >= 4 the
+    color-pattern table adds the internal packing to the sets below ell
+    (every set when ``exact``), except when exact in full mode, where the
+    oracle's count replaces it; that settles star mode. In full mode
+    otherwise one loop takes each set still below ell (every set when
+    ``exact``), in lexicographic order, to the count-only ``_packing``. With
     ``until_failure`` the last chunk ends at the first set below ell, and
     no count is taken after it.
     """
     full = mode.kind == "full"
     closed = full and k <= 3 and mode.resolved_budget(k) <= 1
-    if full and mode.resolved_budget(k) > 1:
-        reuse = None
+    if firsts is None:
+        firsts = range(1, coloring.n - k + 2)
+    chunks = (_triple_chunks(coloring.array, firsts) if k == 3
+              else _gathered_chunks(coloring.array, k, firsts))
     step = max(1, _CHUNK_ELEMENTS // coloring.n)  # sets per closed-form slice
-    for sets, stars, internal in _certificate_chunks(coloring, k, firsts):
+    for sets, stars, internal in chunks:
         counts = stars + internal
         if closed:
             short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
@@ -822,14 +794,9 @@ def _decided_chunks(
             if short.size:
                 counts[short] += _internal_packings(coloring.array, sets[short])
         if full and not closed:
-            kept = np.zeros(len(sets), dtype=bool) if reuse is None else ~np.isin(sets, reuse[1]).any(axis=1)
             for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
-                members = tuple(sets[i].tolist())
-                count = reuse[0][members] if kept[i] else len(_packing(members, coloring, mode))
-                counts[i] = count
-                if decided is not None:
-                    decided[members] = count
-                if until_failure and count < ell:
+                counts[i] = len(_packing(tuple(sets[i].tolist()), coloring, mode))
+                if until_failure and counts[i] < ell:
                     break
         if until_failure:
             low = np.flatnonzero(counts < ell)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -10,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rainbowindex import bounds, cli
+from rainbowindex import bounds, cli, montecarlo
 from rainbowindex.cli import main
 from rainbowindex.colorings import (
     CompleteGraphColoring,
@@ -85,6 +86,23 @@ def test_bounds_theta_tolerance_is_not_an_option(capsys):
     assert (code, out) == (2, "")
     assert "need ell >= 45" in err
 
+
+
+def test_bounds_never_exits_4_up_to_k60(capsys):
+    # p = k!/k^k falls below 1e-20 from k = 48, where 1 - p at a fixed 60
+    # digits left the ceiling of N1 (about 10^42) unstable; from k = 52 the
+    # multinomial N2 has more digits than int-to-str allows, a usage error
+    for k in range(3, 61):
+        code, out, err = run(capsys, "bounds", "-k", str(k), "-l", "1")
+        if k <= 51:
+            assert code == 0, k
+            doc = validate("bound_report", out)
+            p = math.factorial(k) / k ** k
+            root = (k / math.log1p(-p)) ** 2  # N1 = 4 ceil(root)
+            assert root * (1 - 1e-9) <= doc["N1"] / 4 < root * (1 + 1e-9) + 1
+        else:
+            assert code == 2 and out == "", k
+            assert "error: " in err
 
 # --- verify -----------------------------------------------------------------
 
@@ -295,6 +313,28 @@ def test_tail_prints_rationals_past_the_int_digit_limit(capsys):
     assert printed == bounds.binomial_upper_vs_union(8000, 3, 20).exact
 
 
+
+@pytest.mark.parametrize("n, ell", [(1500, 150), (2000, 200), (3000, 300)])
+def test_tail_prints_bounds_past_the_float_range_as_infinity(capsys, monkeypatch, n, ell):
+    # the power bound is about 10^460 at n = 2000, ell = 200; the exact tail,
+    # the costly part, is computed once per run
+    tails = []
+    real_tail = bounds.binomial_tail_below
+
+    def counted_tail(*args):
+        tails.append(args)
+        return real_tail(*args)
+
+    monkeypatch.setattr(bounds, "binomial_tail_below", counted_tail)
+    monkeypatch.setattr(montecarlo, "binomial_tail_below", counted_tail)
+    code, out, _ = run(capsys, "tail", "-n", str(n), "-k", "3", "-l", str(ell))
+    assert code == 0
+    doc = validate("tail_report", out)
+    assert doc["power_bound"] == math.inf
+    assert '"power_bound": Infinity' in out
+    assert 0 < doc["chernoff_tail"] < 1
+    assert len(tails) == 1
+
 # --- mc ---------------------------------------------------------------------
 
 def test_mc_bs(capsys):
@@ -464,7 +504,8 @@ PINNED_SEARCH_RUNS = [
     # k = 4 in full mode: default budget 2, so every move re-decides every set
     (("-n", "7", "-k", "4", "-l", "2", "-t", "4", "--mode", "full", "--search-budget", "150"),
      0, "8ca092ec1aaee70a9ad5f99e0c5c30c63e7281bb5fa17136e795c8030be2fec9"),
-    # k = 4 in full mode with budget 1: moves reuse the oracle counts of sets off the edge
+    # k = 4 in full mode with budget 1, recorded while moves reused the oracle
+    # counts of the sets off the moved edge
     (("-n", "7", "-k", "4", "-l", "2", "-t", "4", "--mode", "full", "--budget", "1",
       "--search-budget", "150"),
      0, "f2b472218ae294d06433539e291528cc2c04420a87cdc16d3d5dc23fa8a030c4"),
@@ -537,6 +578,16 @@ def test_replay_of_an_unreadable_manifest_is_usage_error(capsys, tmp_path, kind,
     assert out == ""
     assert err.startswith("error: ") and message in err
 
+
+
+def test_manifest_flag_is_refused_for_replay(capsys, tmp_path, tmp_path_factory):
+    # replay writes no manifest, so --manifest PATH before it is a usage error
+    recorded = tmp_path_factory.mktemp("recorded") / "run.json"
+    assert run(capsys, "--manifest", str(recorded), "bounds", "-k", "3", "-l", "1")[0] == 0
+    code, out, err = run(capsys, "--manifest", str(tmp_path / "m.json"), "replay", str(recorded))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--manifest" in err
+    assert list(tmp_path.iterdir()) == []
 
 def test_unwritable_manifest_is_usage_error(capsys, tmp_path):
     _, report, _ = run(capsys, "bounds", "-k", "3", "-l", "1")

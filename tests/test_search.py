@@ -97,14 +97,12 @@ def test_search_validation():
         find_coloring(2, 3, 1, 3, "random", 10, SeededStream(0))
 
 
-def test_incremental_objective_matches_from_scratch(monkeypatch):
-    # seeded walks of single-edge moves, accepted or rejected at random: after
-    # each move the reused counts give the objective and stored counts of a
-    # from-scratch evaluation, they hold only the sets the certificate leaves
-    # below ell, and only the sets through the moved edge's ends reach the
-    # oracle again, except with budget 2, where every short set does; the
+def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
+    # seeded walks of single-edge moves, accepted or rejected at random: each
+    # move's objective is the number of sets verify finds below ell; the
     # arrays decide star mode, and at k = 3 with budget 1 the closed form
-    # decides every set, so neither stores a count or packs a set
+    # decides every set, so neither packs a set of the coloring; otherwise
+    # the oracle sees exactly the sets the certificate leaves below ell
     real_packing = trees._packing
     calls = []
 
@@ -120,32 +118,24 @@ def test_incremental_objective_matches_from_scratch(monkeypatch):
     for case, (k, n, t, mode) in enumerate(product((3, 4), range(6, 10), (2, 3, 4), modes)):
         ell = rng.randint(1, 3)
         coloring = random_coloring(n, t, stream.substream(case))
-        decided = {}
-        _failing_sets(coloring, k, ell, mode, decided=decided)
         for _ in range(6 if k == 3 else 4):
             u, v = rng.choice(edge_pairs(n))
             color = rng.choice([c for c in range(1, t + 1) if c != coloring.color(u, v)])
             candidate = coloring.recolored(u, v, color)
             calls.clear()
             packed.clear()
-            cand_decided = {}
-            value = _failing_sets(candidate, k, ell, mode, (decided, (u, v)), cand_decided)
+            value = _failing_sets(candidate, k, ell, mode)
             reached, repacked = list(calls), list(packed)
-            scratch = {}
-            assert value == _failing_sets(candidate, k, ell, mode, decided=scratch)
-            assert cand_decided == scratch
+            report = verify_coloring(candidate, k, ell, mode, per_set_counts=True)
+            assert value == sum(count < ell for _, count in report.per_set_counts)
             certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
-            below = sorted(S for S, count in certificates if count < ell)
-            if mode.kind == "star" or (k == 3 and mode.budget == 1):
-                assert cand_decided == {} and reached == []
-            else:
-                assert sorted(cand_decided) == below
+            below = [S for S, count in certificates if count < ell]
             if mode.kind == "star":
                 # only color patterns are packed, never a set of the coloring
-                assert set(repacked) <= {tuple(range(k))}
-            elif mode.budget == 2:
+                assert reached == [] and set(repacked) <= {tuple(range(k))}
+            elif k == 3 and mode.budget == 1:
+                assert reached == []
+            else:
                 assert reached == below
-            elif k == 4:
-                assert reached == [S for S in below if u in S or v in S]
             if rng.random() < 0.5:
-                coloring, decided = candidate, cand_decided
+                coloring = candidate

@@ -756,7 +756,9 @@ def test_kset_kernel_star_total_and_memory_at_scale():
             coloring = random_coloring(n, t, SeededStream(n + t))
             table = color_degrees(coloring)
             by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), k))
-            by_set = sum(int(stars.sum()) for _, stars, _ in trees._certificate_chunks(coloring, k))
+            chunks = (trees._triple_chunks(coloring.array, range(1, n - 1)) if k == 3
+                      else trees._gathered_chunks(coloring.array, k, range(1, n - k + 2)))
+            by_set = sum(int(stars.sum()) for _, stars, _ in chunks)
             assert by_set == by_center
     # a rainbow coloring (a palette of C(n,2) colors) gives every triple n-3 stars
     # and one internal tree; memory must not grow with the palette either
