@@ -133,12 +133,12 @@ def binomial_tail_below(m: int, p: Fraction, j: int) -> Fraction:
         raise ValueError("m must be nonnegative")
     if j < 0:
         return Fraction(0)
-    q = 1 - p
-    total = Fraction(0)
-    for i in range(0, min(j, m) + 1):
-        total += math.comb(m, i) * p ** i * q ** (m - i)
     if j >= m:
         return Fraction(1)
+    q = 1 - p
+    total = Fraction(0)
+    for i in range(0, j + 1):
+        total += math.comb(m, i) * p ** i * q ** (m - i)
     return total
 
 

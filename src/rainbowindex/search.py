@@ -8,9 +8,10 @@ Three strategies, all seeded and deterministic:
   oracle: full mode with a resolved budget of at least n - k.
 * local — hill climb on the number of failing k-sets, single-edge
   recolor moves, random restarts on stalls. Each move is scored from
-  scratch by the k-set scan: arrays decide star mode, and full mode at
-  k <= 3 with a resolved budget <= 1; otherwise every set the
-  certificate leaves short goes to the exact oracle.
+  scratch by the k-set scan, which counts every set below demand: arrays
+  decide star mode, and in full mode each set the certificate leaves
+  short gets its exact count, from a closed form at k <= 3 with a
+  resolved budget <= 1 and from the exact oracle otherwise.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
@@ -69,8 +70,7 @@ def _failing_sets(
     mode: OracleMode,
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on misses."""
-    return sum(int((counts < ell).sum())
-               for _, counts in _decided_chunks(coloring, k, ell, mode, False, False))
+    return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(coloring, k, ell, mode, False))
 
 
 def find_coloring(

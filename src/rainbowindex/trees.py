@@ -3,13 +3,14 @@
 For a terminal set S inside an edge-colored K_n, an S-tree is a tree whose
 vertex set contains S; it is rainbow when no two of its edges share a
 color. A family of S-trees is internally disjoint when the trees are
-pairwise edge-disjoint and meet only in S. Everything here is exact and
-built for small instances: candidate trees are enumerated explicitly, from
-a table of the spanning-tree shapes of K_m built once per m (only trees
-are scanned, never edge subsets that are not trees), and the
-lexicographically least maximum family is found by one iterative
-branch and bound over their conflict graph, bounded by clique covers
-(a greedy one, and trees sharing their least external vertex).
+pairwise edge-disjoint and meet only in S. Everything here is exact. The
+oracle is built for small k and small budgets, not small n: candidate
+trees are enumerated explicitly, from a table of the spanning-tree
+shapes of K_m built once per m (only trees are scanned, never edge
+subsets that are not trees), and the lexicographically least maximum
+family is found by one iterative branch and bound over their conflict
+graph, bounded by clique covers (a greedy one, and trees sharing their
+least external vertex).
 Neither recursion depth nor the number of passes grows with the number
 of candidates. In star mode only the internal trees are searched: the
 rainbow stars conflict with nothing and all join the family. One
@@ -33,9 +34,11 @@ so arrays decide star mode at every k. In full mode with k <= 3 and at
 most one external vertex per tree the exact count has a closed form: the
 certificate itself at k = 2, and at k = 3 the rainbow stars plus the
 larger of a Hall matching of the other centers to the internal edges and
-one internal path, from one array pass per slice of sets. Every other
-full-mode set the arrays leave short goes through one per-set loop, in
-lexicographic order, to the count-only ``_packing``. The scan reads the
+one internal path, from one array pass per slice of sets. Every full-mode
+set the arrays leave short gets its exact count, in lexicographic order,
+from ``_exact_counts``: the closed form where it holds, one call to the
+count-only ``_packing`` per set otherwise. The scan yields runs that end
+after each exact count, so a caller stops where it needs to. It reads the
 coloring alone and keeps nothing between calls: a local-search move is
 scored from scratch.
 Inside the oracle a k-set is its sorted members tuple and a candidate
@@ -743,67 +746,74 @@ def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
+def _closed_form(k: int, mode: OracleMode) -> bool:
+    """Whether full-mode counts at k have a closed form: k <= 3 and at most
+    one external vertex per tree."""
+    return mode.kind == "full" and k <= 3 and mode.resolved_budget(k) <= 1
+
+
+def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.ndarray,
+                  mode: OracleMode) -> np.ndarray:
+    """Full-mode counts of the 1-based k-sets ``sets`` with ``stars`` rainbow stars.
+
+    With a closed form, priced like the oracle calls it replaces, the count
+    is the certificate itself at k = 2 (the edge plus the stars) and the
+    stars plus ``_full_triple_excess`` at k = 3, in one array pass.
+    Otherwise each set goes to the count-only ``_packing``.
+    """
+    k = sets.shape[1]
+    if _closed_form(k, mode):
+        _check_full_work(coloring.n - k, k, 1)
+        return stars + (1 if k == 2 else _full_triple_excess(coloring.array, sets))
+    return np.array([len(_packing(tuple(s), coloring, mode)) for s in sets.tolist()], dtype=np.int64)
+
+
 def _decided_chunks(
     coloring: CompleteGraphColoring,
     k: int,
     ell: int,
     mode: OracleMode,
     exact: bool,
-    until_failure: bool,
     firsts: Optional[range] = None,
 ) -> Iterator[tuple]:
-    """``(sets, counts)`` in lexicographic chunks: the count that decides each k-set.
+    """``(sets, counts)`` in lexicographic runs: the count that decides each k-set.
 
     Chunks hold the consecutive k-sets with first vertex in ``firsts``
     (default: all), capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2)
     plus one chunk. The count starts from what arrays compute, the rainbow
     stars (``_triple_chunks`` at k = 3, ``_gathered_chunks`` otherwise) plus
     the internal part they know: 1 at k = 2, the triangle term at k = 3.
-    In full mode with k <= 3 and a resolved budget <= 1 the exact count has
-    a closed form: at k = 2 the certificate already counts every candidate,
-    and at k = 3 ``_full_triple_excess`` adds to the stars, in one array
-    pass per slice of at most ``_CHUNK_ELEMENTS // n`` sets. At k >= 4 the
-    color-pattern table adds the internal packing to the sets below ell
-    (every set when ``exact``), except when exact in full mode, where the
-    oracle's count replaces it; that settles star mode. In full mode
-    otherwise one loop takes each set still below ell (every set when
-    ``exact``), in lexicographic order, to the count-only ``_packing``. With
-    ``until_failure`` the last chunk ends at the first set below ell, and
-    no count is taken after it.
+    At k >= 4 the color-pattern table adds the internal packing to the sets
+    below ell (every set when ``exact``), except when exact in full mode,
+    where the oracle's count replaces it; that settles star mode. In full
+    mode the sets still below ell (every set when ``exact``) go in
+    lexicographic order to ``_exact_counts``: slices of at most
+    ``_CHUNK_ELEMENTS // n`` sets when the count has a closed form, one set
+    per oracle call otherwise. A run ends after each such count or at the
+    chunk's end, so a caller that stops at its first failing run takes no
+    count past the failing set.
     """
     full = mode.kind == "full"
-    closed = full and k <= 3 and mode.resolved_budget(k) <= 1
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
     chunks = (_triple_chunks(coloring.array, firsts) if k == 3
               else _gathered_chunks(coloring.array, k, firsts))
-    step = max(1, _CHUNK_ELEMENTS // coloring.n)  # sets per closed-form slice
+    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode) else 1
     for sets, stars, internal in chunks:
         counts = stars + internal
-        if closed:
-            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
-            if short.size:
-                _check_full_work(coloring.n - k, k, 1)
-            for start in range(0, short.size, step) if k == 3 else ():
-                part = short[start:start + step]
-                counts[part] = stars[part] + _full_triple_excess(coloring.array, sets[part])
-                if until_failure and (counts[part] < ell).any():
-                    break
-        elif k > 3 and not (exact and full):
-            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
-            if short.size:
-                counts[short] += _internal_packings(coloring.array, sets[short])
-        if full and not closed:
-            for i in range(len(sets)) if exact else np.flatnonzero(counts < ell).tolist():
-                counts[i] = len(_packing(tuple(sets[i].tolist()), coloring, mode))
-                if until_failure and counts[i] < ell:
-                    break
-        if until_failure:
-            low = np.flatnonzero(counts < ell)
-            if low.size:
-                yield sets[:low[0] + 1], counts[:low[0] + 1]
-                return
-        yield sets, counts
+        short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
+        if k > 3 and not (exact and full) and short.size:
+            counts[short] += _internal_packings(coloring.array, sets[short])
+            short = short[counts[short] < ell]
+        done = 0
+        for start in range(0, short.size, step) if full else ():
+            part = short[start:start + step]
+            counts[part] = _exact_counts(coloring, sets[part], stars[part], mode)
+            end = part[-1] + 1
+            yield sets[done:end], counts[done:end]
+            done = end
+        if done < len(sets):
+            yield sets[done:], counts[done:]
 
 
 def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
@@ -820,17 +830,18 @@ def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
 
 def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
     """First failing k-set among those with the job's first vertices, and their
-    counts if wanted; without counts the scan stops at the first failure."""
+    counts if wanted; without counts the scan stops at the first failing run."""
     coloring, k, ell, mode, firsts, collect_counts = job
     counts: list[tuple[tuple[int, ...], int]] = []
     first_fail = None
-    for sets, chunk_counts in _decided_chunks(
-            coloring, k, ell, mode, collect_counts, not collect_counts, firsts):
+    for sets, run_counts in _decided_chunks(coloring, k, ell, mode, collect_counts, firsts):
         if collect_counts:
-            counts.extend(zip(zip(*sets.T.tolist()), chunk_counts.tolist()))
-        low = np.flatnonzero(chunk_counts < ell)
+            counts.extend(zip(zip(*sets.T.tolist()), run_counts.tolist()))
+        low = (run_counts < ell).nonzero()[0]
         if first_fail is None and low.size:
-            first_fail = (tuple(sets[low[0]].tolist()), int(chunk_counts[low[0]]))
+            first_fail = (tuple(sets[low[0]].tolist()), int(run_counts[low[0]]))
+            if not collect_counts:
+                break
     return first_fail, counts
 
 

@@ -453,7 +453,7 @@ def test_packing_matches_the_public_oracle():
 
 def _full_counts(coloring, k, mode):
     """Every k-set's full-mode count from the per-set decision, in lexicographic order."""
-    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, True, False)
+    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, True)
             for count in counts.tolist()]
 
 
@@ -495,7 +495,7 @@ def test_closed_form_memory_at_scale():
     try:
         sets_seen = 0
         for sets, counts in trees._decided_chunks(
-                coloring, 3, 0, OracleMode.full(), True, False, firsts=range(1, 4)):
+                coloring, 3, 0, OracleMode.full(), True, firsts=range(1, 4)):
             sets_seen += len(sets)
             assert (counts >= 1).all() and (counts <= 297 + 3).all()
         peak = tracemalloc.get_traced_memory()[1]
@@ -615,6 +615,32 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
         assert packed == [S for S, _ in report.per_set_counts] == list(combinations(range(1, 9), 4))
         for members, count in report.per_set_counts[::7]:
             assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)[0]
+
+
+def test_runs_end_at_each_oracle_count(monkeypatch):
+    # the runs join up to the lexicographic k-sets of ``firsts``; outside the
+    # closed form every set the oracle decides ends a run, so a caller that
+    # stops at its first failing run packs nothing past the witness
+    packed, packing = [], trees._packing
+    monkeypatch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
+    coloring = random_coloring(10, 4, SeededStream(1))
+    for k, ell, mode, firsts in ((4, 3, OracleMode.full(2), range(1, 4)),
+                                 (4, 3, OracleMode.full(1), None),
+                                 (3, 5, OracleMode.full(2), range(1, 6)),
+                                 (3, 6, OracleMode.full(1), None),
+                                 (4, 3, OracleMode.star(), None)):
+        packed.clear()
+        runs = list(trees._decided_chunks(coloring, k, ell, mode, False, firsts))
+        firsts = firsts or range(1, 11)
+        assert [tuple(S) for sets, _ in runs for S in sets.tolist()] == [
+            S for S in combinations(range(1, 11), k) if S[0] in firsts]
+        if not trees._closed_form(k, mode) and mode.kind == "full":
+            assert packed and set(packed) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
+    for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
+        packed.clear()
+        report = verify_coloring(coloring, k, ell, mode)
+        assert not report.passed and packed[-1] == report.witness
+        assert packed == sorted(set(packed))
 
 
 def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
