@@ -11,7 +11,8 @@ seed, version, and the digest; a manifest that cannot be written exits 2.
 so primary outputs are byte-reproducible.
 JSON reports are indented by 2; `verify` writes its report, with one entry
 per k-set under --per-s-counts, through `VerificationReport.to_json_text`,
-which gives the same bytes without running the JSON encoder per entry.
+which gives the same bytes by gathering string pieces with the count array
+as index, with no Python object built per entry.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import chain, combinations, islice
@@ -550,8 +550,12 @@ def max_disjoint_rainbow_trees(
 # ---------------------------------------------------------------------------
 # Whole-coloring verification
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """``per_set_counts``, when asked for, is one read-only ``(C(n,k), k+1)``
+    int64 array: the row of each k-set is ``(*S, count)``, in lexicographic
+    order."""
+
     n: int
     t: int
     k: int
@@ -560,7 +564,15 @@ class VerificationReport:
     passed: bool
     witness: Optional[tuple[int, ...]]
     witness_count: Optional[int]
-    per_set_counts: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
+    per_set_counts: Optional[np.ndarray] = None
+
+    def __eq__(self, other) -> bool:
+        # field by field; the count arrays must agree in shape and every entry
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name != "per_set_counts"]
+        return (all(getattr(self, name) == getattr(other, name) for name in names)
+                and np.array_equal(self.per_set_counts, other.per_set_counts))
 
     def _json_header(self) -> dict:
         out = {
@@ -580,26 +592,36 @@ class VerificationReport:
         out = self._json_header()
         if self.per_set_counts is not None:
             out["per_S_counts"] = [
-                {"S": list(s), "count": c} for s, c in self.per_set_counts
+                {"S": row[:-1], "count": row[-1]} for row in self.per_set_counts.tolist()
             ]
         return out
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\n"``, byte for byte.
 
-        Only the header fields go through the JSON encoder; every per-set
-        entry is one %-template fill, so no dict is built per k-set.
+        Only the header fields go through the JSON encoder. The per-set block
+        is one gather, indexed by the count rows, from three piece tables:
+        the string of each integer up to the largest, with the entry's
+        indentation and punctuation joined on for a first member, a later
+        member and a count. No object is built per k-set; one ``join`` reads
+        a reference per piece.
         """
         doc = self._json_header()
-        if self.per_set_counts is not None:
+        rows = self.per_set_counts
+        if rows is not None:
             doc["per_S_counts"] = []
         text = json.dumps(doc, indent=2) + "\n"
-        if not self.per_set_counts:
+        if rows is None:
             return text
-        entry = ('    {\n      "S": [\n' + ",\n".join(["        %d"] * self.k)
-                 + '\n      ],\n      "count": %d\n    }')
-        body = ",\n".join([entry % (*s, c) for s, c in self.per_set_counts])
-        return "".join((text[:-len("[]\n}\n")], "[\n", body, "\n  ]\n}\n"))
+        values = np.array([str(v) for v in range(int(rows.max()) + 1)], dtype=object)
+        pieces = np.concatenate((
+            '    {\n      "S": [\n        ' + values,  # the first member
+            ',\n        ' + values,  # each later member
+            '\n      ],\n      "count": ' + values + '\n    },\n',
+        ))[rows + np.repeat((0, 1, 2), (1, self.k - 1, 1)) * len(values)].ravel()
+        pieces[0] = text[:-len("[]\n}\n")] + "[\n" + pieces[0]
+        pieces[-1] = pieces[-1][:-len(",\n")] + "\n  ]\n}\n"
+        return "".join(pieces.tolist())
 
 
 # Elements one chunk of the k-set kernel may hold: for k = 3 the
@@ -828,21 +850,22 @@ def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
     return ranges
 
 
-def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[tuple[tuple[int, ...], int]]]:
-    """First failing k-set among those with the job's first vertices, and their
-    counts if wanted; without counts the scan stops at the first failing run."""
+def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[np.ndarray]]:
+    """First failing k-set among those with the job's first vertices, and, if
+    wanted, their ``(*S, count)`` rows, one block per run; without counts the
+    scan stops at the first failing run."""
     coloring, k, ell, mode, firsts, collect_counts = job
-    counts: list[tuple[tuple[int, ...], int]] = []
+    blocks: list[np.ndarray] = []
     first_fail = None
     for sets, run_counts in _decided_chunks(coloring, k, ell, mode, collect_counts, firsts):
         if collect_counts:
-            counts.extend(zip(zip(*sets.T.tolist()), run_counts.tolist()))
+            blocks.append(np.column_stack((sets, run_counts)))
         low = (run_counts < ell).nonzero()[0]
         if first_fail is None and low.size:
             first_fail = (tuple(sets[low[0]].tolist()), int(run_counts[low[0]]))
             if not collect_counts:
                 break
-    return first_fail, counts
+    return first_fail, blocks
 
 
 def verify_coloring(
@@ -871,12 +894,14 @@ def verify_coloring(
     ranges = _first_vertex_ranges(n, k, workers * 4 if workers > 1 else 1)
     jobs = [(coloring, k, ell, mode, firsts, per_set_counts) for firsts in ranges]
     first_fail = None
-    counts = []
-    for fail, chunk_counts in parallel_map(_verify_range, jobs, workers):
-        counts.extend(chunk_counts)
+    blocks = []
+    for fail, job_blocks in parallel_map(_verify_range, jobs, workers):
+        blocks.extend(job_blocks)
         if first_fail is None:
             first_fail = fail  # chunks are ordered, so the first failure is the least witness
     witness, count = first_fail or (None, None)
-    return VerificationReport(
-        n, coloring.t, k, ell, mode, witness is None, witness, count,
-        tuple(counts) if per_set_counts else None)
+    rows = None
+    if per_set_counts:
+        rows = np.concatenate(blocks, out=np.empty((math.comb(n, k), k + 1), dtype=np.int64))
+        rows.flags.writeable = False
+    return VerificationReport(n, coloring.t, k, ell, mode, witness is None, witness, count, rows)

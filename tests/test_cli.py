@@ -128,13 +128,15 @@ def test_verify_pass_and_fail(capsys, tmp_path):
 
 def test_verify_json_text_is_the_indent_encoding():
     # the direct encoder against the JSON encoder it replaces: k = 2..5 (k = n
-    # included), a vacuous, a passing and a failing demand, both oracle modes
-    for n, t in ((5, 3), (7, 4)):
+    # included), a vacuous, a passing and a failing demand, both oracle modes;
+    # K_14 with 20 colors has two-digit vertices and counts
+    for n, t, top in ((5, 3, 5), (7, 4, 5), (14, 20, 3)):
         coloring = random_coloring(n, t, SeededStream(n))
-        for k in range(2, min(n, 5) + 1):
+        for k in range(2, min(n, top) + 1):
             for mode in (OracleMode.star(), OracleMode.full(1)):
-                low = min(c for _, c in verify_coloring(
-                    coloring, k, 0, mode, per_set_counts=True).per_set_counts)
+                rows = verify_coloring(coloring, k, 0, mode, per_set_counts=True).per_set_counts
+                assert (rows[:, -1].max() >= 10) == (n == 14)
+                low = int(rows[:, -1].min())
                 for ell, workers in ((0, 1), (low, 1), (low + 1, 1), (low + 1, 2)):
                     for counts in (False, True):
                         report = verify_coloring(coloring, k, ell, mode,
@@ -143,6 +145,18 @@ def test_verify_json_text_is_the_indent_encoding():
                         text = report.to_json_text()
                         assert text == json.dumps(report.to_json_dict(), indent=2) + "\n"
                         validate("verification_report", text)
+
+
+def test_verify_counts_memory():
+    # K_80, k = 3: the 82,160 rows of (*S, count) hold 2.5 MiB as one array
+    coloring = random_coloring(80, 3, SeededStream(5))
+    tracemalloc.start()
+    try:
+        verify_coloring(coloring, 3, 3, per_set_counts=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_verify_json_text_memory():

@@ -84,7 +84,7 @@ def test_search_determinism():
         for mode in (OracleMode.star(), OracleMode.full(1)):
             for ell in (1, 2, 3):
                 report = verify_coloring(coloring, k, ell, mode, per_set_counts=True)
-                expected = sum(count < ell for _, count in report.per_set_counts)
+                expected = sum(count < ell for *_, count in report.per_set_counts.tolist())
                 assert _failing_sets(coloring, k, ell, mode) == expected
 
 
@@ -127,9 +127,9 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
             value = _failing_sets(candidate, k, ell, mode)
             reached, repacked = list(calls), list(packed)
             report = verify_coloring(candidate, k, ell, mode, per_set_counts=True)
-            assert value == sum(count < ell for _, count in report.per_set_counts)
+            assert value == sum(count < ell for *_, count in report.per_set_counts.tolist())
             certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
-            below = [S for S, count in certificates if count < ell]
+            below = [tuple(S) for *S, count in certificates.tolist() if count < ell]
             if mode.kind == "star":
                 # only color patterns are packed, never a set of the coloring
                 assert reached == [] and set(repacked) <= {tuple(range(k))}

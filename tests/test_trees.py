@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -481,10 +482,10 @@ def test_full_budget_one_pairs_are_the_certificate():
     for case, (n, t) in enumerate(product(range(2, 10), (1, 2, 3, 7))):
         coloring = random_coloring(n, t, stream.substream(case))
         certificate = verify_coloring(coloring, 2, 0, per_set_counts=True).per_set_counts
-        assert _full_counts(coloring, 2, OracleMode.full(1)) == [count for _, count in certificate]
-        assert [count for _, count in certificate] == [
-            len(trees._packing(members, coloring, OracleMode.full(1)))
-            for members, _ in certificate]
+        assert _full_counts(coloring, 2, OracleMode.full(1)) == [count for *_, count in certificate.tolist()]
+        assert [count for *_, count in certificate.tolist()] == [
+            len(trees._packing(tuple(members), coloring, OracleMode.full(1)))
+            for *members, _ in certificate.tolist()]
 
 
 def test_closed_form_memory_at_scale():
@@ -587,9 +588,9 @@ def test_verify_per_set_counts():
     for coloring, k, ell in [(k5, 3, 1), (k5, 3, 0), (k6, 4, 1)]:
         report = verify_coloring(coloring, k, ell, per_set_counts=True)
         assert report.per_set_counts is not None
-        assert len(report.per_set_counts) == math.comb(coloring.n, k)
-        for members, count in report.per_set_counts:
-            value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.star())
+        assert report.per_set_counts.shape == (math.comb(coloring.n, k), k + 1)
+        for *members, count in report.per_set_counts.tolist():
+            value, _ = max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring, OracleMode.star())
             assert count == value
 
 
@@ -598,9 +599,9 @@ def test_verify_full_mode_counts_match_oracle():
     k6 = random_coloring(6, 4, SeededStream(9))
     for coloring, k in [(k5, 3), (k6, 4)]:
         report = verify_coloring(coloring, k, 2, OracleMode.full(1), per_set_counts=True)
-        assert len(report.per_set_counts) == math.comb(coloring.n, k)
-        for members, count in report.per_set_counts:
-            value, _ = max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.full(1))
+        assert report.per_set_counts.shape == (math.comb(coloring.n, k), k + 1)
+        for *members, count in report.per_set_counts.tolist():
+            value, _ = max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring, OracleMode.full(1))
             assert count == value
 
 
@@ -612,9 +613,10 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
     for mode in (OracleMode.full(1), OracleMode.full()):
         packed.clear()
         report = verify_coloring(coloring, 4, 0, mode, per_set_counts=True)
-        assert packed == [S for S, _ in report.per_set_counts] == list(combinations(range(1, 9), 4))
-        for members, count in report.per_set_counts[::7]:
-            assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)[0]
+        assert packed == [tuple(S) for *S, _ in report.per_set_counts.tolist()] == list(
+            combinations(range(1, 9), 4))
+        for *members, count in report.per_set_counts[::7].tolist():
+            assert count == max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring, mode)[0]
 
 
 def test_runs_end_at_each_oracle_count(monkeypatch):
@@ -653,10 +655,10 @@ def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
         packed.clear()
         report = verify_coloring(coloring, k, 0, per_set_counts=True)
         patterns = {canonical_color_form(tuple(coloring.color(u, v) for u, v in combinations(S, 2)))
-                    for S, _ in report.per_set_counts}
+                    for *S, _ in report.per_set_counts.tolist()}
         assert packed == [tuple(range(k))] * len(patterns)
-        for members, count in report.per_set_counts[::11]:
-            assert count == max_disjoint_rainbow_trees(VertexSet(members), coloring)[0]
+        for *members, count in report.per_set_counts[::11].tolist():
+            assert count == max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring)[0]
 
 
 def test_pattern_table_matches_the_internal_packing():
@@ -702,6 +704,10 @@ def test_verify_workers_agree_with_serial():
                 serial = verify_coloring(coloring, k, ell, mode, per_set_counts=counts)
                 parallel = verify_coloring(coloring, k, ell, mode, per_set_counts=counts, workers=2)
                 assert serial == parallel
+    # the reports differ when one count does
+    altered = parallel.per_set_counts.copy()
+    altered[-1, -1] += 1
+    assert replace(parallel, per_set_counts=altered) != serial
 
 
 def test_verify_rejects_bad_domain():
@@ -761,7 +767,7 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                 for cap in (default_cap, 1):
                     monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", cap)
                     report = verify_coloring(coloring, k, 0, per_set_counts=True)
-                    assert list(report.per_set_counts) == certificates
+                    assert [(tuple(S), c) for *S, c in report.per_set_counts.tolist()] == certificates
                     for ell in (1, 2, 4):
                         for mode in modes:
                             expected_calls = []
