@@ -18,20 +18,20 @@ The quantities of interest, for terminal-set size k >= 3 and demand ell:
 * The averaging bound 2(n-1)^2/(9(n-2)) + 3: under any 3-coloring of K_n
   some triple has at most this many internally disjoint rainbow trees.
 
-Rational formulas are computed exactly with fractions; formulas mixing
-logarithms are evaluated at 60 significant digits before any ceiling, and
-each ceiling is cross-checked at doubled precision.
+Rational formulas are computed exactly with fractions. N1's logarithm is
+the series -ln(1-p) = sum_j p^j/j in the standard library's decimal, at 60
+significant digits beyond the value's integer part; its ceiling is
+cross-checked at doubled precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import mpmath
 
 from .colorings import CompleteGraphColoring, color_degrees
 from .trees import _triple_chunks
@@ -69,22 +69,20 @@ def rainbow_star_prob(k: int) -> Fraction:
     return Fraction(math.factorial(k), k ** k)
 
 
-def _mpf(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
 def _ceil_checked(compute) -> int:
-    """Ceiling of a high-precision value, cross-checked at doubled precision.
+    """Ceiling of a decimal value, cross-checked at doubled precision.
 
-    The precision is the value's integer digits plus ``_PRECISION_DPS``, so
-    a large value keeps as many digits after the point as a small one.
+    ``compute`` evaluates in the current decimal context. The precision is
+    the value's integer digits plus ``_PRECISION_DPS``, so a large value
+    keeps as many digits after the point as a small one.
     """
-    with mpmath.workdps(_PRECISION_DPS):
-        dps = _PRECISION_DPS + max(0, int(mpmath.log10(abs(compute()) + 1)))
-    with mpmath.workdps(dps):
-        first = int(mpmath.ceil(compute()))
-    with mpmath.workdps(2 * dps):
-        second = int(mpmath.ceil(compute()))
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION_DPS
+        dps = _PRECISION_DPS + max(0, compute().adjusted() + 1)
+        ctx.prec = dps
+        first = int(compute().to_integral_value(rounding=ROUND_CEILING))
+        ctx.prec = 2 * dps
+        second = int(compute().to_integral_value(rounding=ROUND_CEILING))
     if first != second:
         raise ArithmeticError("ceiling unstable under precision doubling")
     return first
@@ -102,9 +100,14 @@ def n1_bound(k: int, ell: int) -> int:
     _check_k_ell(k, ell)
     p = rainbow_star_prob(k)
 
-    def value() -> mpmath.mpf:
-        log = -mpmath.log1p(-_mpf(p))  # exact to the last digit even when p is tiny
-        return (mpmath.mpf(k + ell - 1) / log) ** 2
+    def value() -> Decimal:
+        # -ln(1-p) = sum_j p^j/j; p <= 2/9, so each term shrinks at least 4.5-fold
+        x = Decimal(p.numerator) / p.denominator
+        log, power, j = x, x * x, 2
+        while (grown := log + power / j) != log:
+            log, power, j = grown, power * x, j + 1
+        root = (k + ell - 1) / log
+        return root * root
 
     return 4 * _ceil_checked(value)
 

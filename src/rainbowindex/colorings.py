@@ -178,6 +178,10 @@ class CompleteGraphColoring:
         self.__dict__.update(n=n, t=t, colors=colors)
         return self
 
+    def __getstate__(self) -> dict:
+        # the cached table stays behind, so an unpickled copy rebuilds it read-only
+        return {key: value for key, value in self.__dict__.items() if key != "array"}
+
     def color(self, u: int, v: int) -> int:
         """Color of edge {u, v}; symmetric in its arguments."""
         return self.colors[edge_index(u, v, self.n)]

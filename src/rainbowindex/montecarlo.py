@@ -177,18 +177,16 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
     return _summary(successes, config.samples, tail_comparators(n, k, ell))
 
 
-def _as_all_chunk(args) -> tuple[int, Optional[int]]:
+def _as_all_chunk(args) -> tuple[int, Optional[CompleteGraphColoring]]:
     config, start, size = args
     successes = 0
-    first_success: Optional[int] = None
-    for offset in range(size):
-        idx = start + offset
+    first_success: Optional[CompleteGraphColoring] = None
+    for idx in range(start, start + size):
         coloring = random_coloring(config.n, config.t, config.seed.substream(idx))
-        report = verify_coloring(coloring, config.k, config.ell, config.mode)
-        if report.passed:
+        if verify_coloring(coloring, config.k, config.ell, config.mode).passed:
             successes += 1
             if first_success is None:
-                first_success = idx
+                first_success = coloring
     return successes, first_success
 
 
@@ -199,24 +197,21 @@ def estimate_AS_all(
 
     Each sample index owns its substream, so the drawn colorings are
     independent of chunking; the returned witness is the success with the
-    least sample index, rebuilt from its substream.
+    least sample index, the first one in job order.
     """
     chunks = [(config, start, min(CHUNK, config.samples - start))
               for start in range(0, config.samples, CHUNK)]
     successes = 0
-    first_success: Optional[int] = None
+    witness: Optional[CompleteGraphColoring] = None
     for got, first in parallel_map(_as_all_chunk, chunks, workers):
         successes += got
-        if first_success is None:
-            first_success = first
+        if witness is None:
+            witness = first
     comparators: dict[str, float] = {}
     total = tail_comparators(config.n, config.k, config.ell).get("union_bound_total")
     if total is not None:
         comparators["union_bound_total"] = total
         comparators["success_lower_bound"] = 1.0 - total
-    witness = None
-    if first_success is not None:
-        witness = random_coloring(config.n, config.t, config.seed.substream(first_success))
     return _summary(successes, config.samples, comparators), witness
 
 

@@ -53,12 +53,23 @@ def test_n1_bound_values():
     assert n1_bound(3, 2) == 1016
 
 
-def test_n1_bound_matches_direct_formula_k3():
-    with mpmath.workdps(60):
-        log97 = mpmath.log(mpmath.mpf(9) / 7)
-        for ell in range(1, 51):
-            expected = 4 * int(mpmath.ceil(((ell + 2) / log97) ** 2))
-            assert n1_bound(3, ell) == expected
+def _n1_reference(k: int, ell: int) -> int:
+    """4 * ceil(((k+ell-1)/ln(1/(1-p)))^2) in mpmath, 120 digits past the point.
+
+    The value is below ((k+ell)k^k)^2, so its integer part has at most twice
+    the digits of (k+ell)k^k.
+    """
+    with mpmath.workdps(120 + 2 * len(str((k + ell) * k ** k))):
+        p = mpmath.mpf(math.factorial(k)) / mpmath.mpf(k) ** k
+        return 4 * int(mpmath.ceil(((k + ell - 1) / -mpmath.log1p(-p)) ** 2))
+
+
+def test_n1_bound_matches_direct_formula():
+    for k in range(3, 52):
+        for ell in [*range(1, 51), 80, 100, 500, 1000, 10 ** 6]:
+            assert n1_bound(k, ell) == _n1_reference(k, ell), (k, ell)
+    for k in (100, 500, 1000):
+        assert n1_bound(k, 1) == _n1_reference(k, 1), k
 
 
 def test_n1_bound_monotone_in_ell():

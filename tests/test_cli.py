@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -534,6 +536,40 @@ def test_pinned_local_search_digests(capsys):
         code, out, _ = run(capsys, "search", "--strategy", "local", *argv)
         assert code == expected_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
+
+
+# numpy is the only runtime dependency: these runs must give the same exit
+# code and stdout bytes in a process where mpmath cannot be imported
+RUNTIME_ONLY_RUNS = [
+    ("bounds", "-k", "3", "-l", "1"),
+    ("bounds", "-k", "3", "-l", "100", "--eps", "1/2"),
+    ("tail", "-n", "700", "-k", "3", "-l", "80"),
+    ("mc", "bs", "-n", "7", "-k", "3", "-l", "1", "--samples", "1000", "--seed", "1"),
+    ("repro", "theta"),
+]
+
+_WITHOUT_MPMATH = """
+import contextlib, hashlib, io, json, sys
+sys.modules["mpmath"] = None  # every import of mpmath now raises ImportError
+from rainbowindex.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, hashlib.sha256(out.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_runs_without_mpmath(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_MPMATH, json.dumps(RUNTIME_ONLY_RUNS)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for argv in RUNTIME_ONLY_RUNS:
+        code, out, _ = run(capsys, *argv)
+        expected.append([code, hashlib.sha256(out.encode()).hexdigest()])
+    assert [json.loads(line) for line in done.stdout.splitlines()] == expected
 
 
 # --- manifest / replay ------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rainbowindex import montecarlo
 from rainbowindex.bounds import binomial_tail_below, rainbow_star_prob
-from rainbowindex.colorings import SeededStream
+from rainbowindex.colorings import SeededStream, random_coloring
 from rainbowindex.montecarlo import (
     TrialConfig,
     TrialSummary,
@@ -131,7 +131,11 @@ def test_estimate_as_all_k6_finds_certificates():
     config = TrialConfig(n=6, k=3, ell=1, t=3, samples=300, seed=SeededStream(9))
     summary, witness = estimate_AS_all(config)
     assert summary.successes > 0
-    assert witness is not None
+    # the witness is the passing sample with the least index
+    first = next(i for i in range(config.samples)
+                 if verify_coloring(random_coloring(6, 3, config.seed.substream(i)),
+                                    3, 1, OracleMode.star()).passed)
+    assert witness == random_coloring(6, 3, config.seed.substream(first))
     # the saved witness re-verifies under the exhaustive oracle
     assert verify_coloring(witness, 3, 1, OracleMode.full(1)).passed
 
@@ -144,6 +148,8 @@ def test_estimate_as_all_worker_count_invariant(monkeypatch):
     parallel, witness_parallel = estimate_AS_all(config, workers=2)
     assert serial == parallel
     assert witness_serial == witness_parallel
+    # the witness a worker found keeps its color table read-only
+    assert not witness_parallel.array.flags.writeable
 
 
 def test_estimate_as_all_no_externals_bounded_demand():
@@ -162,6 +168,19 @@ def test_estimate_as_all_single_color_never_succeeds():
 
 
 # --- threshold sweep --------------------------------------------------------
+
+def test_empirical_threshold_draws_each_sample_once(monkeypatch):
+    # at ell = 0 every sample passes, so every row has a witness to keep
+    drawn = []
+    draw = montecarlo.random_coloring
+    monkeypatch.setattr(montecarlo, "random_coloring",
+                        lambda *args: drawn.append(args) or draw(*args))
+    n_range = range(3, 9)
+    _, rows = empirical_threshold(3, 0, 3, samples=20, target=0.5, n_range=n_range,
+                                  seed=SeededStream(2))
+    assert [row["successes"] for row in rows] == [20] * len(n_range)
+    assert len(drawn) == 20 * len(n_range)
+
 
 def test_empirical_threshold_finds_small_n_demand_one():
     found, rows = empirical_threshold(
