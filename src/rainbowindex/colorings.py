@@ -340,6 +340,23 @@ def format_coloring(coloring: CompleteGraphColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _raise_first_bad_color(tokens: list[str], held: int, m: int, t: int, lineno: int) -> None:
+    """Raise the error of a line's first bad color token, after ``held``
+    colors, checking each token in turn as a whole-line check cannot tell
+    which token fails first."""
+    for held, tok in enumerate(tokens, start=held):
+        try:
+            c = int(tok)
+        except ValueError:
+            raise ColoringFormatError(f"non-integer color {tok!r}", lineno) from None
+        if held >= m:
+            raise ColoringFormatError(f"too many colors: expected {m} entries", lineno)
+        if c > t:
+            raise ColoringFormatError(f"color {c} exceeds palette {t}", lineno)
+        if c < 1:
+            raise ColoringFormatError(f"color {c} is not a positive color index", lineno)
+
+
 def parse_coloring(text: str) -> CompleteGraphColoring:
     header: tuple[int, int] | None = None
     colors: list[int] = []
@@ -365,19 +382,13 @@ def parse_coloring(text: str) -> CompleteGraphColoring:
             continue
         n, t = header
         m = edge_count(n)
-        for tok in tokens:
-            try:
-                c = int(tok)
-            except ValueError:
-                raise ColoringFormatError(f"non-integer color {tok!r}", lineno) from None
-            if len(colors) >= m:
-                raise ColoringFormatError(
-                    f"too many colors: expected {m} entries", lineno)
-            if c > t:
-                raise ColoringFormatError(f"color {c} exceeds palette {t}", lineno)
-            if c < 1:
-                raise ColoringFormatError(f"color {c} is not a positive color index", lineno)
-            colors.append(c)
+        try:
+            values = list(map(int, tokens))
+        except ValueError:
+            values = []
+        if len(values) < len(tokens) or len(colors) + len(values) > m or max(values) > t or min(values) < 1:
+            _raise_first_bad_color(tokens, len(colors), m, t, lineno)
+        colors.extend(values)
     if header is None:
         raise ColoringFormatError("missing header 'n t'", max(last_line, 1))
     n, t = header
@@ -385,7 +396,8 @@ def parse_coloring(text: str) -> CompleteGraphColoring:
     if len(colors) != m:
         raise ColoringFormatError(
             f"expected {m} edge colors, found {len(colors)}", max(last_line, 1))
-    return CompleteGraphColoring(n, t, tuple(colors))
+    # every line's colors were checked against the palette above
+    return CompleteGraphColoring._unchecked(n, t, tuple(colors))
 
 
 def write_coloring(coloring: CompleteGraphColoring, destination: str | Path | IO[str]) -> str:

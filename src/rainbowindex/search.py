@@ -10,8 +10,9 @@ Three strategies, all seeded and deterministic:
   recolor moves, random restarts on stalls. Each move is scored from
   scratch by the k-set scan, which counts every set below demand: arrays
   decide star mode, and in full mode each set the certificate leaves
-  short gets its exact count, from a closed form at k <= 3 with a
-  resolved budget <= 1 and from the exact oracle otherwise.
+  short gets its exact count, from a closed form at k <= 3 when a rainbow
+  tree can hold at most one external vertex (a resolved budget <= 1, or a
+  palette of t <= k colors) and from the exact oracle otherwise.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;

@@ -4,18 +4,24 @@ For a terminal set S inside an edge-colored K_n, an S-tree is a tree whose
 vertex set contains S; it is rainbow when no two of its edges share a
 color. A family of S-trees is internally disjoint when the trees are
 pairwise edge-disjoint and meet only in S. Everything here is exact. The
-oracle is built for small k and small budgets, not small n: candidate
-trees are enumerated explicitly, from a table of the spanning-tree
-shapes of K_m built once per m (only trees are scanned, never edge
-subsets that are not trees), and the lexicographically least maximum
-family is found by one iterative branch and bound over their conflict
-graph, bounded by clique covers (a greedy one, and trees sharing their
-least external vertex).
+oracle is built for small k and small budgets, not small n. One table
+per (n, k, budget), built once from the spanning-tree shapes of K_m (only
+trees, never edge subsets that are not trees), lists every candidate tree
+on local labels; a call gathers the colors of the pairs the table uses,
+keeps the rainbow rows and orders them, and builds the key owner masks,
+all as array passes. The lexicographically least maximum family is found
+by one iterative branch and bound over the conflict graph, on Python-int
+bitmasks, bounded by clique covers (a greedy one, and trees sharing their
+least external vertex); it builds the compatibility mask of a candidate
+only when it branches on it, and only the chosen trees are decoded.
 Neither recursion depth nor the number of passes grows with the number
 of candidates. In star mode only the internal trees are searched: the
-rainbow stars conflict with nothing and all join the family. One
+rainbow stars conflict with nothing and all join the family. In full
+mode a rainbow tree with r external vertices needs k - 1 + r colors, so
+a palette of t colors caps r at t - k + 1 whatever the budget. One
 constant, ``CANDIDATE_CAP``, bounds both the trees one full-mode call may
-scan and the size of any shape table; past it BudgetExceededError is raised.
+scan (priced on the mode's budget) and the size of any shape table; past
+it BudgetExceededError is raised.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -31,7 +37,8 @@ k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
 gathered colors at every center otherwise. At k >= 4 a color-pattern
 table packs the internal trees once per way a set's edges share colors,
 so arrays decide star mode at every k. In full mode with k <= 3 and at
-most one external vertex per tree the exact count has a closed form: the
+most one external vertex per rainbow tree (by the budget or by the
+palette) the exact count has a closed form: the
 certificate itself at k = 2, and at k = 3 the rainbow stars plus the
 larger of a Hall matching of the other centers to the internal edges and
 one internal path, from one array pass per slice of sets. Every full-mode
@@ -55,6 +62,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -325,8 +333,8 @@ def _check_terminals(terminals: VertexSet, n: int) -> None:
         raise ValueError(f"terminal {terminals.members[-1]} exceeds vertex count {n}")
 
 
-# Shape-table rows handled at once, when a table is decoded and when it is
-# scanned, so temporaries stay small even for the 4.8M trees of K_9
+# Shape-table rows decoded at once, so temporaries stay small even for the
+# 4.8M trees of K_9
 _SHAPE_BLOCK = 1 << 16
 
 
@@ -376,47 +384,89 @@ def _branching_shapes(m: int, positions: tuple[int, ...]) -> np.ndarray:
     return shapes
 
 
-def _color_rows(coloring: CompleteGraphColoring) -> list[list[int]]:
-    """The color table as 1-based nested lists of Python ints (``1 << c``
-    must not wrap), converted once per oracle call for the candidate builders."""
-    return [[]] + [[0] + row for row in coloring.array.tolist()]
+@lru_cache(maxsize=16)
+def _candidate_table(n: int, k: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every leaf-pruned tree joining k terminals through at most ``budget``
+    of n - k other vertices, on local labels: the terminals are 0..k-1 and
+    the others k..n-1. For each r-subset of the others the trees are the
+    shapes of K_{k+r} whose last r vertices branch.
 
-
-def _rainbow_trees(vertices: tuple[int, ...], extra: tuple[int, ...], rows) -> Iterator[tuple]:
-    """Rainbow spanning trees of K[vertices] with no leaf in ``extra``, in
-    lexicographic order of their sorted edges; ``rows[u][v]`` is a color.
-
-    Only trees are scanned: the shapes of K_m whose ``extra`` positions
-    branch, kept when their m-1 edge colors are distinct.
+    Returns ``(pairs, rows, keys, least)``, the trees in candidate order on
+    the local labels: the (P, 2) label pairs a < b that some tree uses, in
+    lexicographic order; each tree's k - 1 + r edges as ascending indices
+    into ``pairs``, after P + j in each earlier column j; its keys for the
+    branch and bound, the indices of its edges and P + x for each other
+    vertex x (pads -1); and its class key, that of its least other vertex
+    or, when it has none, of its least edge.
     """
-    m = len(vertices)
-    pairs = list(combinations(vertices, 2))
-    bits = [1 << rows[u][v] for u, v in pairs]
-    if len(set(bits)) < m - 1:
-        return  # fewer than m-1 colors: no spanning tree is rainbow
-    shapes = _branching_shapes(m, tuple(map(vertices.index, extra)))
-    for start in range(0, len(shapes), _SHAPE_BLOCK):
-        for shape in shapes[start:start + _SHAPE_BLOCK].tolist():
-            colors = 0
-            for e in shape:
-                colors |= bits[e]
-            if colors.bit_count() == m - 1:
-                yield tuple([pairs[e] for e in shape])
+    width = k - 1 + budget
+    edge_ids, extras = [], []
+    for r in range(budget + 1):
+        m = k + r
+        shapes = _branching_shapes(m, tuple(range(k, m)))
+        ends = np.array(list(combinations(range(m), 2)))[shapes]
+        chosen = list(combinations(range(k, n), r))
+        chosen = np.array(chosen, dtype=np.intp).reshape(len(chosen), r)
+        local = np.hstack((np.broadcast_to(np.arange(k), (len(chosen), k)), chosen))[:, ends]
+        edge_ids.append((local[..., 0] * n + local[..., 1]).reshape(-1, m - 1))
+        extras.append(np.repeat(chosen, len(shapes), axis=0))
+    pair_ids, inverse = np.unique(np.concatenate([ids.ravel() for ids in edge_ids]), return_inverse=True)
+    size = len(pair_ids)
+    rows = np.full((sum(map(len, edge_ids)), width), size) + np.arange(width)
+    extra = np.full((len(rows), max(1, budget)), -1)
+    done = used = 0
+    for r, ids in enumerate(edge_ids):
+        rows[done:done + len(ids), budget - r:] = inverse[used:used + ids.size].reshape(ids.shape)
+        extra[done:done + len(ids), :r] = extras[r]
+        done, used = done + len(ids), used + ids.size
+    keys = np.hstack((np.where(rows < size, rows, -1), np.where(extra < 0, -1, extra + size)))
+    order = np.lexsort(keys[:, :width].T[::-1])
+    rows, keys = rows[order], keys[order]
+    least = np.where(keys[:, width] >= 0, keys[:, width], rows[:, budget])
+    return np.column_stack(np.divmod(pair_ids, n)), rows, keys, least
 
 
-def _tree_order(candidate: tuple) -> tuple:
-    edges = candidate[0]
-    return len(edges), edges
+def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
+    """The rainbow leaf-pruned trees of the 1-based k-set ``members`` with at
+    most ``budget`` external vertices (none when negative), in candidate
+    order: by edge count, then by sorted edge list.
+
+    Returns ``(keys, least, labels, pairs)``: the trees' rows of keys and
+    class keys from ``_candidate_table``, whose local labels are the
+    0-based vertices ``labels``. One pass over the table gathers the colors
+    of only the pairs it uses. Without external vertices the local labels
+    keep the global order, and so does the table; otherwise the rows are
+    sorted by their global edges.
+    """
+    n, k = len(colors), len(members)
+    labels = np.subtract(members, 1)
+    if budget < 0:
+        none = np.empty((0, k - 1), dtype=np.intp)
+        return none, none[:, 0], labels, none[:, :2]
+    if budget:
+        others = np.ones(n, dtype=bool)
+        others[labels] = False
+        labels = np.concatenate((labels, others.nonzero()[0]))
+    pairs, rows, keys, least = _candidate_table(len(labels), k, budget)
+    a, b = labels[pairs.T]
+    pads = np.arange(rows.shape[1])  # pad columns: distinct colors past any real one
+    keep = _rainbow_rows(np.concatenate((colors[a, b], pads + (1 << 40)))[rows])
+    keys, least = keys[keep], least[keep]
+    if budget:
+        edges = np.concatenate((np.minimum(a, b) * n + np.maximum(a, b), np.full(len(pads), -1)))[rows[keep]]
+        edges.sort(axis=1)
+        order = np.lexsort(edges.T[::-1])
+        keys, least = keys[order], least[order]
+    return keys, least, labels, pairs
 
 
-def _internal_candidates(members: tuple[int, ...], rows) -> list[tuple]:
-    # combinations of sorted edges come out in lexicographic order already
-    return [(edges, ()) for edges in _rainbow_trees(members, (), rows)]
-
-
-def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple]:
-    return [(_normalize_edges((u, v) for v in members), (u,))
-            for u in _rainbow_centers(members, colors)]
+def _decoded(keys: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tuple]:
+    """The ``(edges, external)`` tuples, on 1-based vertices, of rows of
+    ``_candidates``' keys."""
+    ends, vertices = (labels[pairs] + 1).tolist(), (labels + 1).tolist()
+    return [(tuple(sorted(tuple(sorted(ends[key])) for key in row if 0 <= key < len(ends))),
+             tuple(vertices[key - len(ends)] for key in row if key >= len(ends)))
+            for row in keys.tolist()]
 
 
 def _check_full_work(n_external: int, k: int, budget: int) -> None:
@@ -434,68 +484,99 @@ def _check_full_work(n_external: int, k: int, budget: int) -> None:
         )
 
 
-def _full_candidates(members: tuple[int, ...], rows, n: int, budget: int) -> list[tuple]:
-    externals = [v for v in range(1, n + 1) if v not in members]
-    _check_full_work(len(externals), len(members), budget)
-    out = []
-    for r in range(0, min(budget, len(externals)) + 1):
-        for extra in combinations(externals, r):
-            vertices = tuple(sorted(members + extra))
-            out.extend((edges, extra) for edges in _rainbow_trees(vertices, extra, rows))
-    out.sort(key=_tree_order)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Maximum packing by branch and bound
 
-def _max_packing(candidates: list[tuple]) -> list[tuple]:
-    """A maximum packing of ``(edges, external)`` candidates, lexicographically
-    least in candidate order.
+def _max_packing(keys: np.ndarray, least: np.ndarray) -> list[int]:
+    """A maximum packing of the candidates 0..R-1, lexicographically least:
+    candidate i holds the keys in row i of ``keys`` (small integers, pads
+    -1), two candidates conflict when they share a key, and ``least[i]`` is
+    one of candidate i's keys, its class in the second clique cover.
 
-    Compatibility masks are built from per-edge and per-external-vertex
-    owner bitmasks. An explicit-stack DFS takes the lowest available
-    candidate before skipping it, so it meets packings in lexicographic
-    order and the first maximum it keeps is the least one. A node is
-    bounded by the smaller of two clique covers, counted over classes with
-    an available candidate: a greedy one (the key owning the most uncovered
-    candidates, the first in owner order, takes them as a class), and trees
-    sharing their least external vertex (internal trees, their least edge).
+    The owner bitmask of each key and of each class come from one
+    ``np.packbits`` over their incidence with the candidates. An
+    explicit-stack DFS takes the lowest available candidate before skipping
+    it, so it meets packings in lexicographic order and the first maximum it
+    keeps is the least one; the compatibility mask of a candidate is built
+    when the DFS first branches on it. A node is bounded by the smaller of
+    two clique covers, counted over classes with an available candidate: a
+    greedy one (the key owning the most uncovered candidates takes them as
+    a class), and the classes of ``least``.
     """
-    owners: dict = {}
-    by_vertex: dict = {}
-    for i, (edges, external) in enumerate(candidates):
-        bit = 1 << i
-        for key in edges + external:
-            owners[key] = owners.get(key, 0) | bit
-        least = external[0] if external else edges[0]
-        by_vertex[least] = by_vertex.get(least, 0) | bit
-    full = (1 << len(candidates)) - 1
-    compat = [full & ~reduce(or_, map(owners.__getitem__, edges + external))
-              for edges, external in candidates]
+    count, width = keys.shape
+    if not count:
+        return []
+    size, candidate = int(keys.max()) + 1, np.arange(count)
+    owned = np.zeros((2 * size + 1, count), dtype=bool)  # the last row takes the pads
+    owned[keys.ravel(), np.repeat(candidate, width)] = True
+    owned[size + least, candidate] = True
+    packed = np.packbits(owned[:-1], axis=1, bitorder="little")
+    classes = packed[size:]
+    owners = _bitmasks(packed[:size]) + [0]  # owners[-1] is the pad's
+    least_classes = _bitmasks(classes[classes.any(axis=1)])
+    full = (1 << count) - 1
+    # lazy greedy: a key's count only falls as classes are taken, so a popped
+    # key whose fresh count still tops every stale count owns the most
     greedy_classes = []
+    heap = [(-mask.bit_count(), i) for i, mask in enumerate(owners) if mask]
+    heapify(heap)
     left = full
     while left:
-        group = max((left & mask for mask in owners.values()), key=int.bit_count)
-        greedy_classes.append(group)
-        left ^= group
-    vertex_classes = list(by_vertex.values())
+        i = heappop(heap)[1]
+        group = owners[i] & left
+        if heap and group.bit_count() < -heap[0][0]:
+            heappush(heap, (-group.bit_count(), i))
+        elif group:
+            greedy_classes.append(group)
+            left ^= group
+    compat: dict[int, int] = {}
     best: tuple[int, ...] = ()
     stack = [(full, best)]
     while stack:
         avail, chosen = stack.pop()
         room = len(best) - len(chosen)
-        if (sum(map(bool, map(avail.__and__, greedy_classes))) <= room
-                or sum(map(bool, map(avail.__and__, vertex_classes))) <= room):
-            continue
         if not avail:
-            best = chosen
+            if room < 0:
+                best = chosen
+            continue
+        # a class counts when it holds an available candidate
+        if (len(greedy_classes) - [avail & c for c in greedy_classes].count(0) <= room
+                or len(least_classes) - [avail & c for c in least_classes].count(0) <= room):
             continue
         low = avail & -avail
         i = low.bit_length() - 1
+        mask = compat.get(i)
+        if mask is None:
+            mask = compat[i] = ~reduce(or_, map(owners.__getitem__, keys[i].tolist()))
         stack.append((avail ^ low, chosen))
-        stack.append((avail & compat[i], chosen + (i,)))
-    return [candidates[i] for i in best]
+        stack.append((avail & mask, chosen + (i,)))
+    return list(best)
+
+
+def _bitmasks(bits: np.ndarray) -> list[int]:
+    """Each row of little-endian packed bits as a Python int."""
+    data, step = bits.tobytes(), bits.shape[1]
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+
+
+def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> list[tuple]:
+    """The lexicographically least maximum family of the rainbow leaf-pruned
+    trees of ``members`` with at most ``budget`` external vertices, as
+    ``(edges, external)`` tuples; only the chosen trees are decoded."""
+    keys, least, labels, pairs = _candidates(members, colors, budget)
+    return _decoded(keys[_max_packing(keys, least)], labels, pairs)
+
+
+def _internal_budget(members: tuple[int, ...], colors: np.ndarray) -> int:
+    """0 when the edges inside ``members`` carry the k-1 colors a rainbow
+    spanning tree needs, else -1: then no tree and no shape table is needed."""
+    inside = np.subtract(members, 1)
+    return 0 if len(set(colors[np.ix_(inside, inside)].flat)) > len(members) - 1 else -1
+
+
+def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple]:
+    return [(_normalize_edges((u, v) for v in members), (u,))
+            for u in _rainbow_centers(members, colors)]
 
 
 def _family(terminals: VertexSet, coloring: CompleteGraphColoring, chosen: list[tuple]) -> DisjointFamily:
@@ -511,7 +592,8 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     counting caps its size at floor(k/2).
     """
     _check_terminals(terminals, coloring.n)
-    return _family(terminals, coloring, _max_packing(_internal_candidates(terminals.members, _color_rows(coloring))))
+    members, colors = terminals.members, coloring.array
+    return _family(terminals, coloring, _tree_packing(members, colors, _internal_budget(members, colors)))
 
 
 def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
@@ -523,12 +605,17 @@ def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: Or
     trees in center order. So the least maximum star-mode family is the
     least maximum internal packing followed by every rainbow star, and the
     branch and bound sees only the internal candidates, never the set.
-    The per-k-set decision reads only its length.
+    In full mode a rainbow tree with r external vertices needs k - 1 + r
+    of the t colors, so r stops at t - k + 1; the work cap still prices
+    the mode's budget. The per-k-set decision reads only its length.
     """
-    rows = _color_rows(coloring)
+    colors, k = coloring.array, len(members)
     if mode.kind == "star":
-        return _max_packing(_internal_candidates(members, rows)) + _star_candidates(members, coloring.array)
-    return _max_packing(_full_candidates(members, rows, coloring.n, mode.resolved_budget(len(members))))
+        internal = _tree_packing(members, colors, _internal_budget(members, colors))
+        return internal + _star_candidates(members, colors)
+    budget = mode.resolved_budget(k)
+    _check_full_work(coloring.n - k, k, budget)
+    return _tree_packing(members, colors, min(budget, coloring.n - k, coloring.t - k + 1))
 
 
 def max_disjoint_rainbow_trees(
@@ -749,11 +836,13 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tupl
 @lru_cache(maxsize=1 << 17)
 def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     """Internal packing size of a k-set whose edges, in ``combinations``
-    order, carry the colors ``labels``."""
-    rows = [[0] * k for _ in range(k)]
-    for (u, v), label in zip(combinations(range(k), 2), labels):
-        rows[u][v] = rows[v][u] = label
-    return len(_max_packing(_internal_candidates(tuple(range(k)), rows)))
+    order, carry the colors ``labels``; it is packed as the set 1..k."""
+    colors = np.zeros((k, k), dtype=np.intp)
+    u, v = zip(*combinations(range(k), 2))
+    colors[u, v] = colors[v, u] = np.add(labels, 1)  # a color is nonzero
+    members = tuple(range(1, k + 1))
+    keys, least, _, _ = _candidates(members, colors, _internal_budget(members, colors))
+    return len(_max_packing(keys, least))
 
 
 def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -768,24 +857,26 @@ def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
-def _closed_form(k: int, mode: OracleMode) -> bool:
-    """Whether full-mode counts at k have a closed form: k <= 3 and at most
-    one external vertex per tree."""
-    return mode.kind == "full" and k <= 3 and mode.resolved_budget(k) <= 1
+def _closed_form(k: int, mode: OracleMode, t: int) -> bool:
+    """Whether full-mode counts at k have a closed form under a palette of t
+    colors: k <= 3 and at most one external vertex per rainbow tree, either
+    by the budget or because k - 1 + r edges need k - 1 + r colors."""
+    return mode.kind == "full" and k <= 3 and min(mode.resolved_budget(k), t - k + 1) <= 1
 
 
 def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.ndarray,
                   mode: OracleMode) -> np.ndarray:
     """Full-mode counts of the 1-based k-sets ``sets`` with ``stars`` rainbow stars.
 
-    With a closed form, priced like the oracle calls it replaces, the count
+    With a closed form, priced like the oracle calls it replaces (on the
+    mode's budget), the count
     is the certificate itself at k = 2 (the edge plus the stars) and the
     stars plus ``_full_triple_excess`` at k = 3, in one array pass.
     Otherwise each set goes to the count-only ``_packing``.
     """
     k = sets.shape[1]
-    if _closed_form(k, mode):
-        _check_full_work(coloring.n - k, k, 1)
+    if _closed_form(k, mode, coloring.t):
+        _check_full_work(coloring.n - k, k, mode.resolved_budget(k))
         return stars + (1 if k == 2 else _full_triple_excess(coloring.array, sets))
     return np.array([len(_packing(tuple(s), coloring, mode)) for s in sets.tolist()], dtype=np.int64)
 
@@ -820,7 +911,7 @@ def _decided_chunks(
         firsts = range(1, coloring.n - k + 2)
     chunks = (_triple_chunks(coloring.array, firsts) if k == 3
               else _gathered_chunks(coloring.array, k, firsts))
-    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode) else 1
+    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.t) else 1
     for sets, stars, internal in chunks:
         counts = stars + internal
         short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]

@@ -96,21 +96,19 @@ def k4_example() -> CompleteGraphColoring:
 
 def count_packings(monkeypatch) -> list:
     """Record the terminal set of every ``trees._max_packing`` call, taken from
-    the candidate builder called just before it; returns the growing list."""
+    the candidate builder ``trees._candidates`` called just before it;
+    returns the growing list."""
     built, packed = [], []
-    real_max_packing = trees._max_packing
+    real_candidates, real_max_packing = trees._candidates, trees._max_packing
 
-    def recorded(builder):
-        def build(members, *args):
-            built.append(members)
-            return builder(members, *args)
-        return build
+    def recorded_candidates(members, *args):
+        built.append(members)
+        return real_candidates(members, *args)
 
-    def counted_max_packing(candidates):
+    def counted_max_packing(*args):
         packed.append(built[-1])
-        return real_max_packing(candidates)
+        return real_max_packing(*args)
 
-    for name in ("_internal_candidates", "_full_candidates"):
-        monkeypatch.setattr(trees, name, recorded(getattr(trees, name)))
+    monkeypatch.setattr(trees, "_candidates", recorded_candidates)
     monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
     return packed

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -332,6 +333,56 @@ def test_non_integer_token_rejected():
     with pytest.raises(ColoringFormatError) as err:
         parse_coloring("3 2\n1 x 1\n")
     assert err.value.line == 2
+
+
+def _token_by_token_error(text):
+    """The error of the reference parser, which checks every color token in
+    turn (integer, room left, palette, positive): (line, message) or None."""
+    header, held = None, 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if header is None:
+            header = tuple(map(int, tokens))
+            continue
+        n, t = header
+        for tok in tokens:
+            try:
+                c = int(tok)
+            except ValueError:
+                return lineno, f"non-integer color {tok!r}"
+            if held >= n * (n - 1) // 2:
+                return lineno, f"too many colors: expected {n * (n - 1) // 2} entries"
+            if c > t:
+                return lineno, f"color {c} exceeds palette {t}"
+            if c < 1:
+                return lineno, f"color {c} is not a positive color index"
+            held += 1
+    return None
+
+
+def test_whole_line_checks_report_the_first_bad_token():
+    # seeded corruptions of valid files: the line and message are those of
+    # the first token that a token-by-token parse rejects
+    rng = random.Random(7)
+    bad = ["x", "0", "-2", "9", "1.5", "4", "3"]
+    for case in range(400):
+        n, t = rng.randint(2, 6), rng.randint(1, 4)
+        lines = format_coloring(random_coloring(n, t, SeededStream(case))).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            row = rng.randrange(1, len(lines))
+            tokens = lines[row].split()
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(bad + ["1"]))
+            lines[row] = " ".join(tokens)
+        text = "\n".join(lines) + "\n"
+        expected = _token_by_token_error(text)
+        if expected is None:
+            parse_coloring(text)
+            continue
+        with pytest.raises(ColoringFormatError) as err:
+            parse_coloring(text)
+        assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
 
 
 def test_missing_header_rejected():

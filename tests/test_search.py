@@ -100,9 +100,10 @@ def test_search_validation():
 def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
     # seeded walks of single-edge moves, accepted or rejected at random: each
     # move's objective is the number of sets verify finds below ell; the
-    # arrays decide star mode, and at k = 3 with budget 1 the closed form
-    # decides every set, so neither packs a set of the coloring; otherwise
-    # the oracle sees exactly the sets the certificate leaves below ell
+    # arrays decide star mode, and at k = 3 with budget 1 (or a palette of
+    # at most 3 colors) the closed form decides every set, so neither packs
+    # a set of the coloring; otherwise the oracle sees exactly the sets the
+    # certificate leaves below ell
     real_packing = trees._packing
     calls = []
 
@@ -132,8 +133,8 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
             below = [tuple(S) for *S, count in certificates.tolist() if count < ell]
             if mode.kind == "star":
                 # only color patterns are packed, never a set of the coloring
-                assert reached == [] and set(repacked) <= {tuple(range(k))}
-            elif k == 3 and mode.budget == 1:
+                assert reached == [] and set(repacked) <= {tuple(range(1, k + 1))}
+            elif trees._closed_form(k, mode, t):
                 assert reached == []
             else:
                 assert reached == below

@@ -283,21 +283,56 @@ def _subset_scan_trees(vertices, mat):
                 yield edges, twice
 
 
-def test_rainbow_trees_match_the_subset_scan():
-    # same trees in the same (lexicographic) order, for every set of branch vertices
+def _candidate_trees(members, coloring, budget):
+    keys, _, labels, pairs = trees._candidates(members, coloring.array, budget)
+    return trees._decoded(keys, labels, pairs)
+
+
+def test_candidate_table_matches_the_subset_scan():
+    # the same trees in the same order (edge count, then sorted edges): for
+    # each set of r <= budget external vertices, the rainbow trees on it and
+    # the terminals in which every external vertex branches
     rng = random.Random(11)
     stream = SeededStream(12)
-    for m in range(2, 8):
-        for t in (1, 2, m + 1, 4 * m):
-            n = m + 2
-            mat = trees._color_rows(random_coloring(n, t, stream.substream(m * 100 + t)))
-            vertices = tuple(sorted(rng.sample(range(1, n + 1), m)))
-            scanned = list(_subset_scan_trees(vertices, mat))
-            for r in range(m + 1):
-                for extra in combinations(vertices, r):
-                    branching = sum(1 << v for v in extra)
-                    expected = [edges for edges, twice in scanned if not branching & ~twice]
-                    assert list(trees._rainbow_trees(vertices, extra, mat)) == expected
+    for k in range(2, 8):
+        for budget in range(8 - k):
+            m = k + budget
+            n = m + (m < 7)
+            for t in (1, 2, m + 1, 4 * m):
+                coloring = random_coloring(n, t, stream.substream(m * 100 + t))
+                mat = [[]] + [[0] + row for row in coloring.array.tolist()]
+                members = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                others = [v for v in range(1, n + 1) if v not in members]
+                expected = []
+                for r in range(budget + 1):
+                    for extra in combinations(others, r):
+                        branching = sum(1 << v for v in extra)
+                        vertices = tuple(sorted(members + extra))
+                        expected += [(edges, extra) for edges, twice in _subset_scan_trees(vertices, mat)
+                                     if not branching & ~twice]
+                expected.sort(key=lambda tree: (len(tree[0]), tree[0]))
+                assert _candidate_trees(members, coloring, budget) == expected
+
+
+def test_packing_matches_brute_force_over_k():
+    # seeded instances at k = 2..5, star mode and full budgets 1..3, against
+    # the maximum over raw edge subsets; palettes of k - 1 or k colors cap
+    # the external vertices a rainbow tree can hold below the budget
+    rng = random.Random(19)
+    stream = SeededStream(19)
+    for case in range(40):
+        k = 2 + case % 4
+        n = rng.randint(k + 1, 6)
+        t = rng.choice((k - 1, k, k + 1, k + 3))
+        coloring = random_coloring(n, t, stream.substream(case))
+        S = VertexSet(tuple(sorted(rng.sample(range(1, n + 1), k))))
+        for mode in (OracleMode.star(), OracleMode.full(rng.randint(1, min(3, n - k)))):
+            candidates = brute_force_stree_candidates(coloring, S, max_external=mode.budget or 1)
+            if mode.kind == "star":  # internal trees and stars only
+                candidates = [tree for tree in candidates if len(tree.vertices) == k
+                              or len(tree.edges) == k == len(tree.vertices) - 1
+                              and len(set.intersection(*map(set, tree.edges))) == 1]
+            assert len(trees._packing(S.members, coloring, mode)) == brute_force_max_disjoint(candidates, S)
 
 
 def test_witness_is_lexicographically_least_maximum(k4_example):
@@ -360,6 +395,18 @@ def test_star_mode_value_is_packing_plus_stars():
         assert value == len(internal_tree_packing(S, coloring)) + rainbow_star_count(S, coloring)
 
 
+def _packing_keys(candidates):
+    """Branch-and-bound keys of ``(edges, external)`` tuples: each edge and
+    each external vertex gets the next free number, and rows are padded
+    with -1; a tree's class key is that of its least external vertex, or
+    for an internal tree of its least edge."""
+    numbers = {}
+    keys = [[numbers.setdefault(key, len(numbers)) for key in edges + external] for edges, external in candidates]
+    width = max(map(len, keys), default=1)
+    least = [numbers[external[0] if external else edges[0]] for edges, external in candidates]
+    return np.array([row + [-1] * (width - len(row)) for row in keys]).reshape(-1, width), np.array(least)
+
+
 def test_star_mode_family_matches_the_search_over_stars():
     # the branch and bound over internal trees and stars together, in candidate
     # order, picks the same least maximum family as the internal search alone
@@ -368,12 +415,12 @@ def test_star_mode_family_matches_the_search_over_stars():
     for n, t in product((4, 6, 8), (1, 2, 3, 5, 9)):
         coloring = random_coloring(n, t, stream.substream(case))
         case += 1
-        rows = trees._color_rows(coloring)
         for k in range(2, min(n, 5) + 1):
             for members in list(combinations(range(1, n + 1), k))[::5]:
-                candidates = sorted(trees._internal_candidates(members, rows)
-                                    + trees._star_candidates(members, coloring.array), key=trees._tree_order)
-                expected = trees._max_packing(candidates)
+                candidates = sorted(_candidate_trees(members, coloring, 0)
+                                    + trees._star_candidates(members, coloring.array),
+                                    key=lambda tree: (len(tree[0]), tree[0]))
+                expected = [candidates[i] for i in trees._max_packing(*_packing_keys(candidates))]
                 assert trees._packing(members, coloring, OracleMode.star()) == expected
 
 
@@ -425,7 +472,7 @@ def test_one_cap_governs_the_shape_tables(monkeypatch):
     # a rainbow K_5 needs the 5^3 = 125 spanning trees of K_5
     rainbow = CompleteGraphColoring(5, 10, tuple(range(1, 11)))
     terminals = VertexSet(tuple(range(1, 6)))
-    for cached in (trees._tree_shapes, trees._branching_shapes):
+    for cached in (trees._tree_shapes, trees._branching_shapes, trees._candidate_table):
         cached.cache_clear()  # tables built earlier were checked against the real cap
     monkeypatch.setattr(trees, "CANDIDATE_CAP", 100)
     with pytest.raises(BudgetExceededError) as err:
@@ -475,6 +522,28 @@ def test_closed_form_triple_counts_match_the_packing(monkeypatch):
                 assert _full_counts(coloring, 3, OracleMode.full()) == expected
 
 
+def test_closed_form_wherever_the_palette_caps_the_budget(monkeypatch):
+    # with 3 colors a rainbow tree of a triple holds at most one external
+    # vertex, so every budget from 2 to n - k takes the closed form: its
+    # counts equal the branch and bound's, and no set of the scan is packed
+    packed, packing = [], trees._packing
+    stream = SeededStream(47)
+    for n in range(5, 9):
+        coloring = random_coloring(n, 3, stream.substream(n))
+        for budget in range(2, n - 2):
+            mode = OracleMode.full(budget)
+            expected = [len(trees._packing(members, coloring, mode))
+                        for members in combinations(range(1, n + 1), 3)]
+            with monkeypatch.context() as patch:
+                patch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
+                assert trees._closed_form(3, mode, coloring.t)
+                assert _full_counts(coloring, 3, mode) == expected
+            assert packed == []
+    # the work cap still prices the mode's budget
+    with pytest.raises(BudgetExceededError):
+        verify_coloring(random_coloring(40, 3, SeededStream(1)), 3, 100, OracleMode.full(3))
+
+
 def test_full_budget_one_pairs_are_the_certificate():
     # at k = 2 the budget-1 candidates are the edge ab and the paths a-x-b,
     # which are exactly the certificate's internal tree and rainbow stars
@@ -504,6 +573,30 @@ def test_closed_form_memory_at_scale():
         tracemalloc.stop()
     assert sets_seen == 132_760
     assert peak < 16 * 2**20
+
+
+def test_full_oracle_memory_at_scale():
+    # a default-budget call on K_300 gathers the colors of only the pairs its
+    # table uses, and a call with 10,002 candidates (rainbow K_12, budget 3,
+    # terminals out of the table's order) builds no mask per candidate pair
+    coloring = random_coloring(300, 3, SeededStream(1))
+    m = math.comb(12, 2)
+    rainbow = CompleteGraphColoring(12, m, tuple(range(1, m + 1)))
+    for coloring, members, mode in ((coloring, (1, 2, 3), OracleMode.full()),
+                                    (rainbow, (2, 5, 9), OracleMode.full(3))):
+        coloring.array  # built before tracing: the coloring's table is not the oracle's memory
+        tracemalloc.start()
+        try:
+            value, family = max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == len(family) > 0
+        candidates = len(trees._candidates(members, coloring.array, mode.resolved_budget(3))[0])
+        if coloring is rainbow:
+            assert candidates == 10_002 and peak < candidates ** 2 / 8
+        else:
+            assert peak < 16 * 2**20
 
 
 def test_closed_form_keeps_the_candidate_cap(monkeypatch):
@@ -636,7 +729,7 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
         firsts = firsts or range(1, 11)
         assert [tuple(S) for sets, _ in runs for S in sets.tolist()] == [
             S for S in combinations(range(1, 11), k) if S[0] in firsts]
-        if not trees._closed_form(k, mode) and mode.kind == "full":
+        if not trees._closed_form(k, mode, coloring.t) and mode.kind == "full":
             assert packed and set(packed) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
     for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
         packed.clear()
@@ -656,7 +749,7 @@ def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
         report = verify_coloring(coloring, k, 0, per_set_counts=True)
         patterns = {canonical_color_form(tuple(coloring.color(u, v) for u, v in combinations(S, 2)))
                     for *S, _ in report.per_set_counts.tolist()}
-        assert packed == [tuple(range(k))] * len(patterns)
+        assert packed == [tuple(range(1, k + 1))] * len(patterns)
         for *members, count in report.per_set_counts[::11].tolist():
             assert count == max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring)[0]
 
@@ -742,7 +835,8 @@ def _scalar_first_failure(coloring, ell, mode, certificates, oracle_calls):
 def test_kset_kernel_matches_scalar_certificates(monkeypatch):
     # every per-set count, witness and witness count, also with one-set chunks,
     # and the oracle sees exactly the scalar loop's sets, in order, except at
-    # k <= 3 with budget 1, where the closed form decides them and it sees none
+    # k <= 3 with budget 1 or t <= k, where the closed form decides them and
+    # it sees none
     real_packing = trees._packing
     calls = []
 
@@ -776,7 +870,7 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                             report = verify_coloring(coloring, k, ell, mode)
                             assert (report.witness, report.witness_count) == expected
                             assert report.passed == (expected[0] is None)
-                            closed = mode.kind == "full" and k <= 3 and mode.resolved_budget(k) <= 1
+                            closed = mode.kind == "full" and k <= 3 and min(mode.resolved_budget(k), t - k + 1) <= 1
                             assert calls == ([] if closed else expected_calls)
 
 
