@@ -143,12 +143,18 @@ def tail_comparators(n: int, k: int, ell: int) -> dict[str, float]:
     bound's own admissibility condition). Needs 2 <= k <= n."""
     p = rainbow_star_prob(k)
     out = {"exact_tail": float(binomial_tail_below(n - k, p, ell - 1))}
-    if k >= 3 and ell >= 1:
-        if (n - k) * p > ell - 1:
-            out["chernoff_tail"] = chernoff_tail_bound(n, k, ell)
-        if n >= k + ell:
-            out["union_bound_total"] = union_bound_failure(n, k, ell)
+    if k >= 3 and ell >= 1 and (n - k) * p > ell - 1:
+        out["chernoff_tail"] = chernoff_tail_bound(n, k, ell)
+    total = _union_bound(n, k, ell)
+    if total is not None:
+        out["union_bound_total"] = total
     return out
+
+
+def _union_bound(n: int, k: int, ell: int) -> Optional[float]:
+    """``union_bound_failure`` where it is defined (k >= 3, ell >= 1 and
+    n >= k + ell), else None."""
+    return union_bound_failure(n, k, ell) if k >= 3 and ell >= 1 and n >= k + ell else None
 
 
 def estimate_BS(config: TrialConfig) -> TrialSummary:
@@ -208,7 +214,7 @@ def estimate_AS_all(
         if witness is None:
             witness = first
     comparators: dict[str, float] = {}
-    total = tail_comparators(config.n, config.k, config.ell).get("union_bound_total")
+    total = _union_bound(config.n, config.k, config.ell)
     if total is not None:
         comparators["union_bound_total"] = total
         comparators["success_lower_bound"] = 1.0 - total

@@ -34,20 +34,22 @@ array operations at every k, not per-set tuples: it yields, chunk by chunk
 of consecutive k-sets, the rainbow star counts and the internal packing
 where arrays know it (1 at k = 2, the triangle term at k = 3, 0 at
 k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
-gathered colors at every center otherwise. At k >= 4 a color-pattern
-table packs the internal trees once per way a set's edges share colors,
-so arrays decide star mode at every k. In full mode with k <= 3 and at
-most one external vertex per rainbow tree (by the budget or by the
-palette) the exact count has a closed form: the
+gathered colors at every center otherwise. Given a demand it yields only
+the sets whose count falls below it, chosen before any row is built, so
+the scan lists just the sets short by arrays (every set when counts are
+asked for). At k >= 4 a color-pattern table packs the internal trees once
+per way a set's edges share colors, so arrays decide star mode at every k.
+In full mode with k <= 3 and at most one external vertex per rainbow tree
+(by the budget or by the palette) the exact count has a closed form: the
 certificate itself at k = 2, and at k = 3 the rainbow stars plus the
 larger of a Hall matching of the other centers to the internal edges and
 one internal path, from one array pass per slice of sets. Every full-mode
 set the arrays leave short gets its exact count, in lexicographic order,
 from ``_exact_counts``: the closed form where it holds, one call to the
-count-only ``_packing`` per set otherwise. The scan yields runs that end
-after each exact count, so a caller stops where it needs to. It reads the
-coloring alone and keeps nothing between calls: a local-search move is
-scored from scratch.
+count-only ``_packing`` per set otherwise. The scan yields runs of those
+short sets that end after each exact count, so a caller stops where it
+needs to. It reads the coloring alone and keeps nothing between calls: a
+local-search move is scored from scratch.
 Inside the oracle a k-set is its sorted members tuple and a candidate
 tree is ``(edges, external vertices)``; the validated ``VertexSet``,
 ``STree`` and ``DisjointFamily`` objects are built only at the public
@@ -487,7 +489,7 @@ def _check_full_work(n_external: int, k: int, budget: int) -> None:
 # ---------------------------------------------------------------------------
 # Maximum packing by branch and bound
 
-def _max_packing(keys: np.ndarray, least: np.ndarray) -> list[int]:
+def _max_packing(keys: np.ndarray, least: np.ndarray, most: Optional[int] = None) -> list[int]:
     """A maximum packing of the candidates 0..R-1, lexicographically least:
     candidate i holds the keys in row i of ``keys`` (small integers, pads
     -1), two candidates conflict when they share a key, and ``least[i]`` is
@@ -501,7 +503,9 @@ def _max_packing(keys: np.ndarray, least: np.ndarray) -> list[int]:
     when the DFS first branches on it. A node is bounded by the smaller of
     two clique covers, counted over classes with an available candidate: a
     greedy one (the key owning the most uncovered candidates takes them as
-    a class), and the classes of ``least``.
+    a class), and the classes of ``least``. The search ends once it holds
+    ``most`` candidates, an upper bound known a priori (none when None): the
+    first packing of that size it meets is the least maximum.
     """
     count, width = keys.shape
     if not count:
@@ -538,6 +542,8 @@ def _max_packing(keys: np.ndarray, least: np.ndarray) -> list[int]:
         if not avail:
             if room < 0:
                 best = chosen
+                if len(best) == most:
+                    break
             continue
         # a class counts when it holds an available candidate
         if (len(greedy_classes) - [avail & c for c in greedy_classes].count(0) <= room
@@ -564,7 +570,9 @@ def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> 
     trees of ``members`` with at most ``budget`` external vertices, as
     ``(edges, external)`` tuples; only the chosen trees are decoded."""
     keys, least, labels, pairs = _candidates(members, colors, budget)
-    return _decoded(keys[_max_packing(keys, least)], labels, pairs)
+    # internal trees (budget 0) take k - 1 of the k(k-1)/2 internal edges each
+    most = len(members) // 2 if budget == 0 else None
+    return _decoded(keys[_max_packing(keys, least, most)], labels, pairs)
 
 
 def _internal_budget(members: tuple[int, ...], colors: np.ndarray) -> int:
@@ -719,8 +727,10 @@ class VerificationReport:
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
-    """(sets, stars, internal) of the 3-sets a < b < c with a in ``firsts``.
+def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
+    """(sets, stars, internal) of the 3-sets a < b < c with a in ``firsts``
+    whose count stars + internal is below ``below`` (every set when None), in
+    lexicographic order.
 
     P[b,c] counts the centers u where b and c see one color (u is never b
     or c, as the diagonal is zero). With the pair-equality indicators
@@ -733,7 +743,8 @@ def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
     the third terminal. The internal part is 1 unless the triangle is
     monochromatic: two distinct internal colors always sit on adjacent
     edges, giving a rainbow 2-edge path, and 3 internal edges cannot hold
-    two edge-disjoint spanning trees.
+    two edge-disjoint spanning trees. A chunk's sets are chosen by one flat
+    scan of its block, and only they are gathered and decoded.
     """
     n = len(colors)
     P = np.empty((n, n), dtype=np.float32)
@@ -762,9 +773,19 @@ def _triple_chunks(colors: np.ndarray, firsts: range) -> Iterator[tuple]:
         stars += ab_ac
         stars += ac_bc
         stars += xab[:, :, None] == xbc
-        inside = before[ab][:, :, None] & before[bc]  # a < b < c
-        sets = np.transpose(inside.nonzero()) + (a0 + 1, a0 + 2, a0 + 2)
-        yield sets, stars[inside].astype(np.int64), 1 - (ab_ac & ac_bc)[inside]
+        mono = ab_ac & ac_bc
+        chosen = before[ab][:, :, None] & before[bc]  # a < b < c
+        if below is not None:
+            chosen &= stars - mono < below - 1
+        flat = np.flatnonzero(chosen)
+        # (a, b, c) from the flat index (a * B + b) * B + c of the block, as
+        # the columns of a Fortran-ordered array: row-wise passes over short
+        # rows are slow
+        a = flat // (B * B)
+        bc_flat = flat - a * (B * B)
+        b = bc_flat // B
+        sets = np.stack((a, b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
+        yield sets, stars.ravel()[flat].astype(np.int64), 1 - mono.ravel()[flat]
         a0 = a1
 
 
@@ -814,8 +835,9 @@ def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.maximum(matched, path)
 
 
-def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tuple]:
-    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``, in
+def _gathered_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
+    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``
+    whose count stars + internal is below ``below`` (every set when None), in
     lexicographic order: a center counts when its k colors to the set are
     nonzero (it lies outside the set) and pairwise distinct. The internal
     part is the edge itself at k = 2 and left to the caller (0) at k >= 4."""
@@ -828,6 +850,9 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range) -> Iterator[tupl
         if not len(block):
             return
         stars = _rainbow_rows(colors[:, block - 1]).sum(axis=0)
+        if below is not None:
+            chosen = np.flatnonzero(stars < below - (k == 2))
+            block, stars = block[chosen], stars[chosen]
         yield block, stars, np.full_like(stars, k == 2)
 
 
@@ -841,8 +866,7 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     u, v = zip(*combinations(range(k), 2))
     colors[u, v] = colors[v, u] = np.add(labels, 1)  # a color is nonzero
     members = tuple(range(1, k + 1))
-    keys, least, _, _ = _candidates(members, colors, _internal_budget(members, colors))
-    return len(_max_packing(keys, least))
+    return len(_tree_packing(members, colors, _internal_budget(members, colors)))
 
 
 def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -889,42 +913,46 @@ def _decided_chunks(
     exact: bool,
     firsts: Optional[range] = None,
 ) -> Iterator[tuple]:
-    """``(sets, counts)`` in lexicographic runs: the count that decides each k-set.
+    """``(sets, counts)`` in lexicographic runs of the k-sets whose array
+    count is below ell (every set when ``exact``): the count that decides
+    each of them. A k-set the runs leave out reaches ell.
 
     Chunks hold the consecutive k-sets with first vertex in ``firsts``
     (default: all), capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2)
-    plus one chunk. The count starts from what arrays compute, the rainbow
-    stars (``_triple_chunks`` at k = 3, ``_gathered_chunks`` otherwise) plus
-    the internal part they know: 1 at k = 2, the triangle term at k = 3.
-    At k >= 4 the color-pattern table adds the internal packing to the sets
-    below ell (every set when ``exact``), except when exact in full mode,
-    where the oracle's count replaces it; that settles star mode. In full
-    mode the sets still below ell (every set when ``exact``) go in
-    lexicographic order to ``_exact_counts``: slices of at most
-    ``_CHUNK_ELEMENTS // n`` sets when the count has a closed form, one set
-    per oracle call otherwise. A run ends after each such count or at the
-    chunk's end, so a caller that stops at its first failing run takes no
-    count past the failing set.
+    plus one chunk. The array count is the rainbow stars (``_triple_chunks``
+    at k = 3, ``_gathered_chunks`` otherwise) plus the internal part arrays
+    know: 1 at k = 2, the triangle term at k = 3; the kernels pass on only
+    the sets it leaves below ell (``below``). At k >= 4 the color-pattern
+    table adds the internal packing, except when exact in full mode, where
+    the oracle's count replaces it; that settles star mode. In full mode the
+    sets still below ell (every set when ``exact``) go in lexicographic
+    order to ``_exact_counts``: slices of at most ``_CHUNK_ELEMENTS // n``
+    sets when the count has a closed form, one set per oracle call
+    otherwise. A run ends after each such count or at the chunk's end, so a
+    caller that stops at its first failing run takes no count past the
+    failing set.
     """
     full = mode.kind == "full"
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
-    chunks = (_triple_chunks(coloring.array, firsts) if k == 3
-              else _gathered_chunks(coloring.array, k, firsts))
+    below = None if exact else ell
+    chunks = (_triple_chunks(coloring.array, firsts, below) if k == 3
+              else _gathered_chunks(coloring.array, k, firsts, below))
     step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.t) else 1
     for sets, stars, internal in chunks:
         counts = stars + internal
-        short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
-        if k > 3 and not (exact and full) and short.size:
-            counts[short] += _internal_packings(coloring.array, sets[short])
-            short = short[counts[short] < ell]
+        if k > 3 and not (exact and full) and len(sets):
+            counts += _internal_packings(coloring.array, sets)
         done = 0
-        for start in range(0, short.size, step) if full else ():
-            part = short[start:start + step]
-            counts[part] = _exact_counts(coloring, sets[part], stars[part], mode)
-            end = part[-1] + 1
-            yield sets[done:end], counts[done:end]
-            done = end
+        if full:
+            # at k > 3 the internal packing may have lifted a set to ell
+            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
+            for start in range(0, short.size, step):
+                part = short[start:start + step]
+                counts[part] = _exact_counts(coloring, sets[part], stars[part], mode)
+                end = part[-1] + 1
+                yield sets[done:end], counts[done:end]
+                done = end
         if done < len(sets):
             yield sets[done:], counts[done:]
 
@@ -982,7 +1010,7 @@ def verify_coloring(
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if ell < 0:
         raise ValueError(f"demand ell must be nonnegative, got {ell}")
-    ranges = _first_vertex_ranges(n, k, workers * 4 if workers > 1 else 1)
+    ranges = _first_vertex_ranges(n, k, workers * 4) if workers > 1 else [range(1, n - k + 2)]
     jobs = [(coloring, k, ell, mode, firsts, per_set_counts) for firsts in ranges]
     first_fail = None
     blocks = []

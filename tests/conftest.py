@@ -74,6 +74,20 @@ def brute_force_max_disjoint(trees: list[STree], terminals: VertexSet) -> int:
     return best
 
 
+def brute_force_array_count(coloring: CompleteGraphColoring, members: tuple[int, ...]) -> int:
+    """The star certificate the k-set kernel computes for ``members``: every
+    external center whose edges to the set carry k distinct colors, by a
+    loop over centers, plus the internal trees it knows (the edge at k = 2,
+    a rainbow 2-edge path at k = 3 unless the triangle is monochromatic,
+    none at k >= 4)."""
+    k = len(members)
+    stars = sum(len({coloring.color(u, v) for v in members}) == k
+                for u in range(1, coloring.n + 1) if u not in members)
+    if k == 3:
+        return stars + (len({coloring.color(u, v) for u, v in combinations(members, 2)}) > 1)
+    return stars + (k == 2)
+
+
 def burnside_orbit_count(m: int, t: int) -> int:
     """Orbits of t^m color sequences under color permutations, via Burnside."""
     total = 0

@@ -34,7 +34,12 @@ from rainbowindex.trees import (
     verify_coloring,
 )
 
-from conftest import brute_force_max_disjoint, brute_force_stree_candidates, count_packings
+from conftest import (
+    brute_force_array_count,
+    brute_force_max_disjoint,
+    brute_force_stree_candidates,
+    count_packings,
+)
 
 
 # --- domain types -----------------------------------------------------------
@@ -407,6 +412,22 @@ def _packing_keys(candidates):
     return np.array([row + [-1] * (width - len(row)) for row in keys]).reshape(-1, width), np.array(least)
 
 
+def test_internal_packing_bound_keeps_the_least_family():
+    # the search for internal trees stops once it holds floor(k/2) of them;
+    # on 300 seeded 6-color patterns of K_4..K_6 it picks the unbounded
+    # search's family, and on many of them it does stop there
+    stream = SeededStream(61)
+    stopped = 0
+    for case in range(300):
+        k = 4 + case % 3
+        coloring = random_coloring(k, 6, stream.substream(case))
+        keys, least, _, _ = trees._candidates(tuple(range(1, k + 1)), coloring.array, 0)
+        family = trees._max_packing(keys, least, k // 2)
+        assert family == trees._max_packing(keys, least)
+        stopped += len(family) == k // 2
+    assert stopped > 100
+
+
 def test_star_mode_family_matches_the_search_over_stars():
     # the branch and bound over internal trees and stars together, in candidate
     # order, picks the same least maximum family as the internal search alone
@@ -713,9 +734,10 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
 
 
 def test_runs_end_at_each_oracle_count(monkeypatch):
-    # the runs join up to the lexicographic k-sets of ``firsts``; outside the
-    # closed form every set the oracle decides ends a run, so a caller that
-    # stops at its first failing run packs nothing past the witness
+    # the runs list, in lexicographic order, the k-sets of ``firsts`` whose
+    # array count is below ell; outside the closed form every set the oracle
+    # decides ends a run, so a caller that stops at its first failing run
+    # packs nothing past the witness
     packed, packing = [], trees._packing
     monkeypatch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
     coloring = random_coloring(10, 4, SeededStream(1))
@@ -727,8 +749,9 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
         packed.clear()
         runs = list(trees._decided_chunks(coloring, k, ell, mode, False, firsts))
         firsts = firsts or range(1, 11)
-        assert [tuple(S) for sets, _ in runs for S in sets.tolist()] == [
-            S for S in combinations(range(1, 11), k) if S[0] in firsts]
+        short = [S for S in combinations(range(1, 11), k)
+                 if S[0] in firsts and brute_force_array_count(coloring, S) < ell]
+        assert short and [tuple(S) for sets, _ in runs for S in sets.tolist()] == short
         if not trees._closed_form(k, mode, coloring.t) and mode.kind == "full":
             assert packed and set(packed) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
     for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
@@ -736,6 +759,46 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
         report = verify_coloring(coloring, k, ell, mode)
         assert not report.passed and packed[-1] == report.witness
         assert packed == sorted(set(packed))
+
+
+def _kernel_chunks(coloring, k, firsts, below):
+    return (trees._triple_chunks(coloring.array, firsts, below) if k == 3
+            else trees._gathered_chunks(coloring.array, k, firsts, below))
+
+
+def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
+    # with the default chunks, chunks of a few first vertices and chunks of
+    # one: the kernels yield, in lexicographic order, exactly the k-sets
+    # whose count is below ``below``, with that count, and every k-set when
+    # ``below`` is None
+    stream = SeededStream(53)
+    for case, (k, n, t) in enumerate(((2, 9, 3), (3, 11, 3), (3, 12, 5), (4, 10, 6), (5, 9, 8))):
+        coloring = random_coloring(n, t, stream.substream(case))
+        counts = {S: brute_force_array_count(coloring, S) for S in combinations(range(1, n + 1), k)}
+        for elements in (trees._CHUNK_ELEMENTS, 4 * n * n, 1):
+            monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
+            for firsts in (range(1, n - k + 2), range(2, 4)):
+                for below in (None, 0, 1, 2, 4, n):
+                    got = [(tuple(S), stars + internal)
+                           for sets, *parts in _kernel_chunks(coloring, k, firsts, below)
+                           for S, stars, internal in zip(sets.tolist(), *(p.tolist() for p in parts))]
+                    assert got == [(S, count) for S, count in counts.items()
+                                   if S[0] in firsts and (below is None or count < below)]
+
+
+def test_passing_star_verify_yields_no_run():
+    # at the least count over all k-sets a star verify passes and the scan
+    # yields nothing; one more and it yields the sets at that count
+    stream = SeededStream(59)
+    for case, (k, n, t) in enumerate(((2, 8, 2), (3, 12, 8), (4, 14, 12), (5, 16, 30))):
+        coloring = random_coloring(n, t, stream.substream(case))
+        counts = {S: brute_force_array_count(coloring, S) for S in combinations(range(1, n + 1), k)}
+        ell = min(counts.values())
+        assert ell >= 1 and verify_coloring(coloring, k, ell).passed
+        assert list(trees._decided_chunks(coloring, k, ell, OracleMode.star(), False)) == []
+        runs = list(trees._decided_chunks(coloring, k, ell + 1, OracleMode.star(), False))
+        assert [tuple(S) for sets, _ in runs for S in sets.tolist()] == [
+            S for S, count in counts.items() if count == ell]
 
 
 def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
