@@ -743,17 +743,20 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     the third terminal. The internal part is 1 unless the triangle is
     monochromatic: two distinct internal colors always sit on adjacent
     edges, giving a rainbow 2-edge path, and 3 internal edges cannot hold
-    two edge-disjoint spanning trees. A chunk's sets are chosen by one flat
-    scan of its block, and only they are gathered and decoded.
+    two edge-disjoint spanning trees. P holds -inf on and below its
+    diagonal, so every entry of a block off a < b < c is +inf: one flat
+    scan of a block chooses its sets, and only they are gathered and
+    decoded.
     """
     n = len(colors)
     P = np.empty((n, n), dtype=np.float32)
     rows = max(1, _CHUNK_ELEMENTS // (n * n))
     for r0 in range(0, n, rows):
         P[r0:r0 + rows] = (colors[:, r0:r0 + rows].T[:, :, None] == colors).sum(axis=1)
-    rest = (n - 3) - P
     vertices = np.arange(n)
-    before = vertices[:, None] < vertices
+    P[vertices[:, None] >= vertices] = -np.inf
+    rest = (n - 3) - P
+    limit = np.inf if below is None else below - 1
     a0, stop = firsts.start - 1, firsts.stop - 1
     while a0 < stop:
         # a runs over a0..a1-1; b and c over a0+1..n-1 (0-based)
@@ -774,18 +777,15 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
         stars += ac_bc
         stars += xab[:, :, None] == xbc
         mono = ab_ac & ac_bc
-        chosen = before[ab][:, :, None] & before[bc]  # a < b < c
-        if below is not None:
-            chosen &= stars - mono < below - 1
-        flat = np.flatnonzero(chosen)
+        flat = np.flatnonzero(stars - mono < limit)
         # (a, b, c) from the flat index (a * B + b) * B + c of the block, as
         # the columns of a Fortran-ordered array: row-wise passes over short
         # rows are slow
         a = flat // (B * B)
         bc_flat = flat - a * (B * B)
         b = bc_flat // B
-        sets = np.stack((a, b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
-        yield sets, stars.ravel()[flat].astype(np.int64), 1 - mono.ravel()[flat]
+        sets = np.array((a, b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
+        yield sets, stars.take(flat).astype(np.int64), 1 - mono.take(flat)
         a0 = a1
 
 
@@ -946,7 +946,7 @@ def _decided_chunks(
         done = 0
         if full:
             # at k > 3 the internal packing may have lifted a set to ell
-            short = np.arange(len(sets)) if exact else np.flatnonzero(counts < ell)
+            short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
             for start in range(0, short.size, step):
                 part = short[start:start + step]
                 counts[part] = _exact_counts(coloring, sets[part], stars[part], mode)
