@@ -753,8 +753,7 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     rows = max(1, _CHUNK_ELEMENTS // (n * n))
     for r0 in range(0, n, rows):
         P[r0:r0 + rows] = (colors[:, r0:r0 + rows].T[:, :, None] == colors).sum(axis=1)
-    vertices = np.arange(n)
-    P[vertices[:, None] >= vertices] = -np.inf
+    P[np.tri(n, dtype=bool)] = -np.inf
     rest = (n - 3) - P
     limit = np.inf if below is None else below - 1
     a0, stop = firsts.start - 1, firsts.stop - 1
@@ -866,7 +865,8 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     u, v = zip(*combinations(range(k), 2))
     colors[u, v] = colors[v, u] = np.add(labels, 1)  # a color is nonzero
     members = tuple(range(1, k + 1))
-    return len(_tree_packing(members, colors, _internal_budget(members, colors)))
+    keys, least, _, _ = _candidates(members, colors, _internal_budget(members, colors))
+    return len(_max_packing(keys, least, k // 2))  # internal trees, so at most floor(k/2)
 
 
 def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
