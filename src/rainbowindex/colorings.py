@@ -21,7 +21,6 @@ larger than ``ENUM_BUDGET``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -138,6 +137,8 @@ def parallel_map(fn: Callable, jobs: list, workers: int) -> Iterable:
     workers = min(workers, len(jobs))
     if workers <= 1:
         return map(fn, jobs)
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

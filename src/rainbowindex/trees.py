@@ -9,16 +9,22 @@ per (n, k, budget), built once from the spanning-tree shapes of K_m (only
 trees, never edge subsets that are not trees), lists every candidate tree
 on local labels; a call gathers the colors of the pairs the table uses,
 keeps the rainbow rows and orders them, and builds the key owner masks,
-all as array passes. The lexicographically least maximum family is found
-by one iterative branch and bound over the conflict graph, on Python-int
+all as array passes. A row is rainbow when its colors are positive and
+pairwise distinct, tested column against column with no sort, so any
+palette works. The lexicographically least maximum family is found by one
+iterative branch and bound over the conflict graph, on Python-int
 bitmasks, bounded by clique covers (a greedy one, and trees sharing their
-least external vertex); it builds the compatibility mask of a candidate
+least external vertex) that are built only once a packing is held, when
+they first can prune; it builds the compatibility mask of a candidate
 only when it branches on it, and only the chosen trees are decoded.
 Neither recursion depth nor the number of passes grows with the number
-of candidates. In star mode only the internal trees are searched: the
-rainbow stars conflict with nothing and all join the family. In full
-mode a rainbow tree with r external vertices needs k - 1 + r colors, so
-a palette of t colors caps r at t - k + 1 whatever the budget. One
+of candidates. The search stops at a family bound known in advance: at
+most floor(k/2) internal trees, as each takes k - 1 of the k(k-1)/2 edges
+inside the set, plus one tree per external vertex, which it owns. In star
+mode only the internal trees are searched: the rainbow stars conflict
+with nothing and all join the family. In full mode a rainbow tree with r
+external vertices needs k - 1 + r colors, so a palette of t colors caps r
+at t - k + 1 whatever the budget. One
 constant, ``CANDIDATE_CAP``, bounds both the trees one full-mode call may
 scan (priced on the mode's budget) and the size of any shape table; past
 it BudgetExceededError is raised.
@@ -244,10 +250,21 @@ def rainbow_star_count(terminals: VertexSet, coloring: CompleteGraphColoring) ->
 
 
 def _rainbow_rows(colors: np.ndarray) -> np.ndarray:
-    """True where the colors along the last axis are nonzero and pairwise
-    distinct: a center's colors to a set, zero when it lies in the set."""
-    seen = np.sort(colors, axis=-1)
-    return (seen[..., 0] > 0) & (np.diff(seen, axis=-1) != 0).all(axis=-1)
+    """True where the colors along the last axis are positive and pairwise
+    distinct: a center's colors to a set, zero when it lies in the set.
+
+    For a last axis of width w it ANDs, in place into one bool array, the
+    tests that each column is positive and that each pair of columns
+    differs: no sort, and exact for any palette and dtype.
+    """
+    columns = np.moveaxis(colors, -1, 0).copy()  # each column contiguous
+    rainbow = columns[0] > 0
+    scratch = np.empty_like(rainbow)
+    for j in range(1, len(columns)):
+        rainbow &= np.greater(columns[j], 0, out=scratch)
+        for i in range(j):
+            rainbow &= np.not_equal(columns[j], columns[i], out=scratch)
+    return rainbow
 
 
 def _rainbow_centers(members: tuple[int, ...], colors: np.ndarray) -> list[int]:
@@ -495,30 +512,67 @@ def _max_packing(keys: np.ndarray, least: np.ndarray, most: Optional[int] = None
     -1), two candidates conflict when they share a key, and ``least[i]`` is
     one of candidate i's keys, its class in the second clique cover.
 
-    The owner bitmask of each key and of each class come from one
-    ``np.packbits`` over their incidence with the candidates. An
-    explicit-stack DFS takes the lowest available candidate before skipping
-    it, so it meets packings in lexicographic order and the first maximum it
-    keeps is the least one; the compatibility mask of a candidate is built
-    when the DFS first branches on it. A node is bounded by the smaller of
-    two clique covers, counted over classes with an available candidate: a
-    greedy one (the key owning the most uncovered candidates takes them as
-    a class), and the classes of ``least``. The search ends once it holds
-    ``most`` candidates, an upper bound known a priori (none when None): the
-    first packing of that size it meets is the least maximum.
+    The owner bitmask of each key comes from one ``np.packbits`` over its
+    incidence with the candidates. An explicit-stack DFS takes the lowest
+    available candidate before skipping it, so it meets packings in
+    lexicographic order and the first maximum it keeps is the least one; the
+    compatibility mask of a candidate is built when the DFS first branches
+    on it. A node is bounded by the smaller of two clique covers, counted
+    over classes with an available candidate: a greedy one (the key owning
+    the most uncovered candidates takes them as a class), and the classes of
+    ``least``. A node counts at least one class of each cover, so no cover
+    prunes until a packing is held: both are built at the first node that
+    could be pruned, and a search that ends at its first leaf builds none.
+    The search ends once it holds ``most`` candidates, an upper bound known
+    a priori (none when None): the first packing of that size it meets is
+    the least maximum.
     """
     count, width = keys.shape
     if not count:
         return []
-    size, candidate = int(keys.max()) + 1, np.arange(count)
-    owned = np.zeros((2 * size + 1, count), dtype=bool)  # the last row takes the pads
-    owned[keys.ravel(), np.repeat(candidate, width)] = True
-    owned[size + least, candidate] = True
-    packed = np.packbits(owned[:-1], axis=1, bitorder="little")
-    classes = packed[size:]
-    owners = _bitmasks(packed[:size]) + [0]  # owners[-1] is the pad's
-    least_classes = _bitmasks(classes[classes.any(axis=1)])
+    size = int(keys.max()) + 1
+    owned = np.zeros((size + 1, count), dtype=bool)  # the last row takes the pads
+    owned[keys.ravel(), np.repeat(np.arange(count), width)] = True
+    owners = _bitmasks(np.packbits(owned[:-1], axis=1, bitorder="little")) + [0]  # owners[-1] is the pad's
     full = (1 << count) - 1
+    covers = None
+    compat: dict[int, int] = {}
+    best: tuple[int, ...] = ()
+    stack = [(full, best)]
+    while stack:
+        avail, chosen = stack.pop()
+        room = len(best) - len(chosen)
+        if not avail:
+            if room < 0:
+                best = chosen
+                if len(best) == most:
+                    break
+            continue
+        if room > 0:
+            if covers is None:
+                greedy_classes, least_classes = covers = _clique_covers(owners, least, full)
+            # a class counts when it holds an available candidate
+            if (len(greedy_classes) - [avail & c for c in greedy_classes].count(0) <= room
+                    or len(least_classes) - [avail & c for c in least_classes].count(0) <= room):
+                continue
+        low = avail & -avail
+        i = low.bit_length() - 1
+        mask = compat.get(i)
+        if mask is None:
+            mask = compat[i] = ~reduce(or_, map(owners.__getitem__, keys[i].tolist()))
+        stack.append((avail ^ low, chosen))
+        stack.append((avail & mask, chosen + (i,)))
+    return list(best)
+
+
+def _clique_covers(owners: list[int], least: np.ndarray, full: int) -> tuple[list[int], list[int]]:
+    """The two clique covers of ``_max_packing``'s candidates ``full``, as
+    bitmask classes: the greedy one over the key owners ``owners``, and the
+    classes of ``least``, from one ``np.packbits`` over their incidence."""
+    count = full.bit_length()
+    incidence = np.zeros((len(owners), count), dtype=bool)
+    incidence[least, np.arange(count)] = True
+    least_classes = _bitmasks(np.packbits(incidence[incidence.any(axis=1)], axis=1, bitorder="little"))
     # lazy greedy: a key's count only falls as classes are taken, so a popped
     # key whose fresh count still tops every stale count owns the most
     greedy_classes = []
@@ -533,30 +587,7 @@ def _max_packing(keys: np.ndarray, least: np.ndarray, most: Optional[int] = None
         elif group:
             greedy_classes.append(group)
             left ^= group
-    compat: dict[int, int] = {}
-    best: tuple[int, ...] = ()
-    stack = [(full, best)]
-    while stack:
-        avail, chosen = stack.pop()
-        room = len(best) - len(chosen)
-        if not avail:
-            if room < 0:
-                best = chosen
-                if len(best) == most:
-                    break
-            continue
-        # a class counts when it holds an available candidate
-        if (len(greedy_classes) - [avail & c for c in greedy_classes].count(0) <= room
-                or len(least_classes) - [avail & c for c in least_classes].count(0) <= room):
-            continue
-        low = avail & -avail
-        i = low.bit_length() - 1
-        mask = compat.get(i)
-        if mask is None:
-            mask = compat[i] = ~reduce(or_, map(owners.__getitem__, keys[i].tolist()))
-        stack.append((avail ^ low, chosen))
-        stack.append((avail & mask, chosen + (i,)))
-    return list(best)
+    return greedy_classes, least_classes
 
 
 def _bitmasks(bits: np.ndarray) -> list[int]:
@@ -570,8 +601,10 @@ def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> 
     trees of ``members`` with at most ``budget`` external vertices, as
     ``(edges, external)`` tuples; only the chosen trees are decoded."""
     keys, least, labels, pairs = _candidates(members, colors, budget)
-    # internal trees (budget 0) take k - 1 of the k(k-1)/2 internal edges each
-    most = len(members) // 2 if budget == 0 else None
+    # internal trees are edge-disjoint spanning trees of the set, k - 1 of its
+    # k(k-1)/2 edges each, and every other tree owns an external vertex
+    k = len(members)
+    most = k // 2 + (len(colors) - k if budget > 0 else 0)
     return _decoded(keys[_max_packing(keys, least, most)], labels, pairs)
 
 

@@ -421,7 +421,8 @@ def test_mc_sweep_vacuous_demand(capsys):
 
 # stdout SHA-256 of small runs: a change to any of these bytes breaks the
 # replay of existing manifests. "{coloring}" is a random 4-coloring of K_6,
-# "{k12}" a random 3-coloring and "{k12r}" a random 10-coloring of K_12.
+# "{k12}" a random 3-coloring and "{k12r}" a random 10-coloring of K_12, and
+# "{k9}" a random 30-coloring of K_9.
 PINNED_RUNS = [
     (("mc", "bs", "-n", "7", "-k", "3", "-l", "1", "--samples", "2000", "--seed", "1"),
      "bceee5968deac965448d5ef495d29fa038dac7527e5c142981f1952bd426df97"),
@@ -486,6 +487,10 @@ PINNED_RUNS = [
      "e5e7a9091c93d21d51ddaf9a9ad03a8e71b7c337585ed48e87f8845a569e3282"),
     (("oracle", "{k12r}", "-S", "1,4,6,9,12", "--mode", "full", "--budget", "1"),
      "659ce6eb79d8a3694248cd75e3dbc5154c59d2c55f1e0d603a2dd70d5298f6c1"),
+    # a many-color full-mode witness whose maximum, 7, is the bound
+    # k // 2 + n - k at which the search stops; recorded before it stopped there
+    (("oracle", "{k9}", "-S", "2,5,8", "--mode", "full", "--budget", "2"),
+     "270cee90621e22ae1b5fd2cbf6e0a1cef5911e623d593027fdbe4fb6ac86ea4b"),
     # recorded while the theta tolerance was still an option, at its default
     (("bounds", "-k", "3", "-l", "100", "--eps", "1/2"),
      "b330bf40ad1d91594def49eb3778dd386421b7b3310874eef728f8e9bb000b1c"),
@@ -496,10 +501,11 @@ PINNED_RUNS = [
 
 def test_pinned_output_digests(capsys, tmp_path):
     files = {"{coloring}": tmp_path / "k6.coloring", "{k12}": tmp_path / "k12.coloring",
-             "{k12r}": tmp_path / "k12r.coloring"}
+             "{k12r}": tmp_path / "k12r.coloring", "{k9}": tmp_path / "k9.coloring"}
     write_coloring(random_coloring(6, 4, SeededStream(21)), files["{coloring}"])
     write_coloring(random_coloring(12, 3, SeededStream(21)), files["{k12}"])
     write_coloring(random_coloring(12, 10, SeededStream(1)), files["{k12r}"])
+    write_coloring(random_coloring(9, 30, SeededStream(1)), files["{k9}"])
     for argv, sha in PINNED_RUNS:
         code, out, _ = run(capsys, *(str(files.get(tok, tok)) for tok in argv))
         assert code in (0, 1), argv
@@ -570,6 +576,17 @@ def test_runs_without_mpmath(capsys):
         code, out, _ = run(capsys, *argv)
         expected.append([code, hashlib.sha256(out.encode()).hexdigest()])
     assert [json.loads(line) for line in done.stdout.splitlines()] == expected
+
+
+def test_cli_import_loads_no_process_pool():
+    # concurrent.futures.process is imported only when parallel_map starts a pool
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rainbowindex.cli; "
+         "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 # --- manifest / replay ------------------------------------------------------

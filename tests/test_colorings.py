@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import random
@@ -97,7 +98,7 @@ def test_parallel_map_starts_no_more_workers_than_jobs(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(colorings, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     square = (lambda x: x * x)
     assert list(colorings.parallel_map(square, [1, 2, 3], 5000)) == [1, 4, 9]
     assert list(colorings.parallel_map(square, [1, 2, 3], 2)) == [1, 4, 9]

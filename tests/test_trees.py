@@ -412,6 +412,28 @@ def _packing_keys(candidates):
     return np.array([row + [-1] * (width - len(row)) for row in keys]).reshape(-1, width), np.array(least)
 
 
+def test_rainbow_rows_match_a_set_reference():
+    # true exactly where a row's least entry is positive and its entries are
+    # pairwise distinct: widths 1..8, both dtypes the kernels pass, zeros,
+    # the 1 << 40 pads of _candidates and an empty middle axis (mc bs, m = 0)
+    rng = np.random.default_rng(19)
+    hits = misses = 0
+    for width in range(1, 9):
+        for dtype in (np.uint8, np.int64):
+            for shape in ((60, width), (4, 9, width), (3, 0, width)):
+                colors = rng.integers(0, 2 * width + 1, size=shape).astype(dtype)
+                if dtype is np.int64:
+                    colors = np.where(rng.random(shape) < 0.2, (1 << 40) + np.arange(width), colors)
+                rows = colors.reshape(-1, width).tolist()
+                expected = [min(row) > 0 and len(set(row)) == width for row in rows]
+                got = trees._rainbow_rows(colors)
+                assert got.dtype == bool and got.shape == shape[:-1]
+                assert got.ravel().tolist() == expected
+                hits += sum(expected)
+                misses += len(expected) - sum(expected)
+    assert hits > 100 and misses > 100
+
+
 def test_internal_packing_bound_keeps_the_least_family():
     # the search for internal trees stops once it holds floor(k/2) of them;
     # on 300 seeded 6-color patterns of K_4..K_6 it picks the unbounded
@@ -426,6 +448,21 @@ def test_internal_packing_bound_keeps_the_least_family():
         assert family == trees._max_packing(keys, least)
         stopped += len(family) == k // 2
     assert stopped > 100
+    # in full mode each tree besides the at most floor(k/2) internal ones owns
+    # an external vertex, so k // 2 + n - k bounds the family: on 20-30-color
+    # colorings of K_6..K_9 and terminal sets without vertex 1 the bounded
+    # search picks the unbounded one's family, and often stops at the bound
+    stopped = 0
+    for case in range(48):
+        n, k, budget = 6 + case % 4, 3 + case % 2, 1 + case // 24
+        coloring = random_coloring(n, 20 + case % 11, stream.substream(300 + case))
+        members = tuple(sorted((stream.substream(400 + case).generator()
+                                .choice(n - 1, k, replace=False) + 2).tolist()))
+        keys, least, _, _ = trees._candidates(members, coloring.array, budget)
+        family = trees._max_packing(keys, least, k // 2 + n - k)
+        assert family == trees._max_packing(keys, least)
+        stopped += len(family) == k // 2 + n - k
+    assert stopped > 20
 
 
 def test_star_mode_family_matches_the_search_over_stars():
