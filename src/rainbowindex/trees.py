@@ -20,11 +20,13 @@ only when it branches on it, and only the chosen trees are decoded.
 Neither recursion depth nor the number of passes grows with the number
 of candidates. The search stops at a family bound known in advance: at
 most floor(k/2) internal trees, as each takes k - 1 of the k(k-1)/2 edges
-inside the set, plus one tree per external vertex, which it owns. In star
-mode only the internal trees are searched: the rainbow stars conflict
-with nothing and all join the family. In full mode a rainbow tree with r
-external vertices needs k - 1 + r colors, so a palette of t colors caps r
-at t - k + 1 whatever the budget. One
+inside the set, plus one tree per external vertex, which it owns. A
+family of that size holds no tree with two external vertices, so when
+the rainbow stars leave the bound within reach the trees with at most one
+are searched first. In star mode only the internal trees are searched:
+the rainbow stars conflict with nothing and all join the family. In full
+mode a rainbow tree with r external vertices needs k - 1 + r colors, so
+a palette of t colors caps r at t - k + 1 whatever the budget. One
 constant, ``CANDIDATE_CAP``, bounds both the trees one full-mode call may
 scan (priced on the mode's budget) and the size of any shape table; past
 it BudgetExceededError is raised.
@@ -599,12 +601,33 @@ def _bitmasks(bits: np.ndarray) -> list[int]:
 def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> list[tuple]:
     """The lexicographically least maximum family of the rainbow leaf-pruned
     trees of ``members`` with at most ``budget`` external vertices, as
-    ``(edges, external)`` tuples; only the chosen trees are decoded."""
+    ``(edges, external)`` tuples; only the chosen trees are decoded.
+
+    No family is larger than ``most`` = floor(k/2) + (n - k) when external
+    vertices are allowed: internal trees are edge-disjoint spanning trees of
+    the set, k - 1 of its k(k-1)/2 edges each, and every other tree owns an
+    external vertex. A family of that size gives each external vertex a tree
+    of its own with no other external vertex. Such a tree is a star unless it
+    uses internal edges, and floor(k/2) internal trees leave only (k - 1)/2
+    of those at odd k and none at even k, so all but that many external
+    vertices need rainbow stars. When they have them, the trees with at most
+    one external vertex are searched first, as budget 1, in the same
+    candidate order: a family of ``most`` there is the least maximum;
+    otherwise the whole budget is searched, below ``most``.
+    """
+    n, k = len(colors), len(members)
+    most = k // 2 + (n - k if budget > 0 else 0)
+    if budget > 1 and len(_rainbow_centers(members, colors)) >= n - k - (k - 1) * (k % 2) // 2:
+        family = _least_family(members, colors, 1, most)
+        if len(family) == most:
+            return family
+        most -= 1
+    return _least_family(members, colors, budget, most)
+
+
+def _least_family(members: tuple[int, ...], colors: np.ndarray, budget: int, most: int) -> list[tuple]:
+    """``_tree_packing`` over one budget, its search stopped at ``most`` trees."""
     keys, least, labels, pairs = _candidates(members, colors, budget)
-    # internal trees are edge-disjoint spanning trees of the set, k - 1 of its
-    # k(k-1)/2 edges each, and every other tree owns an external vertex
-    k = len(members)
-    most = k // 2 + (len(colors) - k if budget > 0 else 0)
     return _decoded(keys[_max_packing(keys, least, most)], labels, pairs)
 
 

@@ -451,18 +451,36 @@ def test_internal_packing_bound_keeps_the_least_family():
     # in full mode each tree besides the at most floor(k/2) internal ones owns
     # an external vertex, so k // 2 + n - k bounds the family: on 20-30-color
     # colorings of K_6..K_9 and terminal sets without vertex 1 the bounded
-    # search picks the unbounded one's family, and often stops at the bound
+    # search picks the unbounded one's family, and often stops at the bound;
+    # at budget 2 the oracle, which first searches the trees with at most one
+    # external vertex, returns that family too
     stopped = 0
     for case in range(48):
         n, k, budget = 6 + case % 4, 3 + case % 2, 1 + case // 24
         coloring = random_coloring(n, 20 + case % 11, stream.substream(300 + case))
         members = tuple(sorted((stream.substream(400 + case).generator()
                                 .choice(n - 1, k, replace=False) + 2).tolist()))
-        keys, least, _, _ = trees._candidates(members, coloring.array, budget)
+        keys, least, labels, pairs = trees._candidates(members, coloring.array, budget)
         family = trees._max_packing(keys, least, k // 2 + n - k)
         assert family == trees._max_packing(keys, least)
+        assert trees._tree_packing(members, coloring.array, budget) == trees._decoded(keys[family], labels, pairs)
         stopped += len(family) == k // 2 + n - k
     assert stopped > 20
+
+
+def test_full_oracle_falls_back_when_the_one_external_trees_fall_short():
+    # on these 10-colorings of K_8 the rainbow stars leave the bound
+    # k // 2 + n - k = 5 within reach at k = 5, so the trees with at most one
+    # external vertex are searched first; they fall short, and the least
+    # maximum family of the whole budget holds a tree with two
+    members, budget = (1, 2, 3, 4, 5), 2
+    for seed in (70, 91, 125, 149):
+        colors = random_coloring(8, 10, SeededStream(seed)).array
+        assert len(trees._rainbow_centers(members, colors)) >= 8 - 5 - 2
+        keys, least, labels, pairs = trees._candidates(members, colors, budget)
+        expected = trees._decoded(keys[trees._max_packing(keys, least)], labels, pairs)
+        assert len(expected) < 5 and any(len(external) == 2 for _, external in expected)
+        assert trees._tree_packing(members, colors, budget) == expected
 
 
 def test_star_mode_family_matches_the_search_over_stars():
