@@ -259,14 +259,15 @@ def _rainbow_rows(colors: np.ndarray) -> np.ndarray:
     tests that each column is positive and that each pair of columns
     differs: no sort, and exact for any palette and dtype.
     """
-    columns = np.moveaxis(colors, -1, 0).copy()  # each column contiguous
+    width = colors.shape[-1]
+    columns = colors.reshape(-1, width).T.copy()  # each column contiguous
     rainbow = columns[0] > 0
     scratch = np.empty_like(rainbow)
-    for j in range(1, len(columns)):
+    for j in range(1, width):
         rainbow &= np.greater(columns[j], 0, out=scratch)
         for i in range(j):
             rainbow &= np.not_equal(columns[j], columns[i], out=scratch)
-    return rainbow
+    return rainbow.reshape(colors.shape[:-1])
 
 
 def _rainbow_centers(members: tuple[int, ...], colors: np.ndarray) -> list[int]:
@@ -471,14 +472,12 @@ def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tu
     pairs, rows, keys, least = _candidate_table(len(labels), k, budget)
     a, b = labels[pairs.T]
     pads = np.arange(rows.shape[1])  # pad columns: distinct colors past any real one
-    keep = _rainbow_rows(np.concatenate((colors[a, b], pads + (1 << 40)))[rows])
-    keys, least = keys[keep], least[keep]
+    kept = np.flatnonzero(_rainbow_rows(np.concatenate((colors[a, b], pads + (1 << 40)))[rows]))
     if budget:
-        edges = np.concatenate((np.minimum(a, b) * n + np.maximum(a, b), np.full(len(pads), -1)))[rows[keep]]
+        edges = np.concatenate((np.minimum(a, b) * n + np.maximum(a, b), np.full(len(pads), -1)))[rows[kept]]
         edges.sort(axis=1)
-        order = np.lexsort(edges.T[::-1])
-        keys, least = keys[order], least[order]
-    return keys, least, labels, pairs
+        kept = kept[np.lexsort(edges.T[::-1])]
+    return keys[kept], least[kept], labels, pairs
 
 
 def _decoded(keys: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tuple]:
@@ -529,12 +528,12 @@ def _max_packing(keys: np.ndarray, least: np.ndarray, most: Optional[int] = None
     a priori (none when None): the first packing of that size it meets is
     the least maximum.
     """
-    count, width = keys.shape
+    count = len(keys)
     if not count:
         return []
     size = int(keys.max()) + 1
     owned = np.zeros((size + 1, count), dtype=bool)  # the last row takes the pads
-    owned[keys.ravel(), np.repeat(np.arange(count), width)] = True
+    owned[keys, np.arange(count)[:, None]] = True
     owners = _bitmasks(np.packbits(owned[:-1], axis=1, bitorder="little")) + [0]  # owners[-1] is the pad's
     full = (1 << count) - 1
     covers = None
