@@ -788,7 +788,10 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     lexicographic order.
 
     P[b,c] counts the centers u where b and c see one color (u is never b
-    or c, as the diagonal is zero). With the pair-equality indicators
+    or c, as the diagonal is zero). Only b < c is counted: each block of
+    rows b compares them with the later columns and sums the equalities as
+    bytes into the smallest unsigned type that holds n, which is exact as
+    no count exceeds n. With the pair-equality indicators
     Q_a[u,b] = [color(u,a) = color(u,b)], T = Q_a^T Q_a counts the centers
     where a, b and c all see one color: one float32 matmul per first
     vertex, exact as every value is an integer of at most n, and neither
@@ -806,8 +809,10 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     n = len(colors)
     P = np.empty((n, n), dtype=np.float32)
     rows = max(1, _CHUNK_ELEMENTS // (n * n))
+    count = np.min_scalar_type(n)
     for r0 in range(0, n, rows):
-        P[r0:r0 + rows] = (colors[:, r0:r0 + rows].T[:, :, None] == colors).sum(axis=1)
+        equal = colors[:, r0:r0 + rows].T[:, :, None] == colors[:, r0 + 1:]
+        P[r0:r0 + rows, r0 + 1:] = equal.view(np.uint8).sum(axis=1, dtype=count)
     P[np.tri(n, dtype=bool)] = -np.inf
     rest = (n - 3) - P
     limit = np.inf if below is None else below - 1

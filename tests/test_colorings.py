@@ -1,9 +1,11 @@
 import concurrent.futures
 import io
 import math
+import pickle
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,19 @@ def test_color_array_is_the_matrix_read_only():
                               for u in range(1, 10)]
     with pytest.raises(ValueError):
         table[0, 1] = 1
+
+
+def test_drawn_table_equals_the_table_of_the_colors():
+    # random_coloring builds its table from the draws, not from .colors
+    for t in (1, 3, 300):
+        coloring = random_coloring(23, t, SeededStream(t))
+        table = coloring.array
+        rebuilt = CompleteGraphColoring(23, t, coloring.colors).array
+        assert table.dtype == rebuilt.dtype and np.array_equal(table, rebuilt)
+        assert not table.flags.writeable
+        copy = pickle.loads(pickle.dumps(coloring))
+        assert "array" not in copy.__dict__
+        assert np.array_equal(copy.array, table) and not copy.array.flags.writeable
 
 
 def test_parallel_map_starts_no_more_workers_than_jobs(monkeypatch):
@@ -156,6 +171,15 @@ def test_substream_addressing_disjoint_and_reproducible():
     draws = grand.generator().integers(0, 1 << 30, size=8)
     again = grand.generator().integers(0, 1 << 30, size=8)
     assert list(draws) == list(again)
+
+
+def test_generator_words_draw_as_the_integer_counter_and_key():
+    for seed in (0, (1 << 64) - 1):
+        for index in (0, (1 << 64) - 1, 1 << 64, (1 << 127) + 1, (1 << 128) - 1):
+            expected = np.random.Generator(np.random.Philox(counter=index << 128, key=seed))
+            drawn = SeededStream(seed, index).generator()
+            assert drawn.integers(0, 1 << 62, size=9).tolist() == expected.integers(0, 1 << 62, size=9).tolist()
+            assert drawn.random(3).tolist() == expected.random(3).tolist()
 
 
 def test_seeded_stream_validation():
@@ -384,6 +408,41 @@ def test_whole_line_checks_report_the_first_bad_token():
         with pytest.raises(ColoringFormatError) as err:
             parse_coloring(text)
         assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).colors
+    except ColoringFormatError as err:
+        return err.line, str(err)
+
+
+def test_one_pass_parse_agrees_with_the_token_by_token_parse():
+    # the one-pass conversion accepts what the token loop accepts and
+    # leaves every rejection, message and line to it
+    cases = {
+        "3 12\n# between rows\n\n1 2\n\n# again\n3\n": (1, 2, 3),
+        "3 12\n1\t2\t3\n": (1, 2, 3),
+        "3 12\n+3 2 1\n": (3, 2, 1),
+        "3 12\n1_0 2 1\n": (10, 2, 1),
+        "3 12\n0x1 2 1\n": (2, "line 2: non-integer color '0x1'"),
+        "3 12\n3.0 2 1\n": (2, "line 2: non-integer color '3.0'"),
+        "3 12\n1 2\n# last\nx\n": (4, "line 4: non-integer color 'x'"),
+        "3 12\n1 2\n13\n": (3, "line 3: color 13 exceeds palette 12"),
+        "3 12\n1 2\n0\n": (3, "line 3: color 0 is not a positive color index"),
+        "3 12\n1 2\n\n": (3, "line 3: expected 3 edge colors, found 2"),
+        "3 12\n1 2\n3 4\n": (3, "line 3: too many colors: expected 3 entries"),
+        "3 12\n1 2 99999999999999999999\n": (2, "line 2: color 99999999999999999999 exceeds palette 12"),
+    }
+    for text, expected in cases.items():
+        assert _outcome(parse_coloring, text) == expected, text
+        assert _outcome(lambda s: colorings._parse_lines(s.splitlines()), text) == expected, text
+        rejected = isinstance(expected[1], str)
+        assert (colorings._parse_at_once(text.splitlines()) is None) == rejected, text
+    coloring = random_coloring(40, 300, SeededStream(3))
+    parsed = parse_coloring(format_coloring(coloring))
+    assert parsed == coloring and np.array_equal(parsed.array, coloring.array)
+    assert not parsed.array.flags.writeable
 
 
 def test_missing_header_rejected():

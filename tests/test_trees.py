@@ -994,16 +994,27 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
 
 def test_kset_kernel_star_total_and_memory_at_scale():
     # counting rainbow k-stars by center: sum_v e_k(d(v,1), ..., d(v,t)), at
-    # k = 3 through the matmul kernel and at k = 4 through the gathered colors
-    for n, k, palettes in ((300, 3, (3, 5)), (40, 4, (4, 6))):
+    # k = 3 through the matmul kernel and at k = 4 through the gathered
+    # colors; K_260 with 300 colors has uint16 colors and uint16 pair counts
+    for n, k, palettes in ((300, 3, (3, 5)), (260, 3, (300,)), (40, 4, (4, 6))):
         for t in palettes:
             coloring = random_coloring(n, t, SeededStream(n + t))
             table = color_degrees(coloring)
-            by_center = sum(math.prod(d) for v in range(1, n + 1) for d in combinations(table.row(v), k))
+            by_center = 0
+            for v in range(1, n + 1):
+                e = [1] + [0] * k  # e[j] = e_j of the degrees so far
+                for d in table.row(v):
+                    for j in range(k, 0, -1):
+                        e[j] += e[j - 1] * d
+                by_center += e[k]
             chunks = (trees._triple_chunks(coloring.array, range(1, n - 1)) if k == 3
                       else trees._gathered_chunks(coloring.array, k, range(1, n - k + 2)))
             by_set = sum(int(stars.sum()) for _, stars, _ in chunks)
             assert by_set == by_center
+    # on one color every pair count of K_260 is 258, past a byte, and no
+    # triple has a star or an internal tree
+    report = verify_coloring(CompleteGraphColoring(260, 1, (1,) * math.comb(260, 2)), 3, 1)
+    assert (report.witness, report.witness_count) == ((1, 2, 3), 0)
     # a rainbow coloring (a palette of C(n,2) colors) gives every triple n-3 stars
     # and one internal tree; memory must not grow with the palette either
     m = math.comb(120, 2)
