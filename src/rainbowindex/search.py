@@ -5,14 +5,14 @@ Three strategies, all seeded and deterministic:
 * random — rejection sampling: draw colorings until one verifies.
 * exhaustive — scan the symmetry-broken enumeration in canonical order;
   exhausting it without a hit refutes existence only under an exact
-  oracle: full mode with a resolved budget of at least n - k.
+  oracle: full mode whose reach (``OracleMode.reach``) is that of every
+  rainbow tree, min(n - k, t - k + 1) external vertices.
 * local — hill climb on the number of failing k-sets, single-edge
   recolor moves, random restarts on stalls. Each move is scored from
   scratch by the k-set scan, which counts every set below demand: arrays
   decide star mode, and in full mode each set the certificate leaves
-  short gets its exact count, from a closed form at k <= 3 when a rainbow
-  tree can hold at most one external vertex (a resolved budget <= 1, or a
-  palette of t <= k colors) and from the exact oracle otherwise.
+  short gets its exact count, from a closed form at k <= 3 with a reach
+  of at most one external vertex and from the exact oracle otherwise.
 
 The exact oracle's work cap (``trees.CANDIDATE_CAP``) and the exhaustive
 scan's state-space cap (``colorings.ENUM_BUDGET``) are module constants;
@@ -126,8 +126,8 @@ def _exhaustive_search(n, k, ell, t, budget, mode) -> SearchResult:
             return SearchResult(True, coloring, "exhaustive", scanned)
     # Every color-permutation orbit was checked: no representative passes,
     # so under an oracle that counts every tree no coloring at all does.
-    exact = mode.kind == "full" and mode.resolved_budget(k) >= n - k
-    return SearchResult(False, None, "exhaustive", scanned, exhausted=True, definitive_nonexistence=exact)
+    return SearchResult(False, None, "exhaustive", scanned, exhausted=True,
+                        definitive_nonexistence=mode.exact(n, k, t))
 
 
 def _local_search(n, k, ell, t, budget, seed, mode) -> SearchResult:

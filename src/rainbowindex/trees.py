@@ -26,10 +26,11 @@ the rainbow stars leave the bound within reach the trees with at most one
 are searched first. In star mode only the internal trees are searched:
 the rainbow stars conflict with nothing and all join the family. In full
 mode a rainbow tree with r external vertices needs k - 1 + r colors, so
-a palette of t colors caps r at t - k + 1 whatever the budget. One
-constant, ``CANDIDATE_CAP``, bounds both the trees one full-mode call may
-scan (priced on the mode's budget) and the size of any shape table; past
-it BudgetExceededError is raised.
+the trees stop at the mode's reach, ``OracleMode.reach``: the budget, the
+n - k other vertices or the palette, whichever ends first. One constant,
+``CANDIDATE_CAP``, bounds both the trees one full-mode call may scan
+(priced on the reach) and the size of any shape table; past it
+BudgetExceededError is raised.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -47,14 +48,14 @@ the sets whose count falls below it, chosen before any row is built, so
 the scan lists just the sets short by arrays (every set when counts are
 asked for). At k >= 4 a color-pattern table packs the internal trees once
 per way a set's edges share colors, so arrays decide star mode at every k.
-In full mode with k <= 3 and at most one external vertex per rainbow tree
-(by the budget or by the palette) the exact count has a closed form: the
-certificate itself at k = 2, and at k = 3 the rainbow stars plus the
-larger of a Hall matching of the other centers to the internal edges and
-one internal path, from one array pass per slice of sets. Every full-mode
-set the arrays leave short gets its exact count, in lexicographic order,
-from ``_exact_counts``: the closed form where it holds, one call to the
-count-only ``_packing`` per set otherwise. The scan yields runs of those
+In full mode with k <= 3 and a reach of at most one external vertex the
+exact count has a closed form: the certificate itself at k = 2, and at
+k = 3 the rainbow stars plus the larger of a Hall matching of the other
+centers to the internal edges and one internal path, from one array pass
+per slice of sets. Every full-mode set the arrays leave short gets its
+exact count, in lexicographic order, from ``_exact_counts``: the closed
+form where it holds, one call to the count-only ``_packing`` per set
+otherwise. The scan yields runs of those
 short sets that end after each exact count, so a caller stops where it
 needs to. It reads the coloring alone and keeps nothing between calls: a
 local-search move is scored from scratch.
@@ -339,10 +340,14 @@ class OracleMode:
     def full(cls, budget: Optional[int] = None) -> "OracleMode":
         return cls("full", budget)
 
-    def resolved_budget(self, k: int) -> int:
-        if self.budget is not None:
-            return self.budget
-        return max(1, k - 2)
+    def reach(self, n: int, k: int, t: int) -> int:
+        """Most external vertices of a full-mode tree on a k-set of K_n: a
+        rainbow tree with r of them needs k - 1 + r of the t colors."""
+        return min(max(1, k - 2) if self.budget is None else self.budget, n - k, t - k + 1)
+
+    def exact(self, n: int, k: int, t: int) -> bool:
+        """Whether full mode counts every rainbow tree: a budget of n cuts none."""
+        return self.kind == "full" and self.reach(n, k, t) == OracleMode.full(n).reach(n, k, t)
 
     def label(self) -> str:
         if self.kind == "star":
@@ -450,19 +455,21 @@ def _candidate_table(n: int, k: int, budget: int) -> tuple[np.ndarray, np.ndarra
 
 def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
     """The rainbow leaf-pruned trees of the 1-based k-set ``members`` with at
-    most ``budget`` external vertices (none when negative), in candidate
-    order: by edge count, then by sorted edge list.
+    most ``budget`` external vertices, in candidate order: by edge count,
+    then by sorted edge list.
 
     Returns ``(keys, least, labels, pairs)``: the trees' rows of keys and
     class keys from ``_candidate_table``, whose local labels are the
     0-based vertices ``labels``. One pass over the table gathers the colors
     of only the pairs it uses. Without external vertices the local labels
     keep the global order, and so does the table; otherwise the rows are
-    sorted by their global edges.
+    sorted by their global edges. Below budget 1, when the edges inside the
+    set carry fewer than the k - 1 colors of a rainbow internal tree (as
+    whenever the reach is negative), no table is built and none returned.
     """
     n, k = len(colors), len(members)
     labels = np.subtract(members, 1)
-    if budget < 0:
+    if budget < 1 and len(set(colors[np.ix_(labels, labels)].flat)) <= k - 1:  # the diagonal adds a 0
         none = np.empty((0, k - 1), dtype=np.intp)
         return none, none[:, 0], labels, none[:, :2]
     if budget:
@@ -471,8 +478,11 @@ def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tu
         labels = np.concatenate((labels, others.nonzero()[0]))
     pairs, rows, keys, least = _candidate_table(len(labels), k, budget)
     a, b = labels[pairs.T]
+    gathered = colors[a, b]
+    if gathered.itemsize == 8 or gathered.dtype.hasobject:  # dense ranks: below the pads, never floats
+        gathered = np.unique(gathered, return_inverse=True)[1] + 1
     pads = np.arange(rows.shape[1])  # pad columns: distinct colors past any real one
-    kept = np.flatnonzero(_rainbow_rows(np.concatenate((colors[a, b], pads + (1 << 40)))[rows]))
+    kept = np.flatnonzero(_rainbow_rows(np.concatenate((gathered, pads + (1 << 40)))[rows]))
     if budget:
         edges = np.concatenate((np.minimum(a, b) * n + np.maximum(a, b), np.full(len(pads), -1)))[rows[kept]]
         edges.sort(axis=1)
@@ -489,19 +499,17 @@ def _decoded(keys: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tu
             for row in keys.tolist()]
 
 
-def _check_full_work(n_external: int, k: int, budget: int) -> None:
-    """Raise BudgetExceededError when the full oracle would scan more trees
-    than ``CANDIDATE_CAP``: the m^(m-2) shapes of K_m, m = k + r, for each
-    choice of r <= budget external vertices."""
-    work = 0
-    for r in range(0, min(budget, n_external) + 1):
-        m = k + r
-        work += math.comb(n_external, r) * m ** (m - 2)
+def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
+    """The mode's reach on the k-sets of K_n under t colors, once it is
+    priced: BudgetExceededError when the full oracle would scan more trees
+    than ``CANDIDATE_CAP``, the m^(m-2) shapes of K_m, m = k + r, for each
+    choice of r <= reach of the n - k other vertices."""
+    reach, work = mode.reach(n, k, t), 0
+    for r in range(reach + 1):
+        work += math.comb(n - k, r) * (k + r) ** (k + r - 2)
     if work > CANDIDATE_CAP:
-        raise BudgetExceededError(
-            f"full oracle would scan {work} candidate trees (cap {CANDIDATE_CAP})",
-            size=work,
-        )
+        raise BudgetExceededError(f"full oracle would scan {work} candidate trees (cap {CANDIDATE_CAP})", size=work)
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +638,6 @@ def _least_family(members: tuple[int, ...], colors: np.ndarray, budget: int, mos
     return _decoded(keys[_max_packing(keys, least, most)], labels, pairs)
 
 
-def _internal_budget(members: tuple[int, ...], colors: np.ndarray) -> int:
-    """0 when the edges inside ``members`` carry the k-1 colors a rainbow
-    spanning tree needs, else -1: then no tree and no shape table is needed."""
-    inside = np.subtract(members, 1)
-    return 0 if len(set(colors[np.ix_(inside, inside)].flat)) > len(members) - 1 else -1
-
-
 def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple]:
     return [(_normalize_edges((u, v) for v in members), (u,))
             for u in _rainbow_centers(members, colors)]
@@ -656,7 +657,7 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     """
     _check_terminals(terminals, coloring.n)
     members, colors = terminals.members, coloring.array
-    return _family(terminals, coloring, _tree_packing(members, colors, _internal_budget(members, colors)))
+    return _family(terminals, coloring, _tree_packing(members, colors, 0))
 
 
 def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
@@ -668,17 +669,14 @@ def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: Or
     trees in center order. So the least maximum star-mode family is the
     least maximum internal packing followed by every rainbow star, and the
     branch and bound sees only the internal candidates, never the set.
-    In full mode a rainbow tree with r external vertices needs k - 1 + r
-    of the t colors, so r stops at t - k + 1; the work cap still prices
-    the mode's budget. The per-k-set decision reads only its length.
+    In full mode the candidates, and the work cap's price, stop at the
+    mode's reach. The per-k-set decision reads only the family's length.
     """
     colors, k = coloring.array, len(members)
     if mode.kind == "star":
-        internal = _tree_packing(members, colors, _internal_budget(members, colors))
+        internal = _tree_packing(members, colors, 0)
         return internal + _star_candidates(members, colors)
-    budget = mode.resolved_budget(k)
-    _check_full_work(coloring.n - k, k, budget)
-    return _tree_packing(members, colors, min(budget, coloring.n - k, coloring.t - k + 1))
+    return _tree_packing(members, colors, _priced_reach(mode, coloring.n, k, coloring.t))
 
 
 def max_disjoint_rainbow_trees(
@@ -921,11 +919,11 @@ def _gathered_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[
 def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     """Internal packing size of a k-set whose edges, in ``combinations``
     order, carry the colors ``labels``; it is packed as the set 1..k."""
-    colors = np.zeros((k, k), dtype=np.intp)
+    colors = np.zeros((k, k), dtype=np.min_scalar_type(len(labels)))  # labels[i] <= i
     u, v = zip(*combinations(range(k), 2))
     colors[u, v] = colors[v, u] = np.add(labels, 1)  # a color is nonzero
     members = tuple(range(1, k + 1))
-    keys, least, _, _ = _candidates(members, colors, _internal_budget(members, colors))
+    keys, least, _, _ = _candidates(members, colors, 0)
     return len(_max_packing(keys, least, k // 2))  # internal trees, so at most floor(k/2)
 
 
@@ -941,11 +939,10 @@ def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
-def _closed_form(k: int, mode: OracleMode, t: int) -> bool:
-    """Whether full-mode counts at k have a closed form under a palette of t
-    colors: k <= 3 and at most one external vertex per rainbow tree, either
-    by the budget or because k - 1 + r edges need k - 1 + r colors."""
-    return mode.kind == "full" and k <= 3 and min(mode.resolved_budget(k), t - k + 1) <= 1
+def _closed_form(k: int, mode: OracleMode, n: int, t: int) -> bool:
+    """Whether full-mode counts of the k-sets of K_n under t colors have a
+    closed form: k <= 3 and a reach of at most one external vertex."""
+    return mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
 
 
 def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.ndarray,
@@ -953,14 +950,13 @@ def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.n
     """Full-mode counts of the 1-based k-sets ``sets`` with ``stars`` rainbow stars.
 
     With a closed form, priced like the oracle calls it replaces (on the
-    mode's budget), the count
-    is the certificate itself at k = 2 (the edge plus the stars) and the
-    stars plus ``_full_triple_excess`` at k = 3, in one array pass.
-    Otherwise each set goes to the count-only ``_packing``.
+    mode's reach), the count is the certificate itself at k = 2 (the edge
+    plus the stars) and the stars plus ``_full_triple_excess`` at k = 3, in
+    one array pass. Otherwise each set goes to the count-only ``_packing``.
     """
     k = sets.shape[1]
-    if _closed_form(k, mode, coloring.t):
-        _check_full_work(coloring.n - k, k, mode.resolved_budget(k))
+    if _closed_form(k, mode, coloring.n, coloring.t):
+        _priced_reach(mode, coloring.n, k, coloring.t)
         return stars + (1 if k == 2 else _full_triple_excess(coloring.array, sets))
     return np.array([len(_packing(tuple(s), coloring, mode)) for s in sets.tolist()], dtype=np.int64)
 
@@ -998,7 +994,7 @@ def _decided_chunks(
     below = None if exact else ell
     chunks = (_triple_chunks(coloring.array, firsts, below) if k == 3
               else _gathered_chunks(coloring.array, k, firsts, below))
-    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.t) else 1
+    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.n, coloring.t) else 1
     for sets, stars, internal in chunks:
         counts = stars + internal
         if k > 3 and not (exact and full) and len(sets):

@@ -287,13 +287,28 @@ def test_star_mode_with_a_budget_is_usage_error(capsys, tmp_path):
 
 
 def test_oracle_budget_exceeded_is_usage_error(capsys, tmp_path):
+    # with 8 colors the reach of budget 6 on K_9 is 6 external vertices
     path = tmp_path / "k9.coloring"
     import rainbowindex
-    write_coloring(rainbowindex.random_coloring(9, 3, rainbowindex.SeededStream(0)), path)
+    write_coloring(rainbowindex.random_coloring(9, 8, rainbowindex.SeededStream(0)), path)
     code, _, err = run(capsys, "oracle", str(path), "-S", "1,2,3",
                        "--mode", "full", "--budget", "6")
     assert code == 2
     assert "candidate" in err
+
+
+def test_oracle_budget_past_the_reach_answers_at_the_reach(capsys, tmp_path):
+    # with 3 colors no rainbow tree of a triple has two external vertices, so
+    # budget 6 scans, prices and answers as budget 1
+    path = tmp_path / "k9.coloring"
+    write_coloring(random_coloring(9, 3, SeededStream(0)), path)
+    docs = []
+    for budget in ("1", "6"):
+        code, out, _ = run(capsys, "oracle", str(path), "-S", "1,2,3", "--mode", "full", "--budget", budget)
+        assert code == 0
+        docs.append(validate("oracle_report", out))
+    assert docs[0].pop("mode") == "full:1" and docs[1].pop("mode") == "full:6"
+    assert docs[0] == docs[1]
 
 
 def test_oracle_packs_thousands_of_candidates(capsys, tmp_path):
@@ -422,7 +437,7 @@ def test_mc_sweep_vacuous_demand(capsys):
 # stdout SHA-256 of small runs: a change to any of these bytes breaks the
 # replay of existing manifests. "{coloring}" is a random 4-coloring of K_6,
 # "{k12}" a random 3-coloring and "{k12r}" a random 10-coloring of K_12, and
-# "{k9}" a random 30-coloring of K_9.
+# "{k9}" a random 30-coloring and "{k9c3}" a random 3-coloring of K_9.
 PINNED_RUNS = [
     (("mc", "bs", "-n", "7", "-k", "3", "-l", "1", "--samples", "2000", "--seed", "1"),
      "bceee5968deac965448d5ef495d29fa038dac7527e5c142981f1952bd426df97"),
@@ -491,6 +506,10 @@ PINNED_RUNS = [
     # k // 2 + n - k at which the search stops; recorded before it stopped there
     (("oracle", "{k9}", "-S", "2,5,8", "--mode", "full", "--budget", "2"),
      "270cee90621e22ae1b5fd2cbf6e0a1cef5911e623d593027fdbe4fb6ac86ea4b"),
+    # 3 colors hold budget 6 at a reach of one external vertex: the max and
+    # witness of --budget 1, where the run was once refused for its price
+    (("oracle", "{k9c3}", "-S", "1,2,3", "--mode", "full", "--budget", "6"),
+     "80e855ce699a1786a5ba5b8b5f2de4da93a3bdf47602d1fe4b04b59f8498d9cc"),
     # recorded while the theta tolerance was still an option, at its default
     (("bounds", "-k", "3", "-l", "100", "--eps", "1/2"),
      "b330bf40ad1d91594def49eb3778dd386421b7b3310874eef728f8e9bb000b1c"),
@@ -501,11 +520,13 @@ PINNED_RUNS = [
 
 def test_pinned_output_digests(capsys, tmp_path):
     files = {"{coloring}": tmp_path / "k6.coloring", "{k12}": tmp_path / "k12.coloring",
-             "{k12r}": tmp_path / "k12r.coloring", "{k9}": tmp_path / "k9.coloring"}
+             "{k12r}": tmp_path / "k12r.coloring", "{k9}": tmp_path / "k9.coloring",
+             "{k9c3}": tmp_path / "k9c3.coloring"}
     write_coloring(random_coloring(6, 4, SeededStream(21)), files["{coloring}"])
     write_coloring(random_coloring(12, 3, SeededStream(21)), files["{k12}"])
     write_coloring(random_coloring(12, 10, SeededStream(1)), files["{k12r}"])
     write_coloring(random_coloring(9, 30, SeededStream(1)), files["{k9}"])
+    write_coloring(random_coloring(9, 3, SeededStream(0)), files["{k9c3}"])
     for argv, sha in PINNED_RUNS:
         code, out, _ = run(capsys, *(str(files.get(tok, tok)) for tok in argv))
         assert code in (0, 1), argv
@@ -534,6 +555,11 @@ PINNED_SEARCH_RUNS = [
     (("-n", "6", "-k", "3", "-l", "1", "-t", "3", "--strategy", "exhaustive",
       "--search-budget", "100000"),
      0, "07bd691f1df9c35229f068a018a66e589eb4402dbb3f27ec5b2218f9af074ce6"),
+    # every 3-coloring of K_5 fails ell = 3, and at t = 3 full mode reaches
+    # every rainbow tree, so the drained scan prints definitive_nonexistence true
+    (("-n", "5", "-k", "3", "-l", "3", "-t", "3", "--strategy", "exhaustive", "--mode", "full",
+      "--search-budget", "20000"),
+     3, "3a53b8f22a92559d885766e42a43c7e7e42d59b7c27b8ee4901b50460264a003"),
 ]
 
 

@@ -57,12 +57,14 @@ def test_exhaustive_search_refuses_a_space_past_the_enumeration_budget(monkeypat
 
 
 def test_exhausted_scan_refutes_only_with_an_exact_oracle():
-    # star mode and full mode with a budget below n - k count fewer trees
-    # than exist, so draining the space refutes nothing
-    for n, mode in ((4, OracleMode.star()), (5, OracleMode.full(1)), (5, OracleMode.full(2))):
+    # star mode counts fewer trees than exist, so draining the space refutes
+    # nothing; with one color a triple has no rainbow tree at all, so every
+    # full-mode budget reaches them all
+    for n, mode in ((4, OracleMode.star()), (5, OracleMode.star()), (5, OracleMode.full(1)),
+                    (5, OracleMode.full(2))):
         result = find_coloring(n, 3, 1, 1, "exhaustive", 10, SeededStream(0), mode)
         assert result.exhausted and not result.found
-        assert result.definitive_nonexistence == (mode.kind == "full" and mode.budget >= n - 3)
+        assert result.definitive_nonexistence == (mode.kind == "full")
 
 
 def test_budget_exhaustion_is_not_a_refutation():
@@ -134,7 +136,7 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
             if mode.kind == "star":
                 # only color patterns are packed, never a set of the coloring
                 assert reached == [] and set(repacked) <= {tuple(range(1, k + 1))}
-            elif trees._closed_form(k, mode, t):
+            elif trees._closed_form(k, mode, n, t):
                 assert reached == []
             else:
                 assert reached == below

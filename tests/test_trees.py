@@ -533,13 +533,16 @@ def test_oracle_budget_cap(monkeypatch):
     assert err.value.size == 10 ** 8
     three = random_coloring(10, 3, SeededStream(1))
     assert len(internal_tree_packing(VertexSet(tuple(range(1, 11))), three)) == 0
-    # the cap prices the trees scanned, sum_r C(9, r) (3+r)^(1+r) on K_12:
-    # 2,231,193 up to budget 4, and 35,261,337 once r = 5 adds K_8's 8^6 trees
-    twelve = random_coloring(12, 5, SeededStream(2))
-    value, _ = max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), twelve, OracleMode.full(4))
+    # the cap prices the trees scanned, sum_r C(9, r) (3+r)^(1+r) on K_12 for
+    # r up to the reach: 5 colors stop budget 4 at a reach of 3 (113,511
+    # trees), while with 7 colors budget 5 reaches r = 5 and K_8's 8^6 trees,
+    # 35,261,337 in all
+    five = random_coloring(12, 5, SeededStream(2))
+    value, _ = max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), five, OracleMode.full(4))
     assert value == 9
+    seven = random_coloring(12, 7, SeededStream(2))
     with pytest.raises(BudgetExceededError) as err:
-        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), twelve, OracleMode.full(5))
+        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), seven, OracleMode.full(5))
     assert err.value.size == 35_261_337
 
 
@@ -612,12 +615,51 @@ def test_closed_form_wherever_the_palette_caps_the_budget(monkeypatch):
                         for members in combinations(range(1, n + 1), 3)]
             with monkeypatch.context() as patch:
                 patch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
-                assert trees._closed_form(3, mode, coloring.t)
+                assert trees._closed_form(3, mode, n, coloring.t)
                 assert _full_counts(coloring, 3, mode) == expected
             assert packed == []
-    # the work cap still prices the mode's budget
-    with pytest.raises(BudgetExceededError):
-        verify_coloring(random_coloring(40, 3, SeededStream(1)), 3, 100, OracleMode.full(3))
+    # the work cap prices the reach, not the budget: at budget 3 a triple of
+    # K_40 prices the 3 + 16 * 37 trees of budget 1, and the verdict is its
+    coloring = random_coloring(40, 3, SeededStream(1))
+    report = verify_coloring(coloring, 3, 100, OracleMode.full(3))
+    assert (report.passed, report.witness, report.witness_count) == (False, (1, 2, 3), 11)
+    assert replace(report, mode=OracleMode.full(1)) == verify_coloring(coloring, 3, 100, OracleMode.full(1))
+
+
+def test_full_counts_equal_brute_force_wherever_the_reach_is_exact():
+    # every budget of every small case: where the budget does not cut the
+    # reach, the full-mode counts are those of every rainbow tree, found by
+    # filtering edge subsets; with 4 colors on K_6 budget 1 stops short of
+    # the trees with two external vertices, and a count differs
+    cases = [(n, t, random_coloring(n, t, SeededStream(10 * n + t).substream(i)))
+             for n in (4, 5) for t in (1, 2, 3, 4) for i in (0, 1)]
+    cases += [(6, t, random_coloring(6, t, SeededStream(60 + t))) for t in (1, 2, 3, 4)]
+    for n, t, coloring in cases:
+        expected = [brute_force_max_disjoint(brute_force_stree_candidates(coloring, VertexSet(S), n - 3), VertexSet(S))
+                    for S in combinations(range(1, n + 1), 3)]
+        for budget in range(1, n - 2):
+            mode = OracleMode.full(budget)
+            counts = verify_coloring(coloring, 3, 0, mode, per_set_counts=True).per_set_counts[:, -1].tolist()
+            assert mode.exact(n, 3, t) <= (counts == expected), (n, t, budget)
+            if (n, t, budget) == (6, 4, 1):
+                assert not mode.exact(n, 3, t) and counts != expected
+
+
+def test_relabelled_colors_keep_every_count():
+    # colors shifted by 2^40 - 1 reach the pad colors of the candidate rows,
+    # colors past 2^53 are no longer exact as floats, and a palette past 2^64
+    # makes an object table: no count may change
+    for n, t, k, full in ((7, 6, 4, OracleMode.full(3)), (6, 4, 3, OracleMode.full(2))):
+        coloring = random_coloring(n, t, SeededStream(0))
+        for shift in (2 ** 40 - 1, 2 ** 53, 2 ** 64):
+            shifted = CompleteGraphColoring(n, t + shift, tuple(c + shift for c in coloring.colors))
+            for mode in (OracleMode.star(), full):
+                assert np.array_equal(verify_coloring(shifted, k, 0, mode, per_set_counts=True).per_set_counts,
+                                      verify_coloring(coloring, k, 0, mode, per_set_counts=True).per_set_counts)
+            for members in combinations(range(1, n + 1), k):
+                for budget in range(full.budget + 1):
+                    assert (len(trees._candidates(members, shifted.array, budget)[0])
+                            == len(trees._candidates(members, coloring.array, budget)[0]))
 
 
 def test_full_budget_one_pairs_are_the_certificate():
@@ -668,7 +710,7 @@ def test_full_oracle_memory_at_scale():
         finally:
             tracemalloc.stop()
         assert value == len(family) > 0
-        candidates = len(trees._candidates(members, coloring.array, mode.resolved_budget(3))[0])
+        candidates = len(trees._candidates(members, coloring.array, mode.reach(coloring.n, 3, coloring.t))[0])
         if coloring is rainbow:
             assert candidates == 10_002 and peak < candidates ** 2 / 8
         else:
@@ -676,11 +718,12 @@ def test_full_oracle_memory_at_scale():
 
 
 def test_closed_form_keeps_the_candidate_cap(monkeypatch):
-    # budget 1 prices 1 + 3(n-2) trees at k = 2 and 3 + 16(n-3) at k = 3;
-    # a cap below that raises as soon as a set needs its exact count
+    # a reach of 1 prices 1 + 3(n-2) trees at k = 2 and 3 + 16(n-3) at
+    # k = 3; 2 colors hold the reach of a triple at 0, its 3 internal paths;
+    # a cap below the price raises as soon as a set needs its exact count
     rainbow = CompleteGraphColoring(8, 28, tuple(range(1, 29)))
-    for k, price in ((2, 1 + 3 * 6), (3, 3 + 16 * 5)):
-        for coloring in (random_coloring(8, 2, SeededStream(k)), rainbow):
+    for k, prices in ((2, (1 + 3 * 6, 1 + 3 * 6)), (3, (3, 3 + 16 * 5))):
+        for coloring, price in zip((random_coloring(8, 2, SeededStream(k)), rainbow), prices):
             for kwargs in ({}, {"per_set_counts": True}):
                 monkeypatch.setattr(trees, "CANDIDATE_CAP", price - 1)
                 with pytest.raises(BudgetExceededError) as err:
@@ -703,8 +746,17 @@ def test_oracle_mode_validation():
         OracleMode("star", 2)
     with pytest.raises(ValueError):
         OracleMode.full(0)
-    assert OracleMode.full().resolved_budget(5) == 3
-    assert OracleMode.full(2).resolved_budget(5) == 2
+    # the reach: the budget (default k - 2, at least 1), n - k or t - k + 1
+    assert OracleMode.full().reach(10, 5, 10) == 3
+    assert OracleMode.full(2).reach(10, 5, 10) == 2
+    assert OracleMode.full().reach(10, 2, 10) == 1
+    assert OracleMode.full(6).reach(8, 5, 10) == 3
+    assert OracleMode.full(6).reach(10, 5, 7) == 3
+    assert OracleMode.full().reach(10, 3, 1) == -1
+    # exact where the budget does not cut the reach
+    assert OracleMode.full(2).exact(5, 3, 4) and not OracleMode.full(1).exact(5, 3, 4)
+    assert OracleMode.full(1).exact(9, 3, 3) and OracleMode.full(1).exact(9, 3, 1)
+    assert not OracleMode.star().exact(5, 3, 1)
 
 
 # --- double counting --------------------------------------------------------
@@ -807,7 +859,7 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
         short = [S for S in combinations(range(1, 11), k)
                  if S[0] in firsts and brute_force_array_count(coloring, S) < ell]
         assert short and [tuple(S) for sets, _ in runs for S in sets.tolist()] == short
-        if not trees._closed_form(k, mode, coloring.t) and mode.kind == "full":
+        if not trees._closed_form(k, mode, coloring.n, coloring.t) and mode.kind == "full":
             assert packed and set(packed) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
     for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
         packed.clear()
@@ -988,7 +1040,7 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                             report = verify_coloring(coloring, k, ell, mode)
                             assert (report.witness, report.witness_count) == expected
                             assert report.passed == (expected[0] is None)
-                            closed = mode.kind == "full" and k <= 3 and min(mode.resolved_budget(k), t - k + 1) <= 1
+                            closed = mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
                             assert calls == ([] if closed else expected_calls)
 
 
