@@ -63,7 +63,7 @@ def _add_mode_flags(parser, default="star"):
     parser.add_argument("--mode", choices=["star", "full"], default=default,
                         help="oracle candidate universe (default %(default)s)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="external-vertex budget for the full oracle (default k-2)")
+                        help="external-vertex budget for the full oracle (default max(1, k-2))")
 
 
 # Integer flags that several subcommands share: option strings and default

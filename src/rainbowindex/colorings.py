@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 ENUM_BUDGET = 5_000_000
+_T = TypeVar("_T")
 
 
 class BudgetExceededError(RuntimeError):
@@ -150,6 +151,14 @@ def parallel_map(fn: Callable, jobs: list, workers: int) -> Iterable:
 # ---------------------------------------------------------------------------
 # Colorings
 
+def _trusted(cls: type[_T], **fields) -> _T:
+    """``cls(**fields)`` without ``__post_init__``, for values valid by
+    construction; a field named after a cached property fills its cache."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
 @dataclass(frozen=True)
 class CompleteGraphColoring:
     """An edge-coloring of K_n with palette 1..t.
@@ -175,18 +184,6 @@ class CompleteGraphColoring:
             bad = next(c for c in self.colors if not 1 <= c <= self.t)
             raise ValueError(f"color {bad} outside palette 1..{self.t}")
 
-    @classmethod
-    def _unchecked(cls, n: int, t: int, colors: tuple[int, ...],
-                   array: Optional[np.ndarray] = None) -> "CompleteGraphColoring":
-        """An instance built without ``__post_init__``, for callers whose colors
-        are in the palette and number C(n,2) by construction; ``array``, when
-        given, is their ``_table``."""
-        self = object.__new__(cls)
-        self.__dict__.update(n=n, t=t, colors=colors)
-        if array is not None:
-            self.__dict__["array"] = array
-        return self
-
     def __getstate__(self) -> dict:
         # the cached table stays behind, so an unpickled copy rebuilds it read-only
         return {key: value for key, value in self.__dict__.items() if key != "array"}
@@ -206,7 +203,7 @@ class CompleteGraphColoring:
         if not 1 <= color <= self.t:
             raise ValueError(f"color {color} outside palette 1..{self.t}")
         colors = self.colors[:idx] + (color,) + self.colors[idx + 1:]
-        return CompleteGraphColoring._unchecked(self.n, self.t, colors)
+        return _trusted(CompleteGraphColoring, n=self.n, t=self.t, colors=colors)
 
 
 def _table(n: int, t: int, colors) -> np.ndarray:
@@ -229,7 +226,7 @@ def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColori
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
     draws = stream.generator().integers(1, t + 1, size=edge_count(n))
-    return CompleteGraphColoring._unchecked(n, t, tuple(draws.tolist()), _table(n, t, draws))
+    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(draws.tolist()), array=_table(n, t, draws))
 
 
 @dataclass(frozen=True)
@@ -335,9 +332,8 @@ def enumerate_colorings(n: int, t: int) -> Iterator[CompleteGraphColoring]:
             size=states,
         )
     # the canonical sequences are in-palette and of length C(n,2) by construction
-    unchecked = CompleteGraphColoring._unchecked
     for seq in _canonical_sequences(edge_count(n), t):
-        yield unchecked(n, t, seq)
+        yield _trusted(CompleteGraphColoring, n=n, t=t, colors=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +366,7 @@ def _parse_at_once(lines: list[str]) -> Optional[CompleteGraphColoring]:
         return None
     if n < 2 or t < 1 or len(values) != edge_count(n) or values.min() < 1 or int(values.max()) > t:
         return None
-    return CompleteGraphColoring._unchecked(n, t, tuple(values.tolist()), _table(n, t, values))
+    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(values.tolist()), array=_table(n, t, values))
 
 
 def parse_coloring(text: str) -> CompleteGraphColoring:
@@ -425,7 +421,7 @@ def _parse_lines(lines: list[str]) -> CompleteGraphColoring:
         raise ColoringFormatError(
             f"expected {m} edge colors, found {len(colors)}", max(last_line, 1))
     # every color was checked against the palette above
-    return CompleteGraphColoring._unchecked(n, t, tuple(colors))
+    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(colors))
 
 
 def write_coloring(coloring: CompleteGraphColoring, destination: str | Path | IO[str]) -> str:

@@ -60,10 +60,10 @@ short sets that end after each exact count, so a caller stops where it
 needs to. It reads the coloring alone and keeps nothing between calls: a
 local-search move is scored from scratch.
 Inside the oracle a k-set is its sorted members tuple and a candidate
-tree is ``(edges, external vertices)``; the validated ``VertexSet``,
-``STree`` and ``DisjointFamily`` objects are built only at the public
-entry points, for the witness families they return. Everything reads the
-coloring's one table, ``CompleteGraphColoring.array``.
+tree is ``(edges, external vertices)``. The public entry points build
+their witness ``STree`` and ``DisjointFamily`` objects unchecked, as the
+oracle made them valid; the validators run on trees a caller passes in.
+Everything reads the coloring's one table, ``CompleteGraphColoring.array``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .colorings import BudgetExceededError, CompleteGraphColoring, parallel_map
+from .colorings import BudgetExceededError, CompleteGraphColoring, _trusted, parallel_map
 
 __all__ = [
     "DisjointFamily",
@@ -316,9 +316,9 @@ class OracleMode:
     ``star``: trees on exactly the terminal set plus single-external-center
     stars — the certificate constructions, cheap and always sound.
     ``full``: every leaf-pruned tree using at most ``budget`` external
-    vertices; exact on small instances. The default budget k-2 covers all
-    branch vertices of degree >= 3, but degree-2 external vertices are
-    admissible in rainbow trees, so the budget is caller-adjustable.
+    vertices; exact on small instances. The default budget max(1, k-2)
+    covers all branch vertices of degree >= 3, but degree-2 external
+    vertices are admissible in rainbow trees, so it is caller-adjustable.
     """
 
     kind: str
@@ -644,9 +644,11 @@ def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple
 
 
 def _family(terminals: VertexSet, coloring: CompleteGraphColoring, chosen: list[tuple]) -> DisjointFamily:
+    """The oracle's ``(edges, external)`` tuples as a family, built unchecked."""
     members = terminals.members
-    trees = tuple(STree(frozenset(members + external), edges, terminals) for edges, external in chosen)
-    return DisjointFamily(terminals, trees, coloring)
+    trees = tuple(_trusted(STree, vertices=frozenset(members + external), edges=edges, terminal_set=terminals)
+                  for edges, external in chosen)
+    return _trusted(DisjointFamily, terminal_set=terminals, trees=trees, coloring=coloring)
 
 
 def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring) -> DisjointFamily:

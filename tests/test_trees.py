@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -184,6 +185,56 @@ def test_family_validity_is_order_independent(k4_example):
     for _ in range(5):
         rng.shuffle(trees)
         DisjointFamily(S, tuple(trees), k4_example)  # must not raise
+
+
+def _oracle_families():
+    """(coloring, family) pairs from the oracle: the oracle-full inputs (K_8,
+    28 colors, S = {1,2,3}) in full mode at budgets 2 and 1 and in star
+    mode, then the internal packing and budget 2 on every 4-set of a K_7."""
+    S = VertexSet.of(1, 2, 3)
+    for seed in range(12):
+        coloring = random_coloring(8, 28, SeededStream(seed))
+        for mode in (OracleMode.full(2), OracleMode.full(1), OracleMode.star()):
+            yield coloring, max_disjoint_rainbow_trees(S, coloring, mode)[1]
+    coloring = random_coloring(7, 6, SeededStream(5))
+    for members in combinations(range(1, 8), 4):
+        yield coloring, internal_tree_packing(VertexSet(members), coloring)
+        yield coloring, max_disjoint_rainbow_trees(VertexSet(members), coloring, OracleMode.full(2))[1]
+
+
+def test_oracle_families_equal_their_validated_rebuilds():
+    # the oracle builds its families without the validators; rebuilt through
+    # them, every tree and family must pass and compare, hash and pickle equal
+    external_counts = set()
+    for coloring, family in _oracle_families():
+        S = family.terminal_set
+        trees_checked = tuple(STree.from_edges(tree.edges, S) for tree in family.trees)
+        checked = DisjointFamily(S, trees_checked, coloring)
+        assert trees_checked == family.trees
+        assert [hash(tree) for tree in trees_checked] == [hash(tree) for tree in family.trees]
+        assert checked == family and hash(checked) == hash(family)
+        assert pickle.loads(pickle.dumps(family)) == checked
+        external_counts.update(len(tree.vertices) - S.k for tree in family.trees)
+    assert external_counts == {0, 1, 2}  # internal trees, stars and two-external trees
+
+
+def test_oracle_runs_no_validator_that_callers_still_run(monkeypatch):
+    calls = []
+
+    def counted(check):
+        def run(*args):
+            calls.append(args)
+            return check(*args)
+        return run
+
+    for cls in (STree, DisjointFamily):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    monkeypatch.setattr(trees, "is_rainbow", counted(trees.is_rainbow))
+    assert sum(len(family) for _, family in _oracle_families()) > 0
+    assert calls == []
+    with pytest.raises(ValueError, match="cycle"):
+        STree(frozenset({1, 2, 3, 4}), ((1, 2), (1, 3), (2, 3)), VertexSet.of(1, 2, 3))
+    assert len(calls) == 1
 
 
 # --- internal packing -------------------------------------------------------
@@ -562,7 +613,7 @@ def test_one_cap_governs_the_shape_tables(monkeypatch):
 
 
 def test_packing_matches_the_public_oracle():
-    # the count-only packing is the validated witness family, tree for tree
+    # the count-only packing is the public witness family, tree for tree
     stream = SeededStream(23)
     modes = [OracleMode.star(), OracleMode.full(1), OracleMode.full(2), OracleMode.full()]
     case = 0
