@@ -166,10 +166,7 @@ def binomial_upper_vs_union(n: int, k: int, ell: int) -> TailComparison:
     Requires n - k >= ell >= 1. The chain exact <= subset <= power holds,
     with subset < power strictly for ell >= 2 (the two coincide at ell = 1).
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
+    _check_k_ell(k, ell)
     if n - k < ell:
         raise ValueError(f"need n - k >= ell, got n-k={n - k}, ell={ell}")
     p = rainbow_star_prob(k)

@@ -16,21 +16,21 @@ iterative branch and bound over the conflict graph, on Python-int
 bitmasks, bounded by clique covers (a greedy one, and trees sharing their
 least external vertex) that are built only once a packing is held, when
 they first can prune; it builds the compatibility mask of a candidate
-only when it branches on it, and only the chosen trees are decoded.
-Neither recursion depth nor the number of passes grows with the number
-of candidates. The search stops at a family bound known in advance: at
-most floor(k/2) internal trees, as each takes k - 1 of the k(k-1)/2 edges
-inside the set, plus one tree per external vertex, which it owns. A
-family of that size holds no tree with two external vertices, so when
-the rainbow stars leave the bound within reach the trees with at most one
-are searched first. In star mode only the internal trees are searched:
-the rainbow stars conflict with nothing and all join the family. In full
-mode a rainbow tree with r external vertices needs k - 1 + r colors, so
-the trees stop at the mode's reach, ``OracleMode.reach``: the budget, the
-n - k other vertices or the palette, whichever ends first. One constant,
-``CANDIDATE_CAP``, bounds both the trees one full-mode call may scan
-(priced on the reach) and the size of any shape table; past it
-BudgetExceededError is raised.
+only when it branches on it, and only a public entry point decodes the
+chosen trees. Neither recursion depth nor the number of passes grows
+with the number of candidates. The search stops at a family bound known
+in advance: at most floor(k/2) internal trees, as each takes k - 1 of
+the k(k-1)/2 edges inside the set, plus one tree per external vertex,
+which it owns. A family of that size holds no tree with two external
+vertices, so when the rainbow stars leave the bound within reach the
+trees with at most one are searched first. In star mode only the
+internal trees are searched: the rainbow stars conflict with nothing and
+all join the family. In full mode a rainbow tree with r external
+vertices needs k - 1 + r colors, so the trees stop at the mode's reach,
+``OracleMode.reach``: the budget, the n - k other vertices or the
+palette, whichever ends first. One constant, ``CANDIDATE_CAP``, bounds
+both the trees one full-mode call may scan (priced on the reach) and the
+size of any shape table; past it BudgetExceededError is raised.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -54,15 +54,16 @@ k = 3 the rainbow stars plus the larger of a Hall matching of the other
 centers to the internal edges and one internal path, from one array pass
 per slice of sets. Every full-mode set the arrays leave short gets its
 exact count, in lexicographic order, from ``_exact_counts``: the closed
-form where it holds, one call to the count-only ``_packing`` per set
-otherwise. The scan yields runs of those
+form where it holds, otherwise the number of rows ``_tree_packing``
+chooses for the set, none of them decoded. The scan yields runs of those
 short sets that end after each exact count, so a caller stops where it
 needs to. It reads the coloring alone and keeps nothing between calls: a
 local-search move is scored from scratch.
-Inside the oracle a k-set is its sorted members tuple and a candidate
-tree is ``(edges, external vertices)``. The public entry points build
-their witness ``STree`` and ``DisjointFamily`` objects unchecked, as the
-oracle made them valid; the validators run on trees a caller passes in.
+Inside the oracle a k-set is its sorted members tuple and a chosen tree
+is a row of keys. Only the public entry points decode the rows into
+``(edges, external vertices)`` and build their witness ``STree`` and
+``DisjointFamily`` objects, unchecked, as the oracle made them valid; the
+validators run on trees a caller passes in.
 Everything reads the coloring's one table, ``CompleteGraphColoring.array``.
 """
 
@@ -490,13 +491,13 @@ def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tu
     return keys[kept], least[kept], labels, pairs
 
 
-def _decoded(keys: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tuple]:
+def _decoded(rows: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tuple]:
     """The ``(edges, external)`` tuples, on 1-based vertices, of rows of
-    ``_candidates``' keys."""
-    ends, vertices = (labels[pairs] + 1).tolist(), (labels + 1).tolist()
-    return [(tuple(sorted(tuple(sorted(ends[key])) for key in row if 0 <= key < len(ends))),
-             tuple(vertices[key - len(ends)] for key in row if key >= len(ends)))
-            for row in keys.tolist()]
+    ``_candidates``' keys, with the ``labels`` and ``pairs`` it returned."""
+    ends, vertices, size = np.sort(labels[pairs] + 1, axis=1).tolist(), (labels + 1).tolist(), len(pairs)
+    return [(tuple(sorted(tuple(ends[key]) for key in row if 0 <= key < size)),
+             tuple(vertices[key - size] for key in row if key >= size))
+            for row in rows.tolist()]
 
 
 def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
@@ -605,10 +606,14 @@ def _bitmasks(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
 
 
-def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> list[tuple]:
+def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
     """The lexicographically least maximum family of the rainbow leaf-pruned
-    trees of ``members`` with at most ``budget`` external vertices, as
-    ``(edges, external)`` tuples; only the chosen trees are decoded.
+    trees of ``members`` with at most ``budget`` external vertices.
+
+    Returns ``(rows, labels, pairs)``: the chosen trees' rows of keys from
+    ``_candidates``, with the labels and pairs it returned. A count is
+    ``len(rows)``; only the public entry points decode the rows, through
+    ``_decoded``.
 
     No family is larger than ``most`` = floor(k/2) + (n - k) when external
     vertices are allowed: internal trees are edge-disjoint spanning trees of
@@ -624,23 +629,14 @@ def _tree_packing(members: tuple[int, ...], colors: np.ndarray, budget: int) -> 
     """
     n, k = len(colors), len(members)
     most = k // 2 + (n - k if budget > 0 else 0)
-    if budget > 1 and len(_rainbow_centers(members, colors)) >= n - k - (k - 1) * (k % 2) // 2:
-        family = _least_family(members, colors, 1, most)
-        if len(family) == most:
-            return family
+    first = budget > 1 and len(_rainbow_centers(members, colors)) >= n - k - (k - 1) * (k % 2) // 2
+    for stage in (1, budget) if first else (budget,):
+        keys, least, labels, pairs = _candidates(members, colors, stage)
+        rows = keys[_max_packing(keys, least, most)]
+        if len(rows) == most:
+            break
         most -= 1
-    return _least_family(members, colors, budget, most)
-
-
-def _least_family(members: tuple[int, ...], colors: np.ndarray, budget: int, most: int) -> list[tuple]:
-    """``_tree_packing`` over one budget, its search stopped at ``most`` trees."""
-    keys, least, labels, pairs = _candidates(members, colors, budget)
-    return _decoded(keys[_max_packing(keys, least, most)], labels, pairs)
-
-
-def _star_candidates(members: tuple[int, ...], colors: np.ndarray) -> list[tuple]:
-    return [(_normalize_edges((u, v) for v in members), (u,))
-            for u in _rainbow_centers(members, colors)]
+    return rows, labels, pairs
 
 
 def _family(terminals: VertexSet, coloring: CompleteGraphColoring, chosen: list[tuple]) -> DisjointFamily:
@@ -658,27 +654,7 @@ def internal_tree_packing(terminals: VertexSet, coloring: CompleteGraphColoring)
     counting caps its size at floor(k/2).
     """
     _check_terminals(terminals, coloring.n)
-    members, colors = terminals.members, coloring.array
-    return _family(terminals, coloring, _tree_packing(members, colors, 0))
-
-
-def _packing(members: tuple[int, ...], coloring: CompleteGraphColoring, mode: OracleMode) -> list[tuple]:
-    """The lexicographically least maximum family of the mode's candidates for
-    the sorted k-set ``members``, as unvalidated ``(edges, external)`` tuples.
-
-    A rainbow star conflicts with no other star-mode candidate (its edges and
-    its center are its own), and stars sort after the k-1 edge internal
-    trees in center order. So the least maximum star-mode family is the
-    least maximum internal packing followed by every rainbow star, and the
-    branch and bound sees only the internal candidates, never the set.
-    In full mode the candidates, and the work cap's price, stop at the
-    mode's reach. The per-k-set decision reads only the family's length.
-    """
-    colors, k = coloring.array, len(members)
-    if mode.kind == "star":
-        internal = _tree_packing(members, colors, 0)
-        return internal + _star_candidates(members, colors)
-    return _tree_packing(members, colors, _priced_reach(mode, coloring.n, k, coloring.t))
+    return _family(terminals, coloring, _decoded(*_tree_packing(terminals.members, coloring.array, 0)))
 
 
 def max_disjoint_rainbow_trees(
@@ -690,10 +666,18 @@ def max_disjoint_rainbow_trees(
 
     Returns the maximum cardinality together with a witness family: the
     lexicographically least maximum family when trees are ordered by edge
-    count, then by sorted edge list.
+    count, then by sorted edge list. In star mode a rainbow star shares no
+    edge or external vertex with another candidate and sorts after the
+    internal trees, in center order, so the family is the least maximum
+    internal packing followed by every rainbow star.
     """
     _check_terminals(terminals, coloring.n)
-    family = _family(terminals, coloring, _packing(terminals.members, coloring, mode))
+    members, colors, star = terminals.members, coloring.array, mode.kind == "star"
+    budget = 0 if star else _priced_reach(mode, coloring.n, len(members), coloring.t)
+    chosen = _decoded(*_tree_packing(members, colors, budget))
+    if star:
+        chosen += [(_normalize_edges((u, v) for v in members), (u,)) for u in _rainbow_centers(members, colors)]
+    family = _family(terminals, coloring, chosen)
     return len(family), family
 
 
@@ -924,9 +908,7 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     colors = np.zeros((k, k), dtype=np.min_scalar_type(len(labels)))  # labels[i] <= i
     u, v = zip(*combinations(range(k), 2))
     colors[u, v] = colors[v, u] = np.add(labels, 1)  # a color is nonzero
-    members = tuple(range(1, k + 1))
-    keys, least, _, _ = _candidates(members, colors, 0)
-    return len(_max_packing(keys, least, k // 2))  # internal trees, so at most floor(k/2)
+    return len(_tree_packing(tuple(range(1, k + 1)), colors, 0)[0])
 
 
 def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -951,16 +933,17 @@ def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.n
                   mode: OracleMode) -> np.ndarray:
     """Full-mode counts of the 1-based k-sets ``sets`` with ``stars`` rainbow stars.
 
-    With a closed form, priced like the oracle calls it replaces (on the
-    mode's reach), the count is the certificate itself at k = 2 (the edge
-    plus the stars) and the stars plus ``_full_triple_excess`` at k = 3, in
-    one array pass. Otherwise each set goes to the count-only ``_packing``.
+    The mode's reach is priced first, as for the oracle calls a closed form
+    replaces. With one, the count is the certificate itself at k = 2 (the
+    edge plus the stars) and the stars plus ``_full_triple_excess`` at
+    k = 3, in one array pass. Otherwise each set's count is the number of
+    rows ``_tree_packing`` chooses on the reach; no row is decoded.
     """
     k = sets.shape[1]
+    reach = _priced_reach(mode, coloring.n, k, coloring.t)
     if _closed_form(k, mode, coloring.n, coloring.t):
-        _priced_reach(mode, coloring.n, k, coloring.t)
         return stars + (1 if k == 2 else _full_triple_excess(coloring.array, sets))
-    return np.array([len(_packing(tuple(s), coloring, mode)) for s in sets.tolist()], dtype=np.int64)
+    return np.array([len(_tree_packing(tuple(s), coloring.array, reach)[0]) for s in sets.tolist()], dtype=np.int64)
 
 
 def _decided_chunks(

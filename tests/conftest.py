@@ -126,3 +126,18 @@ def count_packings(monkeypatch) -> list:
     monkeypatch.setattr(trees, "_candidates", recorded_candidates)
     monkeypatch.setattr(trees, "_max_packing", counted_max_packing)
     return packed
+
+
+def record_tree_packings(monkeypatch) -> list:
+    """Record ``(members, colors)`` of every ``trees._tree_packing`` call;
+    returns the growing list. The color-pattern table packs a k x k table,
+    so the calls for a coloring's own sets are those whose ``colors`` is
+    that coloring's ``array``."""
+    calls, real_tree_packing = [], trees._tree_packing
+
+    def recorded_tree_packing(members, colors, budget):
+        calls.append((members, colors))
+        return real_tree_packing(members, colors, budget)
+
+    monkeypatch.setattr(trees, "_tree_packing", recorded_tree_packing)
+    return calls

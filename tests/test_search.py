@@ -8,7 +8,7 @@ from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs
 from rainbowindex.search import _failing_sets, find_coloring
 from rainbowindex.trees import OracleMode, verify_coloring
 
-from conftest import count_packings
+from conftest import count_packings, record_tree_packings
 
 
 def test_random_search_finds_k6_demand_one():
@@ -105,15 +105,9 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
     # arrays decide star mode, and at k = 3 with budget 1 (or a palette of
     # at most 3 colors) the closed form decides every set, so neither packs
     # a set of the coloring; otherwise the oracle sees exactly the sets the
-    # certificate leaves below ell
-    real_packing = trees._packing
-    calls = []
-
-    def counted_packing(members, *args, **kwargs):
-        calls.append(members)
-        return real_packing(members, *args, **kwargs)
-
-    monkeypatch.setattr(trees, "_packing", counted_packing)
+    # certificate leaves below ell; the color-pattern table's calls, on its
+    # own k x k tables, are left out of the oracle's
+    calls = record_tree_packings(monkeypatch)
     packed = count_packings(monkeypatch)
     rng = random.Random(5)
     stream = SeededStream(29)
@@ -128,7 +122,8 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
             calls.clear()
             packed.clear()
             value = _failing_sets(candidate, k, ell, mode)
-            reached, repacked = list(calls), list(packed)
+            reached = [members for members, colors in calls if colors is candidate.array]
+            repacked = list(packed)
             report = verify_coloring(candidate, k, ell, mode, per_set_counts=True)
             assert value == sum(count < ell for *_, count in report.per_set_counts.tolist())
             certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts

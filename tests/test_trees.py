@@ -40,6 +40,7 @@ from conftest import (
     brute_force_max_disjoint,
     brute_force_stree_candidates,
     count_packings,
+    record_tree_packings,
 )
 
 
@@ -344,6 +345,18 @@ def _candidate_trees(members, coloring, budget):
     return trees._decoded(keys, labels, pairs)
 
 
+def _full_count(members, coloring, mode):
+    """A k-set's full-mode count: the rows the oracle core chooses on the mode's reach."""
+    reach = mode.reach(coloring.n, len(members), coloring.t)
+    return len(trees._tree_packing(tuple(members), coloring.array, reach)[0])
+
+
+def _witness(members, coloring, mode):
+    """The public oracle's witness family as ``(edges, external)`` tuples."""
+    _, family = max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring, mode)
+    return [(tree.edges, tuple(sorted(tree.vertices.difference(members)))) for tree in family.trees]
+
+
 def test_candidate_table_matches_the_subset_scan():
     # the same trees in the same order (edge count, then sorted edges): for
     # each set of r <= budget external vertices, the rainbow trees on it and
@@ -388,7 +401,10 @@ def test_packing_matches_brute_force_over_k():
                 candidates = [tree for tree in candidates if len(tree.vertices) == k
                               or len(tree.edges) == k == len(tree.vertices) - 1
                               and len(set.intersection(*map(set, tree.edges))) == 1]
-            assert len(trees._packing(S.members, coloring, mode)) == brute_force_max_disjoint(candidates, S)
+            value, _ = max_disjoint_rainbow_trees(S, coloring, mode)
+            assert value == brute_force_max_disjoint(candidates, S)
+            if mode.kind == "full":
+                assert _full_count(S.members, coloring, mode) == value
 
 
 def test_witness_is_lexicographically_least_maximum(k4_example):
@@ -514,7 +530,7 @@ def test_internal_packing_bound_keeps_the_least_family():
         keys, least, labels, pairs = trees._candidates(members, coloring.array, budget)
         family = trees._max_packing(keys, least, k // 2 + n - k)
         assert family == trees._max_packing(keys, least)
-        assert trees._tree_packing(members, coloring.array, budget) == trees._decoded(keys[family], labels, pairs)
+        assert _witness(members, coloring, OracleMode.full(budget)) == trees._decoded(keys[family], labels, pairs)
         stopped += len(family) == k // 2 + n - k
     assert stopped > 20
 
@@ -526,12 +542,14 @@ def test_full_oracle_falls_back_when_the_one_external_trees_fall_short():
     # maximum family of the whole budget holds a tree with two
     members, budget = (1, 2, 3, 4, 5), 2
     for seed in (70, 91, 125, 149):
-        colors = random_coloring(8, 10, SeededStream(seed)).array
+        coloring = random_coloring(8, 10, SeededStream(seed))
+        colors = coloring.array
         assert len(trees._rainbow_centers(members, colors)) >= 8 - 5 - 2
         keys, least, labels, pairs = trees._candidates(members, colors, budget)
         expected = trees._decoded(keys[trees._max_packing(keys, least)], labels, pairs)
         assert len(expected) < 5 and any(len(external) == 2 for _, external in expected)
-        assert trees._tree_packing(members, colors, budget) == expected
+        assert _witness(members, coloring, OracleMode.full(budget)) == expected
+        assert _full_count(members, coloring, OracleMode.full(budget)) == len(expected)
 
 
 def test_star_mode_family_matches_the_search_over_stars():
@@ -544,11 +562,14 @@ def test_star_mode_family_matches_the_search_over_stars():
         case += 1
         for k in range(2, min(n, 5) + 1):
             for members in list(combinations(range(1, n + 1), k))[::5]:
+                S = VertexSet(members)
+                stars = [star_tree(S, u) for u in range(1, n + 1) if u not in members]
                 candidates = sorted(_candidate_trees(members, coloring, 0)
-                                    + trees._star_candidates(members, coloring.array),
+                                    + [(star.edges, tuple(star.vertices.difference(members)))
+                                       for star in stars if is_rainbow(star, coloring)],
                                     key=lambda tree: (len(tree[0]), tree[0]))
                 expected = [candidates[i] for i in trees._max_packing(*_packing_keys(candidates))]
-                assert trees._packing(members, coloring, OracleMode.star()) == expected
+                assert _witness(members, coloring, OracleMode.star()) == expected
 
 
 def test_certificate_soundness_exhaustive_k4():
@@ -613,7 +634,8 @@ def test_one_cap_governs_the_shape_tables(monkeypatch):
 
 
 def test_packing_matches_the_public_oracle():
-    # the count-only packing is the public witness family, tree for tree
+    # the oracle core's undecoded rows are the public witness family, tree
+    # for tree, followed in star mode by the rainbow stars
     stream = SeededStream(23)
     modes = [OracleMode.star(), OracleMode.full(1), OracleMode.full(2), OracleMode.full()]
     case = 0
@@ -623,10 +645,12 @@ def test_packing_matches_the_public_oracle():
             case += 1
             for members in list(combinations(range(1, n + 1), k))[::3]:
                 for mode in modes:
-                    chosen = trees._packing(members, coloring, mode)
+                    budget = 0 if mode.kind == "star" else mode.reach(n, k, t)
+                    chosen = trees._decoded(*trees._tree_packing(members, coloring.array, budget))
                     value, family = max_disjoint_rainbow_trees(VertexSet(members), coloring, mode)
-                    assert len(chosen) == value
-                    assert [edges for edges, _ in chosen] == [tree.edges for tree in family.trees]
+                    stars = rainbow_star_count(VertexSet(members), coloring) if mode.kind == "star" else 0
+                    assert len(chosen) + stars == value
+                    assert [edges for edges, _ in chosen] == [tree.edges for tree in family.trees[:len(chosen)]]
 
 
 def _full_counts(coloring, k, mode):
@@ -644,7 +668,7 @@ def test_closed_form_triple_counts_match_the_packing(monkeypatch):
         for t in sorted({1, 2, 3, 5, 8, math.comb(n, 2)}):
             coloring = random_coloring(n, t, stream.substream(case))
             case += 1
-            expected = [len(trees._packing(members, coloring, OracleMode.full(1)))
+            expected = [_full_count(members, coloring, OracleMode.full(1))
                         for members in combinations(range(1, n + 1), 3)]
             for elements in (trees._CHUNK_ELEMENTS, 1):
                 monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
@@ -656,19 +680,17 @@ def test_closed_form_wherever_the_palette_caps_the_budget(monkeypatch):
     # with 3 colors a rainbow tree of a triple holds at most one external
     # vertex, so every budget from 2 to n - k takes the closed form: its
     # counts equal the branch and bound's, and no set of the scan is packed
-    packed, packing = [], trees._packing
     stream = SeededStream(47)
     for n in range(5, 9):
         coloring = random_coloring(n, 3, stream.substream(n))
         for budget in range(2, n - 2):
             mode = OracleMode.full(budget)
-            expected = [len(trees._packing(members, coloring, mode))
-                        for members in combinations(range(1, n + 1), 3)]
+            expected = [_full_count(members, coloring, mode) for members in combinations(range(1, n + 1), 3)]
             with monkeypatch.context() as patch:
-                patch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
+                calls = record_tree_packings(patch)
                 assert trees._closed_form(3, mode, n, coloring.t)
                 assert _full_counts(coloring, 3, mode) == expected
-            assert packed == []
+            assert calls == []
     # the work cap prices the reach, not the budget: at budget 3 a triple of
     # K_40 prices the 3 + 16 * 37 trees of budget 1, and the verdict is its
     coloring = random_coloring(40, 3, SeededStream(1))
@@ -722,8 +744,7 @@ def test_full_budget_one_pairs_are_the_certificate():
         certificate = verify_coloring(coloring, 2, 0, per_set_counts=True).per_set_counts
         assert _full_counts(coloring, 2, OracleMode.full(1)) == [count for *_, count in certificate.tolist()]
         assert [count for *_, count in certificate.tolist()] == [
-            len(trees._packing(tuple(members), coloring, OracleMode.full(1)))
-            for *members, _ in certificate.tolist()]
+            _full_count(members, coloring, OracleMode.full(1)) for *members, _ in certificate.tolist()]
 
 
 def test_closed_form_memory_at_scale():
@@ -891,32 +912,56 @@ def test_exact_counts_pack_each_set_once(monkeypatch):
             assert count == max_disjoint_rainbow_trees(VertexSet(tuple(members)), coloring, mode)[0]
 
 
+def test_count_paths_decode_no_tree(monkeypatch):
+    # per-set counts take the length of the oracle core's rows: a full-mode
+    # budget-2 verify at k = 4 on a many-color K_8 (the reach is 2) and a
+    # star-mode verify at k = 4 (the color-pattern table) run with the
+    # decoder raising, and each count is the public oracle's
+    coloring = random_coloring(8, 28, SeededStream(5))
+    modes = (OracleMode.full(2), OracleMode.star())
+    assert modes[0].reach(8, 4, 28) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "_decoded", lambda *args: pytest.fail("a count path decoded trees"))
+        trees._pattern_packing.cache_clear()
+        reports = [verify_coloring(coloring, 4, 0, mode, per_set_counts=True) for mode in modes]
+    for mode, report in zip(modes, reports):
+        assert [tuple(S) for *S, _ in report.per_set_counts.tolist()] == list(combinations(range(1, 9), 4))
+        assert [count for *_, count in report.per_set_counts.tolist()] == [
+            max_disjoint_rainbow_trees(VertexSet(S), coloring, mode)[0] for S in combinations(range(1, 9), 4)]
+
+
 def test_runs_end_at_each_oracle_count(monkeypatch):
     # the runs list, in lexicographic order, the k-sets of ``firsts`` whose
     # array count is below ell; outside the closed form every set the oracle
     # decides ends a run, so a caller that stops at its first failing run
-    # packs nothing past the witness
-    packed, packing = [], trees._packing
-    monkeypatch.setattr(trees, "_packing", lambda members, *args: packed.append(members) or packing(members, *args))
+    # packs nothing past the witness; the color-pattern table's calls, on
+    # its own k x k tables, are left out
+    calls = record_tree_packings(monkeypatch)
     coloring = random_coloring(10, 4, SeededStream(1))
+
+    def packed():
+        return [members for members, colors in calls if colors is coloring.array]
+
     for k, ell, mode, firsts in ((4, 3, OracleMode.full(2), range(1, 4)),
                                  (4, 3, OracleMode.full(1), None),
                                  (3, 5, OracleMode.full(2), range(1, 6)),
                                  (3, 6, OracleMode.full(1), None),
                                  (4, 3, OracleMode.star(), None)):
-        packed.clear()
+        calls.clear()
         runs = list(trees._decided_chunks(coloring, k, ell, mode, False, firsts))
         firsts = firsts or range(1, 11)
         short = [S for S in combinations(range(1, 11), k)
                  if S[0] in firsts and brute_force_array_count(coloring, S) < ell]
         assert short and [tuple(S) for sets, _ in runs for S in sets.tolist()] == short
         if not trees._closed_form(k, mode, coloring.n, coloring.t) and mode.kind == "full":
-            assert packed and set(packed) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
+            assert packed() and set(packed()) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
+        else:
+            assert packed() == []
     for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
-        packed.clear()
+        calls.clear()
         report = verify_coloring(coloring, k, ell, mode)
-        assert not report.passed and packed[-1] == report.witness
-        assert packed == sorted(set(packed))
+        assert not report.passed and packed()[-1] == report.witness
+        assert packed() == sorted(set(packed()))
 
 
 def _kernel_chunks(coloring, k, firsts, below):
@@ -1057,15 +1102,9 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
     # every per-set count, witness and witness count, also with one-set chunks,
     # and the oracle sees exactly the scalar loop's sets, in order, except at
     # k <= 3 with budget 1 or t <= k, where the closed form decides them and
-    # it sees none
-    real_packing = trees._packing
-    calls = []
-
-    def counted_packing(members, *args, **kwargs):
-        calls.append(members)
-        return real_packing(members, *args, **kwargs)
-
-    monkeypatch.setattr(trees, "_packing", counted_packing)
+    # it sees none; the color-pattern table's calls, on its own k x k
+    # tables, are left out
+    calls = record_tree_packings(monkeypatch)
     default_cap = trees._CHUNK_ELEMENTS
     grid = {2: (2, 3, 7, 14), 3: (3, 4, 7, 14), 4: (4, 5, 8, 11), 5: (5, 6, 9)}
     stream = SeededStream(17)
@@ -1092,7 +1131,8 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                             assert (report.witness, report.witness_count) == expected
                             assert report.passed == (expected[0] is None)
                             closed = mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
-                            assert calls == ([] if closed else expected_calls)
+                            packed = [members for members, colors in calls if colors is coloring.array]
+                            assert packed == ([] if closed else expected_calls)
 
 
 def test_kset_kernel_star_total_and_memory_at_scale():
