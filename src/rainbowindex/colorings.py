@@ -15,7 +15,10 @@ Only this module knows the triangular edge layout: ``CompleteGraphColoring``
 serves one edge's color through ``color`` and every color as one 0-based
 numpy ``array``, built once per coloring, which is the one table the
 kernels and the oracle read. Exhaustive enumeration refuses state spaces
-larger than ``ENUM_BUDGET``.
+larger than ``ENUM_BUDGET``. One function, ``parse_coloring``, reads the
+text format: a well-formed body in one numpy pass, and any other body
+token by token in the rows already read, to name the line of the first
+bad token.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -352,56 +355,39 @@ def format_coloring(coloring: CompleteGraphColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_at_once(lines: list[str]) -> Optional[CompleteGraphColoring]:
-    """The coloring of well-formed ``lines``, its body converted in one numpy
-    pass (which accepts the tokens ``int`` accepts), or None for
-    ``_parse_lines`` to accept or reject token by token."""
-    rows = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
-    if not rows:
-        return None
-    try:
-        n, t = map(int, rows[0].split())
-        values = np.array(" ".join(rows[1:]).split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if n < 2 or t < 1 or len(values) != edge_count(n) or values.min() < 1 or int(values.max()) > t:
-        return None
-    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(values.tolist()), array=_table(n, t, values))
-
-
 def parse_coloring(text: str) -> CompleteGraphColoring:
+    """Parse the text format. The non-blank, non-comment lines are numbered
+    once; a body of exactly C(n,2) colors in 1..t is converted in one numpy
+    pass (which accepts the tokens ``int`` accepts), and any other body is
+    walked token by token in the same rows, raising ColoringFormatError at
+    the line of the first bad token."""
     lines = text.splitlines()
-    return _parse_at_once(lines) or _parse_lines(lines)
-
-
-def _parse_lines(lines: list[str]) -> CompleteGraphColoring:
-    """Parse token by token, raising the error of the first bad token at
-    its line."""
-    header: tuple[int, int] | None = None
+    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+            if line and line[0] != "#"]
+    if not rows:
+        raise ColoringFormatError("missing header 'n t'", max(len(lines), 1))
+    lineno, header = rows[0]
+    tokens = header.split()
+    if len(tokens) != 2:
+        raise ColoringFormatError(f"expected header 'n t', got {header!r}", lineno)
+    try:
+        n, t = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ColoringFormatError(f"non-integer header token in {header!r}", lineno) from None
+    if n < 2 or t < 1:
+        raise ColoringFormatError(f"invalid header n={n} t={t}", lineno)
+    m = edge_count(n)
+    try:
+        values = np.array(" ".join([line for _, line in rows[1:]]).split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass  # a token numpy rejects or a color past int64: walk the tokens
+    else:
+        if len(values) == m and values.min() >= 1 and int(values.max()) <= t:
+            return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(values.tolist()),
+                            array=_table(n, t, values))
     colors: list[int] = []
-    last_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise ColoringFormatError(
-                    f"expected header 'n t', got {raw.strip()!r}", lineno)
-            try:
-                n, t = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ColoringFormatError(
-                    f"non-integer header token in {raw.strip()!r}", lineno) from None
-            if n < 2 or t < 1:
-                raise ColoringFormatError(f"invalid header n={n} t={t}", lineno)
-            header = (n, t)
-            continue
-        n, t = header
-        m = edge_count(n)
-        for tok in tokens:
+    for lineno, line in rows[1:]:
+        for tok in line.split():
             try:
                 c = int(tok)
             except ValueError:
@@ -413,14 +399,9 @@ def _parse_lines(lines: list[str]) -> CompleteGraphColoring:
             if c < 1:
                 raise ColoringFormatError(f"color {c} is not a positive color index", lineno)
             colors.append(c)
-    if header is None:
-        raise ColoringFormatError("missing header 'n t'", max(last_line, 1))
-    n, t = header
-    m = edge_count(n)
     if len(colors) != m:
-        raise ColoringFormatError(
-            f"expected {m} edge colors, found {len(colors)}", max(last_line, 1))
-    # every color was checked against the palette above
+        raise ColoringFormatError(f"expected {m} edge colors, found {len(colors)}", max(len(lines), 1))
+    # every color was checked against the palette above; the table is built on first use
     return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(colors))
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .bounds import binomial_tail_below, rainbow_star_prob, union_bound_failure
 from .colorings import CompleteGraphColoring, SeededStream, parallel_map, random_coloring
-from .trees import OracleMode, _rainbow_rows, verify_coloring
+from .trees import _CHUNK_ELEMENTS, OracleMode, _rainbow_rows, verify_coloring
 
 __all__ = [
     "CHUNK",
@@ -140,7 +140,9 @@ def _summary(successes: int, samples: int, comparators: dict[str, float]) -> Tri
 def tail_comparators(n: int, k: int, ell: int) -> dict[str, float]:
     """Exact star tail Pr[Binomial(n-k, p) <= ell-1], plus the Chernoff and
     union bounds wherever they are defined (k >= 3, ell >= 1, and each
-    bound's own admissibility condition). Needs 2 <= k <= n."""
+    bound's own admissibility condition). Needs 2 <= k <= n. They take no
+    palette size: p = k!/k^k is the star probability of a uniform
+    k-coloring (t = k)."""
     p = rainbow_star_prob(k)
     out = {"exact_tail": float(binomial_tail_below(n - k, p, ell - 1))}
     if k >= 3 and ell >= 1 and (n - k) * p > ell - 1:
@@ -163,23 +165,24 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
     Requires t = k (the argument colors with exactly k colors). Only the
     cut edges between the terminal set and the rest can affect the event,
     so only those are sampled; by symmetry the fixed terminal set loses no
-    generality.
+    generality. Each chunk's generator draws its samples in blocks of at
+    most ``_CHUNK_ELEMENTS`` colors (at least one sample), so memory does
+    not grow with n; bounded draws continue one stream across calls, so the
+    blocks hold the colors one draw of the whole chunk would.
     """
     if config.t != config.k:
         raise ValueError(f"star sampling needs t = k, got t={config.t}, k={config.k}")
     n, k, ell = config.n, config.k, config.ell
     m = n - k
+    block = max(1, _CHUNK_ELEMENTS // max(1, m * k))  # m = 0: no vertex outside the set
     successes = 0
-    done = 0
-    chunk_index = 0
-    while done < config.samples:
-        size = min(CHUNK, config.samples - done)
+    for chunk_index, start in enumerate(range(0, config.samples, CHUNK)):
+        size = min(CHUNK, config.samples - start)
         gen = config.seed.substream(chunk_index).generator()
-        draws = gen.integers(1, k + 1, size=(size, m, k))
-        counts = _rainbow_rows(draws).sum(axis=1)  # all zero when m = 0
-        successes += int((counts <= ell - 1).sum())
-        done += size
-        chunk_index += 1
+        for first in range(0, size, block):
+            draws = gen.integers(1, k + 1, size=(min(block, size - first), m, k))
+            counts = _rainbow_rows(draws).sum(axis=1)  # all zero when m = 0
+            successes += int((counts <= ell - 1).sum())
     return _summary(successes, config.samples, tail_comparators(n, k, ell))
 
 
@@ -203,7 +206,8 @@ def estimate_AS_all(
 
     Each sample index owns its substream, so the drawn colorings are
     independent of chunking; the returned witness is the success with the
-    least sample index, the first one in job order.
+    least sample index, the first one in job order. The union-bound
+    comparators are those of t = k, whatever ``config.t`` is.
     """
     chunks = [(config, start, min(CHUNK, config.samples - start))
               for start in range(0, config.samples, CHUNK)]
@@ -236,7 +240,8 @@ def empirical_threshold(
 
     Uses the star certificate only (internal packing + rainbow stars),
     which is cheap and sound. Returns (found_n or None, sweep rows); the
-    sweep continues past the found n only if the range does.
+    sweep continues past the found n only if the range does. The
+    comparator columns are those of t = k, whatever ``t`` is.
     """
     if not 0 < target <= 1:
         raise ValueError("target must be in (0, 1]")

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,34 @@ def test_estimate_bs_no_externals():
     config = TrialConfig(n=3, k=3, ell=1, t=3, samples=200, seed=SeededStream(2))
     summary = estimate_BS(config)
     assert summary.successes == summary.samples
+
+
+def test_estimate_bs_blocks_draw_what_one_draw_per_chunk_would(monkeypatch):
+    # 5,000 samples of K_60 span two chunks of many blocks each (single
+    # samples with the cap at 1); the recount draws each chunk at once
+    config = TrialConfig(n=60, k=3, ell=12, t=3, samples=5000, seed=SeededStream(9))
+    successes = 0
+    for chunk_index, start in enumerate(range(0, config.samples, montecarlo.CHUNK)):
+        gen = config.seed.substream(chunk_index).generator()
+        draws = gen.integers(1, 4, size=(min(montecarlo.CHUNK, config.samples - start), 57, 3))
+        stars = (np.sort(draws, axis=2) == (1, 2, 3)).all(axis=2).sum(axis=1)
+        successes += int((stars <= 11).sum())
+    assert 0 < successes < config.samples
+    for elements in (montecarlo._CHUNK_ELEMENTS, 1):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", elements)
+        assert estimate_BS(config).successes == successes
+
+
+def test_estimate_bs_memory_does_not_grow_with_n():
+    # one (4096, n - k, k) int64 draw of K_2000 alone would be 187 MiB
+    config = TrialConfig(n=2000, k=3, ell=1, t=3, samples=4096, seed=SeededStream(1))
+    tracemalloc.start()
+    try:
+        estimate_BS(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # --- whole-coloring estimates -----------------------------------------------
