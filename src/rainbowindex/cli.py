@@ -6,7 +6,9 @@ error, 3 = search budget exhausted without a find, 4 = internal error
 through one path: the parser is built once per process, and `_run`
 dispatches, times and digests the run. `main` then writes the primary output
 and one manifest (JSON, to --manifest or stderr) recording the arguments,
-seed, version, and the digest; a manifest that cannot be written exits 2.
+seed, version, and the digest; a manifest that cannot be written exits 2,
+and so does a run whose output cannot be written (stdout closed or full, or
+a broken pipe), with its manifest still recording the run's own code.
 `replay` re-runs a manifest through the same `_run` and checks the digest,
 so primary outputs are byte-reproducible.
 JSON reports are indented by 2; `verify` writes its report, with one entry
@@ -401,6 +403,27 @@ def _run(args) -> tuple[int, str, float, str]:
     return code, output, wall, hashlib.sha256(output.encode()).hexdigest()
 
 
+def _write_output(output: str) -> int:
+    """Write a run's primary output to stdout and flush it: 0, or 2 after one
+    error line when it cannot be written. The stream is then closed, which
+    drops what stayed buffered, so no flush at exit fails again."""
+    if not output:
+        return 0
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.close()
+        except (OSError, AttributeError):  # the failed flush again, or no stdout
+            pass
+        return 2
+    return 0
+
+
 def _cmd_replay(args) -> int:
     try:
         doc = json.loads(Path(args.replayed).read_text())
@@ -419,11 +442,11 @@ def _cmd_replay(args) -> int:
         return 2
     code, output, wall, digest = _run(replay_args)
     same = (digest, code) == expected
-    sys.stdout.write(output)
+    unwritten = _write_output(output)
     print(f"replay of {' '.join(argv)}: "
           f"{'byte-identical' if same else 'OUTPUT DIFFERS'} "
           f"({wall:.3f}s, exit {code})", file=sys.stderr)
-    return 0 if same else 1
+    return unwritten or (0 if same else 1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -436,19 +459,19 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return _cmd_replay(args)
     code, output, wall, digest = _run(args)
-    sys.stdout.write(output)
+    unwritten = _write_output(output)
     text = json.dumps({"subcommand": args.command, "argv": argv,
                        "seed": getattr(args, "seed", None), "version": __version__,
                        "exit_code": code, "wall_time_s": wall, "output_sha256": digest})
     if not args.manifest:
         print(text, file=sys.stderr)
-        return code
+        return unwritten or code
     try:
         Path(args.manifest).write_text(text + "\n")
     except OSError as exc:
         print(f"error: cannot write manifest {args.manifest}: {exc}", file=sys.stderr)
         return 2
-    return code
+    return unwritten or code
 
 
 if __name__ == "__main__":

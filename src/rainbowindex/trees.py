@@ -5,8 +5,8 @@ vertex set contains S; it is rainbow when no two of its edges share a
 color. A family of S-trees is internally disjoint when the trees are
 pairwise edge-disjoint and meet only in S. Everything here is exact. The
 oracle is built for small k and small budgets, not small n. One table
-per (n, k, budget), built once from the spanning-tree shapes of K_m (only
-trees, never edge subsets that are not trees), lists every candidate tree
+per (n, k, budget), decoded once from the Prüfer sequences of K_m that
+hold every external vertex (leaf-pruned trees only), lists each tree
 on local labels; a call gathers the colors of the pairs the table uses,
 keeps the rainbow rows and orders them, and builds the key owner masks,
 all as array passes. A row is rainbow when its colors are positive and
@@ -29,8 +29,8 @@ all join the family. In full mode a rainbow tree with r external
 vertices needs k - 1 + r colors, so the trees stop at the mode's reach,
 ``OracleMode.reach``: the budget, the n - k other vertices or the
 palette, whichever ends first. One constant, ``CANDIDATE_CAP``, bounds
-both the trees one full-mode call may scan (priced on the reach) and the
-size of any shape table; past it BudgetExceededError is raised.
+both a full-mode call's price, an upper bound on its trees at the reach,
+and the sequences a shape table reads: past it, BudgetExceededError.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
 non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
@@ -99,8 +99,9 @@ __all__ = [
     "verify_coloring",
 ]
 
-# Most candidate trees one exact-oracle call may scan (its price), and the
-# most spanning trees a shape table may hold; past it BudgetExceededError.
+# Most trees one exact-oracle call may be priced at (an upper bound: every
+# spanning tree of each K_{k+r}, not only the leaf-pruned ones), and the
+# most Prüfer sequences a shape table may read; past it BudgetExceededError.
 CANDIDATE_CAP = 5_000_000
 
 
@@ -361,19 +362,21 @@ def _check_terminals(terminals: VertexSet, n: int) -> None:
         raise ValueError(f"terminal {terminals.members[-1]} exceeds vertex count {n}")
 
 
-# Shape-table rows decoded at once, so temporaries stay small even for the
-# 4.8M trees of K_9
+# Prüfer sequences decoded at once, so temporaries stay small even for the
+# 4.8M sequences of K_9
 _SHAPE_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _tree_shapes(m: int) -> np.ndarray:
-    """Every spanning tree of K_m, as rows of m-1 ascending edge indices.
+def _tree_shapes(m: int, k: int) -> np.ndarray:
+    """The spanning trees of K_m where every vertex from k up branches, as
+    rows of m-1 ascending edge indices, in no particular order.
 
-    Edge i is the i-th pair of ``combinations(range(m), 2)`` and the rows are
-    in lexicographic order. The m^(m-2) trees are decoded from their Prüfer
-    sequences, all of a block at once; tables past ``CANDIDATE_CAP``
-    (m >= 10) raise BudgetExceededError.
+    Edge i is the i-th pair of ``combinations(range(m), 2)``. A vertex's
+    degree is one more than its count in a Prüfer sequence, so of the
+    m^(m-2) sequences, a block at a time, only those holding every vertex
+    from k up are decoded; past ``CANDIDATE_CAP`` (m >= 10) they raise
+    BudgetExceededError.
     """
     count = m ** (m - 2)
     if count > CANDIDATE_CAP:
@@ -384,12 +387,16 @@ def _tree_shapes(m: int) -> np.ndarray:
     blocks = []
     for start in range(0, count, _SHAPE_BLOCK):
         codes = np.arange(start, min(count, start + _SHAPE_BLOCK))
-        rows = np.arange(len(codes))
-        sequence = [codes // m ** (m - 3 - j) % m for j in range(m - 2)]
-        degree = np.ones((len(codes), m), dtype=np.int8)
+        digits = codes // m ** np.arange(m - 3, -1, -1)[:, None] % m  # (m - 2, block)
+        kept = np.ones(len(codes), dtype=bool)
+        for v in range(k, m):
+            kept &= (digits == v).any(axis=0)
+        sequence = digits[:, kept]
+        rows = np.arange(sequence.shape[1])
+        degree = np.ones((len(rows), m), dtype=np.int8)
         for joined in sequence:
             degree[rows, joined] += 1
-        edges = np.empty((len(codes), m - 1), dtype=np.uint8)
+        edges = np.empty((len(rows), m - 1), dtype=np.uint8)
         for j, joined in enumerate(sequence):
             leaf = (degree == 1).argmax(axis=1)  # the least leaf
             edges[:, j] = pair[leaf, joined]
@@ -398,18 +405,7 @@ def _tree_shapes(m: int) -> np.ndarray:
         last = degree == 1
         edges[:, -1] = pair[last.argmax(axis=1), m - 1 - last[:, ::-1].argmax(axis=1)]
         blocks.append(edges)
-    shapes = np.sort(np.concatenate(blocks), axis=1)
-    return shapes[np.lexsort(shapes.T[::-1])]
-
-
-@lru_cache(maxsize=None)
-def _branching_shapes(m: int, positions: tuple[int, ...]) -> np.ndarray:
-    """The rows of ``_tree_shapes(m)`` where every vertex in ``positions`` has degree >= 2."""
-    shapes = _tree_shapes(m)
-    ends = np.array(list(combinations(range(m), 2)))
-    for p in positions:
-        shapes = shapes[(ends == p).any(axis=1)[shapes].sum(axis=1) >= 2]
-    return shapes
+    return np.sort(np.concatenate(blocks), axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -431,27 +427,23 @@ def _candidate_table(n: int, k: int, budget: int) -> tuple[np.ndarray, np.ndarra
     edge_ids, extras = [], []
     for r in range(budget + 1):
         m = k + r
-        shapes = _branching_shapes(m, tuple(range(k, m)))
-        ends = np.array(list(combinations(range(m), 2)))[shapes]
+        ends = np.array(list(combinations(range(m), 2)))[_tree_shapes(m, k)]
         chosen = list(combinations(range(k, n), r))
         chosen = np.array(chosen, dtype=np.intp).reshape(len(chosen), r)
         local = np.hstack((np.broadcast_to(np.arange(k), (len(chosen), k)), chosen))[:, ends]
-        edge_ids.append((local[..., 0] * n + local[..., 1]).reshape(-1, m - 1))
-        extras.append(np.repeat(chosen, len(shapes), axis=0))
-    pair_ids, inverse = np.unique(np.concatenate([ids.ravel() for ids in edge_ids]), return_inverse=True)
-    size = len(pair_ids)
-    rows = np.full((sum(map(len, edge_ids)), width), size) + np.arange(width)
-    extra = np.full((len(rows), max(1, budget)), -1)
-    done = used = 0
-    for r, ids in enumerate(edge_ids):
-        rows[done:done + len(ids), budget - r:] = inverse[used:used + ids.size].reshape(ids.shape)
-        extra[done:done + len(ids), :r] = extras[r]
-        done, used = done + len(ids), used + ids.size
+        ids = (local[..., 0] * n + local[..., 1]).reshape(-1, m - 1)
+        pads = np.broadcast_to(n * n + np.arange(budget - r), (len(ids), budget - r))
+        edge_ids.append(np.hstack((pads, ids)))
+        padded = np.pad(chosen, ((0, 0), (0, max(1, budget) - r)), constant_values=-1)
+        extras.append(np.repeat(padded, len(ends), axis=0))
+    pair_ids, inverse = np.unique(np.concatenate(edge_ids), return_inverse=True)
+    size = len(pair_ids) - budget  # each pad n·n + j occurs, in the trees with no other vertex
+    rows, extra = inverse.reshape(-1, width), np.concatenate(extras)
     keys = np.hstack((np.where(rows < size, rows, -1), np.where(extra < 0, -1, extra + size)))
     order = np.lexsort(keys[:, :width].T[::-1])
     rows, keys = rows[order], keys[order]
     least = np.where(keys[:, width] >= 0, keys[:, width], rows[:, budget])
-    return np.column_stack(np.divmod(pair_ids, n)), rows, keys, least
+    return np.column_stack(np.divmod(pair_ids[:size], n)), rows, keys, least
 
 
 def _candidates(members: tuple[int, ...], colors: np.ndarray, budget: int) -> tuple[np.ndarray, ...]:
@@ -502,9 +494,10 @@ def _decoded(rows: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tu
 
 def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
     """The mode's reach on the k-sets of K_n under t colors, once it is
-    priced: BudgetExceededError when the full oracle would scan more trees
-    than ``CANDIDATE_CAP``, the m^(m-2) shapes of K_m, m = k + r, for each
-    choice of r <= reach of the n - k other vertices."""
+    priced: BudgetExceededError when the price, an upper bound on the
+    candidate trees, passes ``CANDIDATE_CAP``: the m^(m-2) spanning trees
+    of K_m, m = k + r, for each choice of r <= reach of the n - k other
+    vertices, though the table holds only the leaf-pruned ones."""
     reach, work = mode.reach(n, k, t), 0
     for r in range(reach + 1):
         work += math.comb(n - k, r) * (k + r) ** (k + r - 2)

@@ -693,6 +693,51 @@ def test_unwritable_manifest_is_usage_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sink", [
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    "closed", "pipe"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, sink):
+    # a passing run whose report cannot be written (a full device, a closed
+    # stdout, a pipe with no reader) exits 2 with one error line and no
+    # traceback, and its manifest records the run's own code and digest
+    coloring, manifest = tmp_path / "rainbow.coloring", tmp_path / "run.json"
+    write_coloring(CompleteGraphColoring(6, 15, tuple(range(1, 16))), coloring)
+    argv = ["verify", str(coloring), "-k", "3", "-l", "1"]
+    _, report, _ = run(capsys, *argv)
+    command = [sys.executable, "-m", "rainbowindex", "--manifest", str(manifest), *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    if sink == "full":
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        code, err = done.returncode, done.stderr
+    elif sink == "closed":
+        done = subprocess.run(command, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=lambda: os.close(1))
+        code, err = done.returncode, done.stderr
+    else:
+        process = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        process.stdout.close()  # no reader: the first write is a broken pipe
+        err, code = process.stderr.read(), process.wait()
+        process.stderr.close()
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output: ")
+    doc = json.loads(manifest.read_text())
+    assert (doc["exit_code"], doc["output_sha256"]) == (0, hashlib.sha256(report.encode()).hexdigest())
+
+
+def test_runs_without_output_keep_their_code_without_stdout(capsys, tmp_path, monkeypatch):
+    # usage errors and internal errors print no output, so a closed stdout
+    # leaves their codes 2 and 4
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["verify", str(tmp_path / "missing.coloring"), "-k", "3", "-l", "1"]) == 2
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+    assert main(["bounds", "-k", "3", "-l", "2"]) == 4
+    assert "cannot write output" not in capsys.readouterr().err
+
+
 def test_parser_is_built_once(capsys, tmp_path, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     built = []

@@ -383,6 +383,31 @@ def test_candidate_table_matches_the_subset_scan():
                 assert _candidate_trees(members, coloring, budget) == expected
 
 
+def test_tree_shapes_are_the_spanning_trees_whose_upper_vertices_branch():
+    # _tree_shapes(m, k) decodes the Prüfer sequences that hold each of the
+    # r = m - k vertices from k up, sum_j (-1)^j C(r, j) (m - j)^(m-2) of
+    # them (600 of 16,807 at m = 7, k = 3); each row is a distinct spanning
+    # tree of K_m, found by union-find, where those vertices end at least
+    # two edges
+    for m in range(2, 9):
+        ends = np.array(list(combinations(range(m), 2)))
+        for k in range(2, m + 1):
+            r, shapes = m - k, trees._tree_shapes(m, k)
+            assert len(shapes) == sum((-1) ** j * math.comb(r, j) * (m - j) ** (m - 2) for j in range(r + 1))
+            assert shapes.shape[1] == m - 1 and (np.diff(shapes.astype(int), axis=1) > 0).all()
+            assert len(np.unique((1 << shapes.astype(np.int64)).sum(axis=1))) == len(shapes)  # distinct edge sets
+            rows = np.arange(len(shapes))
+            parent = np.tile(np.arange(m), (len(shapes), 1))
+            for a, b in ends[shapes.T].transpose(0, 2, 1):  # each edge column: one union per row
+                for _ in range(m):
+                    a, b = parent[rows, a], parent[rows, b]
+                assert (a != b).all()  # m - 1 edges and no cycle: a spanning tree
+                parent[rows, a] = b
+            for v in range(k, m):
+                assert ((ends[shapes] == v).sum(axis=(1, 2)) >= 2).all()
+    assert len(trees._tree_shapes(7, 3)) == 600 and len(trees._tree_shapes(8, 3)) == 3960
+
+
 def test_packing_matches_brute_force_over_k():
     # seeded instances at k = 2..5, star mode and full budgets 1..3, against
     # the maximum over raw edge subsets; palettes of k - 1 or k colors cap
@@ -623,7 +648,7 @@ def test_one_cap_governs_the_shape_tables(monkeypatch):
     # a rainbow K_5 needs the 5^3 = 125 spanning trees of K_5
     rainbow = CompleteGraphColoring(5, 10, tuple(range(1, 11)))
     terminals = VertexSet(tuple(range(1, 6)))
-    for cached in (trees._tree_shapes, trees._branching_shapes, trees._candidate_table):
+    for cached in (trees._tree_shapes, trees._candidate_table):
         cached.cache_clear()  # tables built earlier were checked against the real cap
     monkeypatch.setattr(trees, "CANDIDATE_CAP", 100)
     with pytest.raises(BudgetExceededError) as err:
