@@ -201,12 +201,19 @@ class CompleteGraphColoring:
         return _table(self.n, self.t, self.colors)
 
     def recolored(self, u: int, v: int, color: int) -> "CompleteGraphColoring":
-        """Copy with the single edge {u, v} set to ``color``; only the new color is checked."""
+        """Copy with the single edge {u, v} set to ``color``; only the new color
+        is checked. When this coloring's table is built, the copy's is derived
+        from it: one copy and the two entries of the edge."""
         idx = edge_index(u, v, self.n)
         if not 1 <= color <= self.t:
             raise ValueError(f"color {color} outside palette 1..{self.t}")
-        colors = self.colors[:idx] + (color,) + self.colors[idx + 1:]
-        return _trusted(CompleteGraphColoring, n=self.n, t=self.t, colors=colors)
+        fields = {"colors": self.colors[:idx] + (color,) + self.colors[idx + 1:]}
+        if "array" in self.__dict__:
+            table = self.array.copy()
+            table[u - 1, v - 1] = table[v - 1, u - 1] = color
+            table.flags.writeable = False
+            fields["array"] = table
+        return _trusted(CompleteGraphColoring, n=self.n, t=self.t, **fields)
 
 
 def _table(n: int, t: int, colors) -> np.ndarray:

@@ -29,7 +29,7 @@ all join the family. In full mode a rainbow tree with r external
 vertices needs k - 1 + r colors, so the trees stop at the mode's reach,
 ``OracleMode.reach``: the budget, the n - k other vertices or the
 palette, whichever ends first. One constant, ``CANDIDATE_CAP``, bounds
-both a full-mode call's price, an upper bound on its trees at the reach,
+both a full-mode call's price, the trees its table holds at the reach,
 and the sequences a shape table reads: past it, BudgetExceededError.
 
 Candidate trees are always leaf-pruned (every leaf lies in S). Pruning a
@@ -57,8 +57,7 @@ exact count, in lexicographic order, from ``_exact_counts``: the closed
 form where it holds, otherwise the number of rows ``_tree_packing``
 chooses for the set, none of them decoded. The scan yields runs of those
 short sets that end after each exact count, so a caller stops where it
-needs to. It reads the coloring alone and keeps nothing between calls: a
-local-search move is scored from scratch.
+needs to. It reads the coloring alone.
 Inside the oracle a k-set is its sorted members tuple and a chosen tree
 is a row of keys. Only the public entry points decode the rows into
 ``(edges, external vertices)`` and build their witness ``STree`` and
@@ -99,9 +98,8 @@ __all__ = [
     "verify_coloring",
 ]
 
-# Most trees one exact-oracle call may be priced at (an upper bound: every
-# spanning tree of each K_{k+r}, not only the leaf-pruned ones), and the
-# most Prüfer sequences a shape table may read; past it BudgetExceededError.
+# Most trees one exact-oracle call's candidate table may hold, and the most
+# Prüfer sequences a shape table may read; past it BudgetExceededError.
 CANDIDATE_CAP = 5_000_000
 
 
@@ -494,13 +492,17 @@ def _decoded(rows: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tu
 
 def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
     """The mode's reach on the k-sets of K_n under t colors, once it is
-    priced: BudgetExceededError when the price, an upper bound on the
-    candidate trees, passes ``CANDIDATE_CAP``: the m^(m-2) spanning trees
-    of K_m, m = k + r, for each choice of r <= reach of the n - k other
-    vertices, though the table holds only the leaf-pruned ones."""
+    priced: BudgetExceededError when the price, the number of trees in the
+    call's candidate table, passes ``CANDIDATE_CAP``. For each choice of
+    r <= reach of the n - k other vertices the table holds the spanning
+    trees of K_m, m = k + r, where none of the r is a leaf. The trees where
+    j given vertices are leaves are the (m - j)^(m - 2) Prüfer sequences
+    that miss them, so by inclusion and exclusion there are
+    sum_j (-1)^j C(r, j) (m - j)^(m - 2) of them."""
     reach, work = mode.reach(n, k, t), 0
     for r in range(reach + 1):
-        work += math.comb(n - k, r) * (k + r) ** (k + r - 2)
+        m = k + r
+        work += math.comb(n - k, r) * sum((-1) ** j * math.comb(r, j) * (m - j) ** (m - 2) for j in range(r + 1))
     if work > CANDIDATE_CAP:
         raise BudgetExceededError(f"full oracle would scan {work} candidate trees (cap {CANDIDATE_CAP})", size=work)
     return reach
@@ -825,6 +827,14 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
         a0 = a1
 
 
+def _array_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
+    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``
+    whose array count is below ``below`` (every set when None), in
+    lexicographic order: from ``_triple_chunks`` at k = 3 and from
+    ``_gathered_chunks`` otherwise."""
+    return _triple_chunks(colors, firsts, below) if k == 3 else _gathered_chunks(colors, k, firsts, below)
+
+
 # Hall's deficiency form of the matching number of centers to internal
 # edges: nu = min over edge subsets R of 3 - |R| + |N(R)|. _NEIGHBORS[m, R]
 # is 1 when a center with usable-edge mask m lies in N(R).
@@ -905,14 +915,21 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
 
 
 def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Internal packing sizes of the 1-based k-sets ``sets``: each edge is
-    labelled by the first edge with its color, and each distinct row of
-    labels, all the packing depends on, is packed once."""
-    u, v = np.array(list(combinations(range(sets.shape[1]), 2))).T
+    """Internal packing sizes of the 1-based k-sets ``sets``. At k = 2 it is
+    the edge, and at k = 3 a 2-edge path unless the triangle has one color.
+    Otherwise each edge is labelled by the first edge with its color, and
+    each distinct row of labels, all the packing depends on, is packed once."""
+    k = sets.shape[1]
+    if k == 2:
+        return np.ones(len(sets), dtype=np.int64)
+    if k == 3:
+        a, b, c = (sets - 1).T
+        return 1 - ((colors[a, b] == colors[a, c]) & (colors[a, c] == colors[b, c]))
+    u, v = np.array(list(combinations(range(k), 2))).T
     edges = colors[sets[:, u] - 1, sets[:, v] - 1]
     labels = (edges[:, :, None] == edges[:, None, :]).argmax(axis=1)
     patterns, inverse = np.unique(labels, axis=0, return_inverse=True)
-    sizes = [_pattern_packing(sets.shape[1], pattern) for pattern in map(tuple, patterns.tolist())]
+    sizes = [_pattern_packing(k, pattern) for pattern in map(tuple, patterns.tolist())]
     return np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
 
 
@@ -929,13 +946,19 @@ def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.n
     The mode's reach is priced first, as for the oracle calls a closed form
     replaces. With one, the count is the certificate itself at k = 2 (the
     edge plus the stars) and the stars plus ``_full_triple_excess`` at
-    k = 3, in one array pass. Otherwise each set's count is the number of
-    rows ``_tree_packing`` chooses on the reach; no row is decoded.
+    k = 3, one array pass per slice of ``_CHUNK_ELEMENTS // n`` sets, as
+    its temporaries hold sets x centers. Otherwise each set's count is the
+    number of rows ``_tree_packing`` chooses on the reach; no row is decoded.
     """
-    k = sets.shape[1]
-    reach = _priced_reach(mode, coloring.n, k, coloring.t)
-    if _closed_form(k, mode, coloring.n, coloring.t):
-        return stars + (1 if k == 2 else _full_triple_excess(coloring.array, sets))
+    k, n = sets.shape[1], coloring.n
+    reach = _priced_reach(mode, n, k, coloring.t)
+    if _closed_form(k, mode, n, coloring.t):
+        if k == 2:
+            return stars + 1
+        step, excess = max(1, _CHUNK_ELEMENTS // n), np.empty(len(sets), dtype=np.int64)
+        for start in range(0, len(sets), step):
+            excess[start:start + step] = _full_triple_excess(coloring.array, sets[start:start + step])
+        return stars + excess
     return np.array([len(_tree_packing(tuple(s), coloring.array, reach)[0]) for s in sets.tolist()], dtype=np.int64)
 
 
@@ -969,9 +992,7 @@ def _decided_chunks(
     full = mode.kind == "full"
     if firsts is None:
         firsts = range(1, coloring.n - k + 2)
-    below = None if exact else ell
-    chunks = (_triple_chunks(coloring.array, firsts, below) if k == 3
-              else _gathered_chunks(coloring.array, k, firsts, below))
+    chunks = _array_chunks(coloring.array, k, firsts, None if exact else ell)
     step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.n, coloring.t) else 1
     for sets, stars, internal in chunks:
         counts = stars + internal

@@ -287,10 +287,11 @@ def test_star_mode_with_a_budget_is_usage_error(capsys, tmp_path):
 
 
 def test_oracle_budget_exceeded_is_usage_error(capsys, tmp_path):
-    # with 8 colors the reach of budget 6 on K_9 is 6 external vertices
-    path = tmp_path / "k9.coloring"
+    # with 8 colors the reach of budget 6 on K_13 is 6 external vertices, and
+    # the candidate table would hold 7,488,433 trees
+    path = tmp_path / "k13.coloring"
     import rainbowindex
-    write_coloring(rainbowindex.random_coloring(9, 8, rainbowindex.SeededStream(0)), path)
+    write_coloring(rainbowindex.random_coloring(13, 8, rainbowindex.SeededStream(0)), path)
     code, _, err = run(capsys, "oracle", str(path), "-S", "1,2,3",
                        "--mode", "full", "--budget", "6")
     assert code == 2

@@ -140,6 +140,27 @@ def test_recolored_changes_one_edge():
             coloring.recolored(2, 4, color)
 
 
+def test_recolored_derives_the_table_of_a_built_parent():
+    # a parent whose table is built hands the child a copy with the edge's two
+    # entries rewritten, equal to the table built from the child's colors and
+    # as read-only, and its own table keeps the old color; a parent without
+    # one leaves the child's lazy
+    stream = SeededStream(17)
+    for case, (n, t) in enumerate(((2, 1), (5, 3), (9, 255), (9, 256), (12, 7))):
+        coloring = random_coloring(n, t, stream.substream(case))
+        lazy = CompleteGraphColoring(n, t, coloring.colors)
+        for u, v in ((1, 2), (n - 1, n), (2, n)) if n > 2 else ((1, 2),):
+            color = coloring.color(u, v) % t + 1
+            child = coloring.recolored(u, v, color)
+            table = colorings._table(n, t, child.colors)
+            assert "array" in child.__dict__
+            assert child.array.dtype == table.dtype and np.array_equal(child.array, table)
+            assert not child.array.flags.writeable
+            assert coloring.array[u - 1, v - 1] == coloring.array[v - 1, u - 1] == coloring.color(u, v)
+            assert "array" not in lazy.recolored(u, v, color).__dict__
+            coloring = child
+
+
 # --- randomness -------------------------------------------------------------
 
 def test_forced_single_color():

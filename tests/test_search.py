@@ -5,7 +5,7 @@ import pytest
 
 from rainbowindex import colorings, trees
 from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs, random_coloring
-from rainbowindex.search import _failing_sets, find_coloring
+from rainbowindex.search import _failing_sets, _Scores, find_coloring
 from rainbowindex.trees import OracleMode, verify_coloring
 
 from conftest import count_packings, record_tree_packings
@@ -137,3 +137,42 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
                 assert reached == below
             if rng.random() < 0.5:
                 coloring = candidate
+
+
+def test_local_search_rescores_only_the_sets_a_move_touches(monkeypatch):
+    # seeded walks of single-edge moves, accepted or rejected at random: after
+    # every move the kept objective and the candidate's are the from-scratch
+    # counts, and the exact oracle sees only the sets holding an end of the
+    # moved edge that the certificate leaves short, plus every short set when
+    # the reach is 2 or more, as a tree through both ends can use the edge;
+    # star mode and the closed form send it none (n stops at 8 for k = 4,
+    # where the reach of 2 sends most sets to the oracle on every move)
+    calls = record_tree_packings(monkeypatch)
+    rng = random.Random(7)
+    stream = SeededStream(31)
+    modes = (OracleMode.star(), OracleMode.full(1), OracleMode.full(2), OracleMode.full())
+    for case, (k, mode, _) in enumerate(product((2, 3, 4), modes, range(3))):
+        n, t, ell = rng.randint(5, 11 if k < 4 else 8), rng.randint(2, 6), rng.randint(1, 3)
+        coloring = random_coloring(n, t, stream.substream(case))
+        scores = _Scores(n, k, ell, t, mode)
+        assert scores.reset(coloring) == _failing_sets(coloring, k, ell, mode)
+        for _ in range(5):
+            u, v = rng.choice(edge_pairs(n))
+            color = rng.choice([c for c in range(1, t + 1) if c != coloring.color(u, v)])
+            candidate = coloring.recolored(u, v, color)
+            calls.clear()
+            value = scores.rescore(coloring, candidate, u, v)
+            reached = sorted(members for members, colors in calls if colors is candidate.array)
+            assert value == _failing_sets(candidate, k, ell, mode)
+            certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
+            short = [tuple(S) for *S, count in certificates.tolist() if count < ell]
+            if mode.kind == "star" or trees._closed_form(k, mode, n, t):
+                assert reached == []
+            elif mode.reach(n, k, t) >= 2:
+                assert reached == short
+            else:
+                assert reached == [S for S in short if u in S or v in S]
+            if rng.random() < 0.5:
+                scores.commit()
+                coloring = candidate
+            assert scores.objective == _failing_sets(coloring, k, ell, mode)

@@ -630,17 +630,37 @@ def test_oracle_budget_cap(monkeypatch):
     assert err.value.size == 10 ** 8
     three = random_coloring(10, 3, SeededStream(1))
     assert len(internal_tree_packing(VertexSet(tuple(range(1, 11))), three)) == 0
-    # the cap prices the trees scanned, sum_r C(9, r) (3+r)^(1+r) on K_12 for
-    # r up to the reach: 5 colors stop budget 4 at a reach of 3 (113,511
-    # trees), while with 7 colors budget 5 reaches r = 5 and K_8's 8^6 trees,
-    # 35,261,337 in all
+    # the cap prices the trees the table holds: for each r up to the reach,
+    # C(n - 3, r) times the spanning trees of K_{3+r} where none of the r
+    # other vertices is a leaf. On K_12, 5 colors stop budget 4 at a reach of
+    # 3 (10,002 trees), and with 7 colors budget 5 reaches r = 5 (584,562
+    # trees, within the cap; it was refused when priced at every spanning
+    # tree, 35,261,337); on K_13, 8 colors let budget 6 reach r = 6, and
+    # 7,488,433 trees
     five = random_coloring(12, 5, SeededStream(2))
     value, _ = max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), five, OracleMode.full(4))
     assert value == 9
     seven = random_coloring(12, 7, SeededStream(2))
+    value, family = max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), seven, OracleMode.full(5))
+    assert value == 10  # floor(3/2) internal trees plus one per other vertex: the bound
+    DisjointFamily(family.terminal_set, family.trees, seven)
+    eight = random_coloring(13, 8, SeededStream(2))
     with pytest.raises(BudgetExceededError) as err:
-        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), seven, OracleMode.full(5))
-    assert err.value.size == 35_261_337
+        max_disjoint_rainbow_trees(VertexSet.of(1, 2, 3), eight, OracleMode.full(6))
+    assert err.value.size == 7_488_433
+
+
+def test_price_is_the_row_count_of_the_candidate_table(monkeypatch):
+    # the price counts the leaf-pruned trees the table holds, no more: with a
+    # cap of 0 every call is refused, and the refusal names the price
+    for n, k, budget, t in [(5, 2, 3, 9), (6, 3, 3, 9), (8, 3, 4, 9), (9, 3, 5, 9), (7, 4, 3, 9),
+                            (8, 5, 2, 9), (6, 4, 2, 3), (7, 3, 3, 4)]:
+        reach = OracleMode.full(budget).reach(n, k, t)
+        rows = len(trees._candidate_table(n, k, reach)[1])
+        with monkeypatch.context() as patch, pytest.raises(BudgetExceededError) as err:
+            patch.setattr(trees, "CANDIDATE_CAP", 0)
+            trees._priced_reach(OracleMode.full(budget), n, k, t)
+        assert err.value.size == rows, (n, k, reach)
 
 
 def test_one_cap_governs_the_shape_tables(monkeypatch):
@@ -815,11 +835,13 @@ def test_full_oracle_memory_at_scale():
 
 
 def test_closed_form_keeps_the_candidate_cap(monkeypatch):
-    # a reach of 1 prices 1 + 3(n-2) trees at k = 2 and 3 + 16(n-3) at
-    # k = 3; 2 colors hold the reach of a triple at 0, its 3 internal paths;
-    # a cap below the price raises as soon as a set needs its exact count
+    # a reach of 1 prices the trees the table holds: 1 + (n-2) at k = 2, the
+    # edge and a path through each other vertex, and 3 + 7(n-3) at k = 3,
+    # where the other vertex is no leaf in 16 - 9 of the trees of K_4; 2
+    # colors hold the reach of a triple at 0, its 3 internal paths; a cap
+    # below the price raises as soon as a set needs its exact count
     rainbow = CompleteGraphColoring(8, 28, tuple(range(1, 29)))
-    for k, prices in ((2, (1 + 3 * 6, 1 + 3 * 6)), (3, (3, 3 + 16 * 5))):
+    for k, prices in ((2, (1 + 6, 1 + 6)), (3, (3, 3 + 7 * 5))):
         for coloring, price in zip((random_coloring(8, 2, SeededStream(k)), rainbow), prices):
             for kwargs in ({}, {"per_set_counts": True}):
                 monkeypatch.setattr(trees, "CANDIDATE_CAP", price - 1)
@@ -989,11 +1011,6 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
         assert packed() == sorted(set(packed()))
 
 
-def _kernel_chunks(coloring, k, firsts, below):
-    return (trees._triple_chunks(coloring.array, firsts, below) if k == 3
-            else trees._gathered_chunks(coloring.array, k, firsts, below))
-
-
 def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
     # with the default chunks, chunks of a few first vertices and chunks of
     # one: the kernels yield, in lexicographic order, exactly the k-sets
@@ -1008,7 +1025,7 @@ def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
             for firsts in (range(1, n - k + 2), range(2, 4)):
                 for below in (None, 0, 1, 2, 4, n):
                     got = [(tuple(S), stars + internal)
-                           for sets, *parts in _kernel_chunks(coloring, k, firsts, below)
+                           for sets, *parts in trees._array_chunks(coloring.array, k, firsts, below)
                            for S, stars, internal in zip(sets.tolist(), *(p.tolist() for p in parts))]
                     assert got == [(S, count) for S, count in counts.items()
                                    if S[0] in firsts and (below is None or count < below)]
@@ -1175,8 +1192,7 @@ def test_kset_kernel_star_total_and_memory_at_scale():
                     for j in range(k, 0, -1):
                         e[j] += e[j - 1] * d
                 by_center += e[k]
-            chunks = (trees._triple_chunks(coloring.array, range(1, n - 1)) if k == 3
-                      else trees._gathered_chunks(coloring.array, k, range(1, n - k + 2)))
+            chunks = trees._array_chunks(coloring.array, k, range(1, n - k + 2))
             by_set = sum(int(stars.sum()) for _, stars, _ in chunks)
             assert by_set == by_center
     # on one color every pair count of K_260 is 258, past a byte, and no
