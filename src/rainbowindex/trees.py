@@ -51,13 +51,15 @@ per way a set's edges share colors, so arrays decide star mode at every k.
 In full mode with k <= 3 and a reach of at most one external vertex the
 exact count has a closed form: the certificate itself at k = 2, and at
 k = 3 the rainbow stars plus the larger of a Hall matching of the other
-centers to the internal edges and one internal path, from one array pass
-per slice of sets. Every full-mode set the arrays leave short gets its
-exact count, in lexicographic order, from ``_exact_counts``: the closed
-form where it holds, otherwise the number of rows ``_tree_packing``
-chooses for the set, none of them decoded. The scan yields runs of those
-short sets that end after each exact count, so a caller stops where it
-needs to. It reads the coloring alone.
+centers to the internal edges and one internal path: per slice of sets,
+one array pass finds the edges each center can use by the two-color rule
+and one lookup in a constant table reads the rest from their histogram.
+Every full-mode set the arrays leave short gets its exact count, in
+lexicographic order, from ``_exact_counts``: the closed form where it
+holds, otherwise the number of rows ``_tree_packing`` chooses for the
+set, none of them decoded. The scan yields runs of those short sets that
+end after each exact count, so a caller stops where it needs to. It
+reads the coloring alone.
 Inside the oracle a k-set is its sorted members tuple and a chosen tree
 is a row of keys. Only the public entry points decode the rows into
 ``(edges, external vertices)`` and build their witness ``STree`` and
@@ -490,19 +492,27 @@ def _decoded(rows: np.ndarray, labels: np.ndarray, pairs: np.ndarray) -> list[tu
             for row in rows.tolist()]
 
 
-def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
-    """The mode's reach on the k-sets of K_n under t colors, once it is
-    priced: BudgetExceededError when the price, the number of trees in the
-    call's candidate table, passes ``CANDIDATE_CAP``. For each choice of
-    r <= reach of the n - k other vertices the table holds the spanning
-    trees of K_m, m = k + r, where none of the r is a leaf. The trees where
-    j given vertices are leaves are the (m - j)^(m - 2) Prüfer sequences
-    that miss them, so by inclusion and exclusion there are
-    sum_j (-1)^j C(r, j) (m - j)^(m - 2) of them."""
-    reach, work = mode.reach(n, k, t), 0
+@lru_cache(maxsize=256)
+def _price(n: int, k: int, reach: int) -> int:
+    """The number of trees in the candidate table of the k-sets of K_n at
+    ``reach``. For each choice of r <= reach of the n - k other vertices
+    the table holds the spanning trees of K_m, m = k + r, where none of the
+    r is a leaf. The trees where j given vertices are leaves are the
+    (m - j)^(m - 2) Prüfer sequences that miss them, so by inclusion and
+    exclusion there are sum_j (-1)^j C(r, j) (m - j)^(m - 2) of them."""
+    work = 0
     for r in range(reach + 1):
         m = k + r
         work += math.comb(n - k, r) * sum((-1) ** j * math.comb(r, j) * (m - j) ** (m - 2) for j in range(r + 1))
+    return work
+
+
+def _priced_reach(mode: OracleMode, n: int, k: int, t: int) -> int:
+    """The mode's reach on the k-sets of K_n under t colors, once it is
+    priced: BudgetExceededError when the price, ``_price`` of the reach,
+    passes ``CANDIDATE_CAP``, which is read on every call."""
+    reach = mode.reach(n, k, t)
+    work = _price(n, k, reach)
     if work > CANDIDATE_CAP:
         raise BudgetExceededError(f"full oracle would scan {work} candidate trees (cap {CANDIDATE_CAP})", size=work)
     return reach
@@ -835,12 +845,42 @@ def _array_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int
     return _triple_chunks(colors, firsts, below) if k == 3 else _gathered_chunks(colors, k, firsts, below)
 
 
-# Hall's deficiency form of the matching number of centers to internal
-# edges: nu = min over edge subsets R of 3 - |R| + |N(R)|. _NEIGHBORS[m, R]
-# is 1 when a center with usable-edge mask m lies in N(R).
-_EDGE_SUBSETS = np.arange(1, 8)
-_NEIGHBORS = ((np.arange(8)[:, None] & _EDGE_SUBSETS) != 0).astype(np.int64)
-_SUBSET_SLACK = 3 - np.array([bin(r).count("1") for r in _EDGE_SUBSETS])
+# Bit q of a center's usable-edge mask, and of a triple's rainbow-path bits,
+# stands for terminal q of (a, b, c): the mask bit for the internal edge
+# opposite q, whose ends are _OPPOSITE[:, q] (bc, ac, ab), and the path bit
+# for the internal path centered at q, which leaves that edge free.
+_OPPOSITE = np.array([[1, 0, 0], [2, 2, 1]])
+_NEXT = np.array([1, 2, 0])
+_BITS = np.array([1, 2, 4], dtype=np.uint8)
+_MASKS = np.arange(1, 8)
+# index of _excess_table: the count of centers with each nonzero mask,
+# capped at 3, as base-4 digits above the 3 path bits
+_COUNT_WEIGHTS = 8 * 4 ** np.arange(6, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _excess_table() -> np.ndarray:
+    """The excess of ``_full_triple_excess`` for every histogram of masks
+    and every set of rainbow paths, at the index that function computes.
+
+    The matching number nu of centers to internal edges is Hall's deficiency
+    form min over edge subsets R of 3 - |R| + |N(R)|, where N(R) counts the
+    centers whose mask meets R; a rainbow path adds 1 more tree when some
+    center can use its free edge. A count past 3 leaves every term >= 3 and
+    the path term reads only > 0, so capping the counts at 3 is exact.
+    Built in uint8 (128 KiB) on first use."""
+    counts = np.indices((4,) * 7, dtype=np.uint8)  # counts[j - 1]: centers with mask j
+    matched = np.full((4,) * 7, 3, dtype=np.uint8)
+    for edges in _MASKS.tolist():
+        neighbors = counts[(_MASKS & edges) != 0].sum(axis=0, dtype=np.uint8)
+        np.minimum(matched, 3 - bin(edges).count("1") + neighbors, out=matched)
+    # the rainbow path centered at terminal q, plus a center using the edge it frees
+    freed = [np.uint8(1) + counts[(_MASKS >> q & 1) == 1].any(axis=0) for q in range(3)]
+    table = np.empty((4,) * 7 + (8,), dtype=np.uint8)
+    for paths in range(8):
+        table[..., paths] = reduce(np.maximum, [freed[q] for q in range(3) if paths >> q & 1], matched)
+    table.flags.writeable = False
+    return table.reshape(-1)
 
 
 def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -855,30 +895,28 @@ def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     and the rest is the larger of a matching of the other centers to the
     internal edges they can use, and one rainbow internal path plus a
     center using its free edge.
+
+    The two-color rule: an external center that is not a rainbow star sees
+    S in one or two colors. With one it can use no internal edge; with two,
+    {y, z}, it can use e exactly when color(e) is neither y nor z. So the
+    terminals' rows are gathered once, the masks come from one comparison
+    against the three internal colors and the two-color test (a terminal
+    sees color 0 and is left out), and the rest is one lookup in
+    ``_excess_table`` by the mask histogram and the rainbow-path bits.
     """
-    a, b, c = (sets - 1).T
-    ca, cb, cc = colors[a], colors[b], colors[c]  # sets x centers: the table is symmetric
-    ab, ac, bc = colors[a, b], colors[a, c], colors[b, c]
-    ne_ab, ne_ac, ne_bc = ca != cb, ca != cc, cb != cc
-    # bit e of mask: some tree through the center uses internal edge e (bc: 1, ac: 2, ab: 4)
-    p, q, r = bc[:, None], ac[:, None], ab[:, None]
-    uses = (ca != p) & ((ne_ab & (cb != p)) | (ne_ac & (cc != p)))
-    mask = uses.view(np.uint8)
-    uses = (cb != q) & ((ne_ab & (ca != q)) | (ne_bc & (cc != q)))
-    mask |= uses.view(np.uint8) << 1
-    uses = (cc != r) & ((ne_ac & (ca != r)) | (ne_bc & (cb != r)))
-    mask |= uses.view(np.uint8) << 2
-    # only external centers without a rainbow star (a terminal sees color 0)
-    mask *= (ne_ab & ne_ac & ne_bc) < ((ca > 0) & (cb > 0) & (cc > 0))
+    ends = (sets - 1).T
+    seen = colors[ends]  # terminals x sets x centers: the table is symmetric
+    internal = colors[tuple(ends[_OPPOSITE])]  # the edge opposite each terminal x sets
+    usable = (seen[:, None] != internal[:, :, None]).all(axis=0)
+    mask = np.einsum("i,ijk->jk", _BITS, usable.view(np.uint8))
+    # two colors: exactly one pair of terminals sees one color; external: no color 0
+    mask *= ((seen == seen[_NEXT]).sum(axis=0, dtype=np.uint8) == 1) & seen.all(axis=0)
     m = len(sets)
-    hist = np.bincount((mask + np.arange(0, 8 * m, 8)[:, None]).ravel(), minlength=8 * m)
-    reach = hist.reshape(m, 8) @ _NEIGHBORS  # |N(R)| for each nonempty R
-    matched = np.minimum(3, (_SUBSET_SLACK + reach).min(axis=1))
-    # the path centered at a frees bc, and so on
-    path = np.zeros(m, dtype=np.int64)
-    for rainbow, free in ((ab != ac, 1), (ab != bc, 2), (ac != bc, 4)):
-        path = np.maximum(path, rainbow * (1 + (reach[:, free - 1] > 0)))
-    return np.maximum(matched, path)
+    hist = np.bincount((mask + np.arange(0, 8 * m, 8)[:, None]).ravel(), minlength=8 * m).reshape(m, 8)
+    index = np.minimum(hist[:, 1:], 3) @ _COUNT_WEIGHTS
+    paths = internal[_OPPOSITE]  # the two edges at each terminal
+    index += _BITS @ (paths[0] != paths[1])
+    return _excess_table()[index]
 
 
 def _gathered_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:

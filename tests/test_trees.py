@@ -721,6 +721,28 @@ def test_closed_form_triple_counts_match_the_packing(monkeypatch):
                 assert _full_counts(coloring, 3, OracleMode.full()) == expected
 
 
+def test_excess_table_matches_brute_force_matchings():
+    # entry p + sum_j 8 * 4^(7-j) * d_j: d_j centers (capped at 3) can use
+    # the internal edges in mask j (bit q: the edge opposite terminal q), and
+    # bit q of p says the internal path centered at terminal q is rainbow.
+    # Every entry against the largest assignment of edges to distinct
+    # centers that can use them, and the path term from its definition.
+    table = trees._excess_table()
+    assert table.shape == (4 ** 7 * 8,) and table.dtype == np.uint8
+    index = np.arange(len(table))
+    digits = np.stack([index >> (3 + 2 * (7 - j)) & 3 for j in range(1, 8)], axis=1)
+    matched = np.zeros(len(table), dtype=np.int64)
+    # each edge goes to no center (0) or to a center whose mask holds it
+    for assignment in product(*[[0] + [j for j in range(1, 8) if j >> q & 1] for q in range(3)]):
+        need = np.bincount(assignment, minlength=8)[1:]
+        matched = np.maximum(matched, need.sum() * (digits >= need).all(axis=1))
+    expected = matched
+    for q in range(3):
+        can_use = digits[:, [j - 1 for j in range(1, 8) if j >> q & 1]].sum(axis=1) > 0
+        expected = np.maximum(expected, (index >> q & 1) * (1 + can_use))
+    assert np.array_equal(table, expected)
+
+
 def test_closed_form_wherever_the_palette_caps_the_budget(monkeypatch):
     # with 3 colors a rainbow tree of a triple holds at most one external
     # vertex, so every budget from 2 to n - k takes the closed form: its
@@ -752,6 +774,9 @@ def test_full_counts_equal_brute_force_wherever_the_reach_is_exact():
     cases = [(n, t, random_coloring(n, t, SeededStream(10 * n + t).substream(i)))
              for n in (4, 5) for t in (1, 2, 3, 4) for i in (0, 1)]
     cases += [(6, t, random_coloring(6, t, SeededStream(60 + t))) for t in (1, 2, 3, 4)]
+    # all 203 colorings of K_4 up to color renaming, the set partitions of its
+    # 6 edges (Bell(6)): every case of the closed form's two-color rule
+    cases += [(4, 6, coloring) for coloring in enumerate_colorings(4, 6)]
     for n, t, coloring in cases:
         expected = [brute_force_max_disjoint(brute_force_stree_candidates(coloring, VertexSet(S), n - 3), VertexSet(S))
                     for S in combinations(range(1, n + 1), 3)]
