@@ -387,6 +387,6 @@ def expected_X_upper(coloring: CompleteGraphColoring) -> tuple[Fraction, Fractio
     for v in range(1, n + 1):
         d1, d2, d3 = table.row(v)
         product_sum += d1 * d2 * d3
-    chunks = _triple_chunks(coloring.array, range(1, n - 1))
-    star_sum = sum(int(stars.sum()) for _, stars, _ in chunks)
+    chunks = _triple_chunks(coloring.array[None], range(1, n - 1))
+    star_sum = sum(int(stars.sum()) for _, _, stars, _ in chunks)
     return 3 + Fraction(product_sum, triples), Fraction(star_sum, triples)

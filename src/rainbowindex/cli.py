@@ -6,9 +6,11 @@ error, 3 = search budget exhausted without a find, 4 = internal error
 through one path: the parser is built once per process, and `_run`
 dispatches, times and digests the run. `main` then writes the primary output
 and one manifest (JSON, to --manifest or stderr) recording the arguments,
-seed, version, and the digest; a manifest that cannot be written exits 2,
-and so does a run whose output cannot be written (stdout closed or full, or
-a broken pipe), with its manifest still recording the run's own code.
+seed, version, and the digest; a manifest that cannot be written, to its
+file or to stderr, exits 2, and so does a run whose output cannot be
+written (stdout closed or full, or a broken pipe), with its manifest still
+recording the run's own code. Every other stderr line (error lines, tables,
+notes) is best effort and never changes the exit code.
 `replay` re-runs a manifest through the same `_run` and checks the digest,
 so primary outputs are byte-reproducible.
 JSON reports are indented by 2; `verify` writes its report, with one entry
@@ -182,7 +184,7 @@ def _cmd_bounds(args) -> tuple[int, str]:
                  ("ell_min", report.ell_minimum), ("n_threshold", report.n_thresh)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        print(f"  {name:<{width}}  {value}", file=sys.stderr)
+        _note(f"  {name:<{width}}  {value}")
     return 0, json.dumps(doc, indent=2) + "\n"
 
 
@@ -228,7 +230,7 @@ def _cmd_search(args) -> tuple[int, str]:
                 _witness_dump(result.coloring, args.k, mode))
             doc["witness_file"] = args.witness_out
         return 0, json.dumps(doc, indent=2) + "\n"
-    print("none found within budget", file=sys.stderr)
+    _note("none found within budget")
     return 3, json.dumps(doc, indent=2) + "\n"
 
 
@@ -309,8 +311,8 @@ def _cmd_mc(args) -> tuple[int, str]:
     writer.writeheader()
     for row in rows:
         writer.writerow({key: ("" if value is None else value) for key, value in row.items()})
-    print(f"threshold (wilson_lo >= {args.target}): "
-          f"{found if found is not None else 'not found in range'}", file=sys.stderr)
+    _note(f"threshold (wilson_lo >= {args.target}): "
+          f"{found if found is not None else 'not found in range'}")
     return 0, buf.getvalue()
 
 
@@ -394,32 +396,46 @@ def _run(args) -> tuple[int, str, float, str]:
     try:
         code, output = _HANDLERS[args.command](args)
     except (ColoringFormatError, BudgetExceededError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         code, output = 2, ""
     except Exception:
-        traceback.print_exc()
+        _note(traceback.format_exc().rstrip("\n"))
         code, output = 4, ""
     wall = time.perf_counter() - start
     return code, output, wall, hashlib.sha256(output.encode()).hexdigest()
 
 
-def _write_output(output: str) -> int:
-    """Write a run's primary output to stdout and flush it: 0, or 2 after one
-    error line when it cannot be written. The stream is then closed, which
-    drops what stayed buffered, so no flush at exit fails again."""
-    if not output:
-        return 0
+def _write(name: str, text: str) -> Exception | None:
+    """Write ``text`` to ``sys.stdout`` or ``sys.stderr`` (``name``) and
+    flush it: None, or the error when it cannot be written. The stream is
+    then closed, which drops what stayed buffered, so no flush at exit fails
+    again."""
+    stream = getattr(sys, name)
     try:
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.write(output)
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if stream is None:
+            raise OSError(f"{name} is closed")
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:  # a failed write, or a stream closed before
         try:
-            sys.stdout.close()
-        except (OSError, AttributeError):  # the failed flush again, or no stdout
+            stream.close()
+        except (OSError, ValueError, AttributeError):  # the failed flush again, or no stream
             pass
+        return exc
+    return None
+
+
+def _note(line: str) -> bool:
+    """Write one line to stderr; False when it cannot be written."""
+    return _write("stderr", line + "\n") is None
+
+
+def _write_output(output: str) -> int:
+    """Write a run's primary output to stdout: 0, or 2 after one error line
+    when it cannot be written."""
+    error = _write("stdout", output) if output else None
+    if error is not None:
+        _note(f"error: cannot write output: {error}")
         return 2
     return 0
 
@@ -431,21 +447,21 @@ def _cmd_replay(args) -> int:
         if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
             raise TypeError(f"argv is not a list of strings: {argv!r}")
     except KeyError as exc:
-        print(f"error: manifest {args.replayed} has no {exc} field", file=sys.stderr)
+        _note(f"error: manifest {args.replayed} has no {exc} field")
         return 2
     except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot read manifest {args.replayed}: {exc}", file=sys.stderr)
+        _note(f"error: cannot read manifest {args.replayed}: {exc}")
         return 2
     replay_args = build_parser().parse_args(argv)
     if replay_args.command == "replay":
-        print(f"error: manifest {args.replayed} records a replay, not a run", file=sys.stderr)
+        _note(f"error: manifest {args.replayed} records a replay, not a run")
         return 2
     code, output, wall, digest = _run(replay_args)
     same = (digest, code) == expected
     unwritten = _write_output(output)
-    print(f"replay of {' '.join(argv)}: "
+    _note(f"replay of {' '.join(argv)}: "
           f"{'byte-identical' if same else 'OUTPUT DIFFERS'} "
-          f"({wall:.3f}s, exit {code})", file=sys.stderr)
+          f"({wall:.3f}s, exit {code})")
     return unwritten or (0 if same else 1)
 
 
@@ -454,8 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "replay":
         if args.manifest:
-            print("error: --manifest does not apply to replay, which writes no manifest",
-                  file=sys.stderr)
+            _note("error: --manifest does not apply to replay, which writes no manifest")
             return 2
         return _cmd_replay(args)
     code, output, wall, digest = _run(args)
@@ -464,12 +479,11 @@ def main(argv: list[str] | None = None) -> int:
                        "seed": getattr(args, "seed", None), "version": __version__,
                        "exit_code": code, "wall_time_s": wall, "output_sha256": digest})
     if not args.manifest:
-        print(text, file=sys.stderr)
-        return unwritten or code
+        return (unwritten or code) if _note(text) else 2
     try:
         Path(args.manifest).write_text(text + "\n")
     except OSError as exc:
-        print(f"error: cannot write manifest {args.manifest}: {exc}", file=sys.stderr)
+        _note(f"error: cannot write manifest {args.manifest}: {exc}")
         return 2
     return unwritten or code
 

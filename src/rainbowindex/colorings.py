@@ -228,6 +228,21 @@ def _table(n: int, t: int, colors) -> np.ndarray:
     return table
 
 
+def _random_tables(n: int, t: int, streams: Iterable[SeededStream]) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform independent edge colors ``random_coloring`` draws from
+    each stream, one row each in the tables' dtype, and their read-only
+    (S, n, n) stack of tables, each as ``_table`` builds it: one flat
+    assignment fills every table's upper triangle."""
+    draws = [stream.generator().integers(1, t + 1, size=edge_count(n)) for stream in streams]
+    draws = np.array(draws, dtype=np.min_scalar_type(t))
+    tables = np.zeros((len(draws), n, n), dtype=draws.dtype)
+    vertices = np.arange(n)
+    tables.reshape(len(draws), -1)[:, np.flatnonzero(vertices[:, None] < vertices)] = draws  # the edge order
+    tables = tables + tables.transpose(0, 2, 1)
+    tables.flags.writeable = False
+    return draws, tables
+
+
 def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColoring:
     """Uniform independent edge colors, reproducible from the stream; the
     table is built from the draws themselves."""
@@ -235,8 +250,8 @@ def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColori
         raise ValueError(f"vertex count must be at least 2, got {n}")
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
-    draws = stream.generator().integers(1, t + 1, size=edge_count(n))
-    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(draws.tolist()), array=_table(n, t, draws))
+    draws, tables = _random_tables(n, t, (stream,))
+    return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(draws[0].tolist()), array=tables[0])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import binomial_tail_below, rainbow_star_prob, union_bound_failure
-from .colorings import CompleteGraphColoring, SeededStream, parallel_map, random_coloring
-from .trees import _CHUNK_ELEMENTS, OracleMode, _rainbow_rows, verify_coloring
+# random_coloring and verify_coloring are unused here; perfbench/tracing.py wraps them by these names
+from .colorings import CompleteGraphColoring, SeededStream, _random_tables, _trusted, parallel_map, random_coloring
+from .trees import _CHUNK_ELEMENTS, OracleMode, _passes, _rainbow_rows, verify_coloring
 
 __all__ = [
     "CHUNK",
@@ -187,15 +188,26 @@ def estimate_BS(config: TrialConfig) -> TrialSummary:
 
 
 def _as_all_chunk(args) -> tuple[int, Optional[CompleteGraphColoring]]:
+    """Successes among the samples start..start+size-1, and the one with the
+    least index as a coloring (None without one).
+
+    Each sample is drawn from its own substream, as ``random_coloring``
+    draws it, in blocks of ``_CHUNK_ELEMENTS // n^2`` samples (at least
+    one), and each block is decided by ``_passes`` in one pass of the k-set
+    kernel over its stack of color tables."""
     config, start, size = args
+    n, t = config.n, config.t
+    block = max(1, _CHUNK_ELEMENTS // (n * n))
     successes = 0
     first_success: Optional[CompleteGraphColoring] = None
-    for idx in range(start, start + size):
-        coloring = random_coloring(config.n, config.t, config.seed.substream(idx))
-        if verify_coloring(coloring, config.k, config.ell, config.mode).passed:
-            successes += 1
-            if first_success is None:
-                first_success = coloring
+    for first in range(start, start + size, block):
+        streams = map(config.seed.substream, range(first, min(first + block, start + size)))
+        draws, stack = _random_tables(n, t, streams)
+        passed = _passes(stack, t, config.k, config.ell, config.mode).nonzero()[0]
+        successes += len(passed)
+        if first_success is None and len(passed):
+            i = passed[0]
+            first_success = _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(draws[i].tolist()), array=stack[i])
     return successes, first_success
 
 
@@ -205,9 +217,10 @@ def estimate_AS_all(
     """Frequency of colorings passing verification for every k-set at once.
 
     Each sample index owns its substream, so the drawn colorings are
-    independent of chunking; the returned witness is the success with the
-    least sample index, the first one in job order. The union-bound
-    comparators are those of t = k, whatever ``config.t`` is.
+    independent of chunking and of the blocks each job decides at once; the
+    returned witness is the success with the least sample index, the first
+    one in job order. The union-bound comparators are those of t = k,
+    whatever ``config.t`` is.
     """
     chunks = [(config, start, min(CHUNK, config.samples - start))
               for start in range(0, config.samples, CHUNK)]

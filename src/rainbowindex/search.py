@@ -82,7 +82,8 @@ def _failing_sets(
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on
     misses: the objective ``_Scores`` keeps, counted from scratch."""
-    return sum(int((counts < ell).sum()) for _, counts in _decided_chunks(coloring, k, ell, mode, False))
+    runs = _decided_chunks(coloring.array[None], coloring.t, k, ell, mode, False)
+    return sum(int((counts < ell).sum()) for _, _, counts in runs)
 
 
 def _combinations(m: int, r: int) -> np.ndarray:
@@ -131,8 +132,8 @@ class _Scores:
     def reset(self, coloring: CompleteGraphColoring) -> int:
         """Decide every k-set of ``coloring``; returns the objective."""
         k, colors = self.k, coloring.array
-        chunks = [(stars, internal + _internal_packings(colors, sets) if k > 3 else internal)
-                  for sets, stars, internal in _array_chunks(colors, k, range(1, coloring.n - k + 2))]
+        chunks = [(stars, internal + _internal_packings(colors, sets - 1, sets - 1) if k > 3 else internal)
+                  for _, sets, stars, internal in _array_chunks(colors[None], k, range(1, coloring.n - k + 2))]
         self.stars, self.internal = map(np.concatenate, zip(*chunks))
         self.fail = self._failing(coloring, self.sets, self.stars, self.stars + self.internal)
         self.objective = int(self.fail.sum())
@@ -150,7 +151,8 @@ class _Scores:
         centers, gathered = np.where(self.second, u - 1, v - 1), sets[:2 * ones] - 1
         rainbow = _rainbow_rows(np.concatenate((candidate.array[centers, gathered], coloring.array[centers, gathered])))
         stars[:2 * ones] += rainbow[:2 * ones].view(np.int8) - rainbow[2 * ones:].view(np.int8)
-        internal[2 * ones:] = _internal_packings(candidate.array, sets[2 * ones:])
+        ends = sets[2 * ones:] - 1
+        internal[2 * ones:] = _internal_packings(candidate.array, ends, ends)
         if self.far:
             short = self.stars + self.internal < self.ell
             short[index] = False
@@ -173,7 +175,8 @@ class _Scores:
         fail = certificate < self.ell
         if self.mode.kind == "full" and fail.any():
             short = fail.nonzero()[0]
-            fail[short] = _exact_counts(coloring, sets[short], stars[short], self.mode) < self.ell
+            ends = sets[short] - 1
+            fail[short] = _exact_counts(coloring.array, coloring.t, ends, ends, stars[short], self.mode) < self.ell
         return fail
 
 

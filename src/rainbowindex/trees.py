@@ -37,10 +37,12 @@ non-terminal leaf keeps a rainbow S-tree rainbow, so restricting to
 leaf-pruned candidates never changes the maximum family size while
 shrinking the search space drastically.
 
-Whole-coloring verification, the local-search objective and the
-double-counting bound start from one numpy kernel. Its inner loops are
-array operations at every k, not per-set tuples: it yields, chunk by chunk
-of consecutive k-sets, the rainbow star counts and the internal packing
+Whole-coloring verification, the local-search objective, the Monte Carlo
+estimates and the double-counting bound start from one numpy kernel. It
+reads an (S, n, n) stack of color tables, one coloring or a block of
+sampled ones, and its inner loops are array operations at every k, not
+per-set tuples: it yields, chunk by chunk of consecutive k-sets, each set
+tagged with its coloring, the rainbow star counts and the internal packing
 where arrays know it (1 at k = 2, the triangle term at k = 3, 0 at
 k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
 gathered colors at every center otherwise. Given a demand it yields only
@@ -58,14 +60,16 @@ Every full-mode set the arrays leave short gets its exact count, in
 lexicographic order, from ``_exact_counts``: the closed form where it
 holds, otherwise the number of rows ``_tree_packing`` chooses for the
 set, none of them decoded. The scan yields runs of those short sets that
-end after each exact count, so a caller stops where it needs to. It
-reads the coloring alone.
+end after each exact count, so a caller stops where it needs to, and a
+coloring a caller drops at its first failing run leaves the later chunks
+of a stack. It reads the colorings alone.
 Inside the oracle a k-set is its sorted members tuple and a chosen tree
 is a row of keys. Only the public entry points decode the rows into
 ``(edges, external vertices)`` and build their witness ``STree`` and
 ``DisjointFamily`` objects, unchecked, as the oracle made them valid; the
 validators run on trees a caller passes in.
-Everything reads the coloring's one table, ``CompleteGraphColoring.array``.
+Everything reads the coloring's one table, ``CompleteGraphColoring.array``,
+or a stack of such tables.
 """
 
 from __future__ import annotations
@@ -764,17 +768,33 @@ class VerificationReport:
 
 
 # Elements one chunk of the k-set kernel may hold: for k = 3 the
-# pair-equality operand (first vertices x n x later vertices), otherwise the
-# gathered colors (k-sets x n x k). Every chunk holds at least one first vertex.
+# pair-equality operand (colorings x first vertices x n x later vertices),
+# otherwise the gathered colors (colorings x k-sets x n x k). Every chunk
+# holds at least one first vertex of each coloring it scans.
 # Small chunks keep the temporaries small and let a verify that fails
 # early stop after little work; larger caps were no faster on K_50..K_400.
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
-    """(sets, stars, internal) of the 3-sets a < b < c with a in ``firsts``
-    whose count stars + internal is below ``below`` (every set when None), in
-    lexicographic order.
+def _still_live(live: Optional[np.ndarray], kept: np.ndarray, *stacks: np.ndarray) -> tuple:
+    """``kept``, the indices of the colorings ``stacks`` hold along their
+    first axis, and the stacks, cut to the colorings ``live`` still keeps
+    (every one when None); each is copied only when a coloring left."""
+    now = None if live is None else live[kept]
+    if now is None or now.all():
+        return (kept,) + stacks
+    return (kept[now],) + tuple(stack[now] for stack in stacks)
+
+
+def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None,
+                   live: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """(which, sets, stars, internal) of the 3-sets a < b < c with a in
+    ``firsts`` whose count stars + internal is below ``below`` (every set
+    when None), for each coloring of the (S, n, n) ``stack`` of color
+    tables: ``which`` names the coloring of each set. A chunk covers some
+    first vertices of every coloring ``live`` keeps, read before each chunk
+    (every coloring when None; a caller only clears its entries), and lists
+    their sets coloring by coloring, each in lexicographic order.
 
     P[b,c] counts the centers u where b and c see one color (u is never b
     or c, as the diagonal is zero). Only b < c is counted: each block of
@@ -782,10 +802,10 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     bytes into the smallest unsigned type that holds n, which is exact as
     no count exceeds n. With the pair-equality indicators
     Q_a[u,b] = [color(u,a) = color(u,b)], T = Q_a^T Q_a counts the centers
-    where a, b and c all see one color: one float32 matmul per first
-    vertex, exact as every value is an integer of at most n, and neither
-    time nor memory depends on the palette size. Inclusion-exclusion over
-    the three equal pairs gives stars = (n-3) - P'_ab - P'_ac - P'_bc +
+    where a, b and c all see one color: one float32 matmul per coloring and
+    first vertex, exact as every value is an integer of at most n, and
+    neither time nor memory depends on the palette size. Inclusion-exclusion
+    over the three equal pairs gives stars = (n-3) - P'_ab - P'_ac - P'_bc +
     2 T_abc, where P'_ab = P[a,b] - [color(c,a) = color(c,b)] leaves out
     the third terminal. The internal part is 1 unless the triangle is
     monochromatic: two distinct internal colors always sit on adjacent
@@ -793,56 +813,67 @@ def _triple_chunks(colors: np.ndarray, firsts: range, below: Optional[int] = Non
     two edge-disjoint spanning trees. P holds -inf on and below its
     diagonal, so every entry of a block off a < b < c is +inf: one flat
     scan of a block chooses its sets, and only they are gathered and
-    decoded.
+    decoded. A chunk takes fewer first vertices the more colorings are
+    live, so its temporaries stay at ``_CHUNK_ELEMENTS``.
     """
-    n = len(colors)
-    P = np.empty((n, n), dtype=np.float32)
-    rows = max(1, _CHUNK_ELEMENTS // (n * n))
+    n = stack.shape[-1]
+    P = np.empty(stack.shape, dtype=np.float32)
+    rows = max(1, _CHUNK_ELEMENTS // (len(stack) * n * n))
     count = np.min_scalar_type(n)
     for r0 in range(0, n, rows):
-        equal = colors[:, r0:r0 + rows].T[:, :, None] == colors[:, r0 + 1:]
-        P[r0:r0 + rows, r0 + 1:] = equal.view(np.uint8).sum(axis=1, dtype=count)
-    P[np.tri(n, dtype=bool)] = -np.inf
-    rest = (n - 3) - P
+        equal = stack[:, :, r0:r0 + rows].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, r0 + 1:]
+        P[:, r0:r0 + rows, r0 + 1:] = equal.view(np.uint8).sum(axis=2, dtype=count)
+    np.copyto(P, -np.inf, where=np.tri(n, dtype=bool))
+    rest = np.subtract(n - 3, P, out=P)  # in place: P[a,b] is (n - 3) - rest[a,b] from here on
     limit = np.inf if below is None else below - 1
+    kept = np.arange(len(stack))
     a0, stop = firsts.start - 1, firsts.stop - 1
     while a0 < stop:
+        kept, stack, rest = _still_live(live, kept, stack, rest)
+        if not len(kept):
+            return
         # a runs over a0..a1-1; b and c over a0+1..n-1 (0-based)
         B = n - a0 - 1
-        A = min(stop - a0, max(1, _CHUNK_ELEMENTS // (n * B)))
+        A = min(stop - a0, max(1, _CHUNK_ELEMENTS // (len(kept) * n * B)))
         a1 = a0 + A
-        ab, bc = np.s_[a0:a1, a0 + 1:], np.s_[a0 + 1:, a0 + 1:]
-        Q = (colors[:, a0:a1].T[:, :, None] == colors[:, a0 + 1:]).astype(np.float32)
-        stars = Q.transpose(0, 2, 1) @ Q
+        ab, bc = np.s_[:, a0:a1, a0 + 1:], np.s_[:, a0 + 1:, a0 + 1:]
+        Q = (stack[:, :, a0:a1].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, a0 + 1:]).astype(np.float32)
+        stars = Q.transpose(0, 1, 3, 2) @ Q
+        del Q  # freed before the terms below take their temporaries
         stars *= 2
-        stars += rest[bc]
-        stars -= P[ab][:, :, None]
-        stars -= P[ab][:, None, :]
-        xab, xbc = colors[ab], colors[bc]
-        ab_ac = xab[:, :, None] == xab[:, None, :]
-        ac_bc = xab[:, None, :] == xbc
+        stars += rest[bc][:, None]
+        pab = (n - 3) - rest[ab]
+        stars -= pab[:, :, :, None]
+        stars -= pab[:, :, None, :]
+        xab, xbc = stack[ab], stack[bc][:, None]
+        ab_ac = xab[:, :, :, None] == xab[:, :, None, :]
+        ac_bc = xab[:, :, None, :] == xbc
         stars += ab_ac
         stars += ac_bc
-        stars += xab[:, :, None] == xbc
+        stars += xab[:, :, :, None] == xbc
         mono = ab_ac & ac_bc
         flat = np.flatnonzero(stars - mono < limit)
-        # (a, b, c) from the flat index (a * B + b) * B + c of the block, as
-        # the columns of a Fortran-ordered array: row-wise passes over short
-        # rows are slow
-        a = flat // (B * B)
-        bc_flat = flat - a * (B * B)
+        # (r, b, c) from the flat index (r * B + b) * B + c of the block, the
+        # sets as the columns of a Fortran-ordered array (row-wise passes
+        # over short rows are slow); row r = s * A + a is the first vertex a
+        # of the s-th coloring, read from two small tables
+        r = flat // (B * B)
+        bc_flat = flat - r * (B * B)
         b = bc_flat // B
-        sets = np.array((a, b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
-        yield sets, stars.take(flat).astype(np.int64), 1 - mono.take(flat)
+        owner, first = np.divmod(np.arange(len(kept) * A), A)
+        sets = np.array((first[r], b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
+        yield kept[owner][r], sets, stars.take(flat).astype(np.int64), 1 - mono.take(flat)
         a0 = a1
 
 
-def _array_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
-    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``
-    whose array count is below ``below`` (every set when None), in
+def _array_chunks(stack: np.ndarray, k: int, firsts: range, below: Optional[int] = None,
+                  live: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """(which, sets, stars, internal) of the k-sets with first vertex in
+    ``firsts`` whose array count is below ``below`` (every set when None),
+    for the colorings of ``stack`` that ``live`` keeps, each in
     lexicographic order: from ``_triple_chunks`` at k = 3 and from
     ``_gathered_chunks`` otherwise."""
-    return _triple_chunks(colors, firsts, below) if k == 3 else _gathered_chunks(colors, k, firsts, below)
+    return _triple_chunks(stack, firsts, below, live) if k == 3 else _gathered_chunks(stack, k, firsts, below, live)
 
 
 # Bit q of a center's usable-edge mask, and of a triple's rainbow-path bits,
@@ -883,8 +914,20 @@ def _excess_table() -> np.ndarray:
     return table.reshape(-1)
 
 
-def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Full-mode budget-1 counts of the 1-based 3-sets ``sets``, less their
+def _table_rows(stack: np.ndarray, which: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(table, rows, cols)``: ``stack`` as one (S n, n) table, its
+    colorings' rows one after another, and the rows and the columns in it of
+    the members of the 1-based k-sets ``sets`` of the colorings ``which``.
+    The per-set passes below read a set of any coloring by row and column;
+    one coloring's table is that of its stack of one, where rows and columns
+    are both ``sets - 1``."""
+    n, cols = stack.shape[-1], sets - 1
+    return stack.reshape(-1, n), cols + (which * n)[:, None], cols
+
+
+def _full_triple_excess(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Full-mode budget-1 counts of the 3-sets whose members sit at ``rows``
+    and ``cols`` of the stacked ``table`` (``_table_rows``), less their
     rainbow stars.
 
     A leaf-pruned tree of S = {a,b,c} with at most one external vertex is a
@@ -904,14 +947,14 @@ def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     sees color 0 and is left out), and the rest is one lookup in
     ``_excess_table`` by the mask histogram and the rainbow-path bits.
     """
-    ends = (sets - 1).T
-    seen = colors[ends]  # terminals x sets x centers: the table is symmetric
-    internal = colors[tuple(ends[_OPPOSITE])]  # the edge opposite each terminal x sets
+    rows, ends = rows.T, cols.T
+    seen = table[rows]  # terminals x sets x centers: the tables are symmetric
+    internal = table[rows[_OPPOSITE[0]], ends[_OPPOSITE[1]]]  # the edge opposite each terminal x sets
     usable = (seen[:, None] != internal[:, :, None]).all(axis=0)
     mask = np.einsum("i,ijk->jk", _BITS, usable.view(np.uint8))
     # two colors: exactly one pair of terminals sees one color; external: no color 0
     mask *= ((seen == seen[_NEXT]).sum(axis=0, dtype=np.uint8) == 1) & seen.all(axis=0)
-    m = len(sets)
+    m = len(cols)
     hist = np.bincount((mask + np.arange(0, 8 * m, 8)[:, None]).ravel(), minlength=8 * m).reshape(m, 8)
     index = np.minimum(hist[:, 1:], 3) @ _COUNT_WEIGHTS
     paths = internal[_OPPOSITE]  # the two edges at each terminal
@@ -919,25 +962,32 @@ def _full_triple_excess(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return _excess_table()[index]
 
 
-def _gathered_chunks(colors: np.ndarray, k: int, firsts: range, below: Optional[int] = None) -> Iterator[tuple]:
-    """(sets, stars, internal) of the k-sets with first vertex in ``firsts``
-    whose count stars + internal is below ``below`` (every set when None), in
-    lexicographic order: a center counts when its k colors to the set are
-    nonzero (it lies outside the set) and pairwise distinct. The internal
-    part is the edge itself at k = 2 and left to the caller (0) at k >= 4."""
-    n = len(colors)
-    size = max(1, _CHUNK_ELEMENTS // (n * k))
+def _gathered_chunks(stack: np.ndarray, k: int, firsts: range, below: Optional[int] = None,
+                     live: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """(which, sets, stars, internal) of the k-sets with first vertex in
+    ``firsts`` whose count stars + internal is below ``below`` (every set
+    when None), for the colorings of ``stack`` that ``live`` keeps, read
+    before each chunk, coloring by coloring and each in lexicographic order:
+    a center counts when its k colors to the set are nonzero (it lies
+    outside the set) and pairwise distinct. The internal part is the edge
+    itself at k = 2 and left to the caller (0) at k >= 4."""
+    n = stack.shape[-1]
     sets = chain.from_iterable(
         ((a,) + rest for rest in combinations(range(a + 1, n + 1), k - 1)) for a in firsts)
+    kept = np.arange(len(stack))
     while True:
+        kept, stack = _still_live(live, kept, stack)
+        if not len(kept):
+            return
+        size = max(1, _CHUNK_ELEMENTS // (len(kept) * n * k))
         block = np.fromiter(chain.from_iterable(islice(sets, size)), dtype=np.intp).reshape(-1, k)
         if not len(block):
             return
-        stars = _rainbow_rows(colors[:, block - 1]).sum(axis=0)
-        if below is not None:
-            chosen = np.flatnonzero(stars < below - (k == 2))
-            block, stars = block[chosen], stars[chosen]
-        yield block, stars, np.full_like(stars, k == 2)
+        # coloring x set x member x center, by the symmetry of the tables
+        stars = _rainbow_rows(stack[:, block - 1].transpose(0, 3, 1, 2)).sum(axis=1).ravel()
+        flat = np.arange(len(stars)) if below is None else np.flatnonzero(stars < below - (k == 2))
+        s, row = np.divmod(flat, len(block))
+        yield kept[s], block[row], stars[flat], np.full(len(flat), k == 2, dtype=stars.dtype)
 
 
 # the memo holds every pattern of a 5-set's 10 edges (Bell(10) = 115,975)
@@ -952,19 +1002,21 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     return len(_tree_packing(tuple(range(1, k + 1)), colors, 0)[0])
 
 
-def _internal_packings(colors: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Internal packing sizes of the 1-based k-sets ``sets``. At k = 2 it is
-    the edge, and at k = 3 a 2-edge path unless the triangle has one color.
+def _internal_packings(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Internal packing sizes of the k-sets whose members sit at ``rows``
+    and ``cols`` of the stacked ``table`` (``_table_rows``). At k = 2 it is
+    the edge, and at k = 3 a 2-edge path unless the triangle has one
+    color.
     Otherwise each edge is labelled by the first edge with its color, and
     each distinct row of labels, all the packing depends on, is packed once."""
-    k = sets.shape[1]
+    k = cols.shape[1]
     if k == 2:
-        return np.ones(len(sets), dtype=np.int64)
+        return np.ones(len(cols), dtype=np.int64)
     if k == 3:
-        a, b, c = (sets - 1).T
-        return 1 - ((colors[a, b] == colors[a, c]) & (colors[a, c] == colors[b, c]))
+        (ra, rb, _), (_, b, c) = rows.T, cols.T
+        return 1 - ((table[ra, b] == table[ra, c]) & (table[ra, c] == table[rb, c]))
     u, v = np.array(list(combinations(range(k), 2))).T
-    edges = colors[sets[:, u] - 1, sets[:, v] - 1]
+    edges = table[rows[:, u], cols[:, v]]
     labels = (edges[:, :, None] == edges[:, None, :]).argmax(axis=1)
     patterns, inverse = np.unique(labels, axis=0, return_inverse=True)
     sizes = [_pattern_packing(k, pattern) for pattern in map(tuple, patterns.tolist())]
@@ -977,9 +1029,11 @@ def _closed_form(k: int, mode: OracleMode, n: int, t: int) -> bool:
     return mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
 
 
-def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.ndarray,
+def _exact_counts(table: np.ndarray, t: int, rows: np.ndarray, cols: np.ndarray, stars: np.ndarray,
                   mode: OracleMode) -> np.ndarray:
-    """Full-mode counts of the 1-based k-sets ``sets`` with ``stars`` rainbow stars.
+    """Full-mode counts of the k-sets with ``stars`` rainbow stars whose
+    members sit at ``rows`` and ``cols`` of the stacked ``table``
+    (``_table_rows``); every coloring has the palette 1..t.
 
     The mode's reach is priced first, as for the oracle calls a closed form
     replaces. With one, the count is the certificate itself at k = 2 (the
@@ -988,66 +1042,96 @@ def _exact_counts(coloring: CompleteGraphColoring, sets: np.ndarray, stars: np.n
     its temporaries hold sets x centers. Otherwise each set's count is the
     number of rows ``_tree_packing`` chooses on the reach; no row is decoded.
     """
-    k, n = sets.shape[1], coloring.n
-    reach = _priced_reach(mode, n, k, coloring.t)
-    if _closed_form(k, mode, n, coloring.t):
+    k, n = cols.shape[1], table.shape[1]
+    reach = _priced_reach(mode, n, k, t)
+    if _closed_form(k, mode, n, t):
         if k == 2:
             return stars + 1
-        step, excess = max(1, _CHUNK_ELEMENTS // n), np.empty(len(sets), dtype=np.int64)
-        for start in range(0, len(sets), step):
-            excess[start:start + step] = _full_triple_excess(coloring.array, sets[start:start + step])
+        step, excess = max(1, _CHUNK_ELEMENTS // n), np.empty(len(cols), dtype=np.int64)
+        for start in range(0, len(cols), step):
+            part = np.s_[start:start + step]
+            excess[part] = _full_triple_excess(table, rows[part], cols[part])
         return stars + excess
-    return np.array([len(_tree_packing(tuple(s), coloring.array, reach)[0]) for s in sets.tolist()], dtype=np.int64)
+    # coloring s holds the rows s n .. s n + n - 1
+    starts = (rows[:, 0] - cols[:, 0]).tolist()
+    return np.array([len(_tree_packing(tuple(members), table[start:start + n], reach)[0])
+                     for start, members in zip(starts, (cols + 1).tolist())], dtype=np.int64)
 
 
 def _decided_chunks(
-    coloring: CompleteGraphColoring,
+    stack: np.ndarray,
+    t: int,
     k: int,
     ell: int,
     mode: OracleMode,
     exact: bool,
     firsts: Optional[range] = None,
+    live: Optional[np.ndarray] = None,
 ) -> Iterator[tuple]:
-    """``(sets, counts)`` in lexicographic runs of the k-sets whose array
-    count is below ell (every set when ``exact``): the count that decides
-    each of them. A k-set the runs leave out reaches ell.
+    """``(which, sets, counts)`` in runs of the k-sets whose array count is
+    below ell (every set when ``exact``), for each coloring of the (S, n, n)
+    ``stack`` of color tables on the palette 1..t: the coloring of each set
+    and the count that decides it. A k-set the runs leave out reaches ell.
 
     Chunks hold the consecutive k-sets with first vertex in ``firsts``
-    (default: all), capped by ``_CHUNK_ELEMENTS``, so memory stays O(n^2)
-    plus one chunk. The array count is the rainbow stars (``_triple_chunks``
-    at k = 3, ``_gathered_chunks`` otherwise) plus the internal part arrays
-    know: 1 at k = 2, the triangle term at k = 3; the kernels pass on only
-    the sets it leaves below ell (``below``). At k >= 4 the color-pattern
-    table adds the internal packing, except when exact in full mode, where
-    the oracle's count replaces it; that settles star mode. In full mode the
-    sets still below ell (every set when ``exact``) go in lexicographic
-    order to ``_exact_counts``: slices of at most ``_CHUNK_ELEMENTS // n``
-    sets when the count has a closed form, one set per oracle call
-    otherwise. A run ends after each such count or at the chunk's end, so a
-    caller that stops at its first failing run takes no count past the
-    failing set.
+    (default: all) of the colorings still scanned, capped by
+    ``_CHUNK_ELEMENTS``, so memory stays O(S n^2) plus one chunk; within a
+    chunk the sets come coloring by coloring, each in lexicographic order.
+    The array count is the rainbow stars (``_triple_chunks`` at k = 3,
+    ``_gathered_chunks`` otherwise) plus the internal part arrays know: 1
+    at k = 2, the triangle term at k = 3; the kernels pass on only the sets
+    it leaves below ell (``below``). At k >= 4 the color-pattern table adds
+    the internal packing, except when exact in full mode, where the oracle's
+    count replaces it; that settles star mode. In full mode the sets still
+    below ell (every set when ``exact``) go in order to ``_exact_counts``:
+    slices of at most ``_CHUNK_ELEMENTS // n`` sets when the count has a
+    closed form, one set per oracle call otherwise. A run ends after each
+    such count or at the chunk's end. ``live``, an (S,) bool array or None
+    for every coloring, is read before each chunk and each count: a caller
+    that clears a coloring's entry at its first failing run drops it from
+    the later runs, and takes no count past the failing set.
     """
+    n = stack.shape[-1]
     full = mode.kind == "full"
     if firsts is None:
-        firsts = range(1, coloring.n - k + 2)
-    chunks = _array_chunks(coloring.array, k, firsts, None if exact else ell)
-    step = max(1, _CHUNK_ELEMENTS // coloring.n) if _closed_form(k, mode, coloring.n, coloring.t) else 1
-    for sets, stars, internal in chunks:
+        firsts = range(1, n - k + 2)
+    step = max(1, _CHUNK_ELEMENTS // n) if _closed_form(k, mode, n, t) else 1
+    chunks = _array_chunks(stack, k, firsts, None if exact else ell, live)  # None: no liveness test per chunk
+    if live is None:
+        live = np.ones(len(stack), dtype=bool)
+    for which, sets, stars, internal in chunks:
         counts = stars + internal
         if k > 3 and not (exact and full) and len(sets):
-            counts += _internal_packings(coloring.array, sets)
+            counts += _internal_packings(*_table_rows(stack, which, sets))
+        if not full:
+            if len(sets):
+                yield which, sets, counts
+            continue
+        # at k > 3 the internal packing may have lifted a set to ell
+        short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
+        table, rows, cols = _table_rows(stack, which, sets)
         done = 0
-        if full:
-            # at k > 3 the internal packing may have lifted a set to ell
-            short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
-            for start in range(0, short.size, step):
-                part = short[start:start + step]
-                counts[part] = _exact_counts(coloring, sets[part], stars[part], mode)
+        while done < len(sets):
+            short = short[live[which[short]]]
+            part, short, end = short[:step], short[step:], len(sets)
+            if len(part):
+                counts[part] = _exact_counts(table, t, rows[part], cols[part], stars[part], mode)
                 end = part[-1] + 1
-                yield sets[done:end], counts[done:end]
-                done = end
-        if done < len(sets):
-            yield sets[done:], counts[done:]
+            kept = live[which[done:end]]
+            if kept.any():
+                yield which[done:end][kept], sets[done:end][kept], counts[done:end][kept]
+            done = end
+
+
+def _passes(stack: np.ndarray, t: int, k: int, ell: int, mode: OracleMode) -> np.ndarray:
+    """Whether each coloring of ``stack`` (palette 1..t) gives every k-set
+    ell trees, as ``verify_coloring`` decides one coloring: one pass of
+    ``_decided_chunks`` over the stack, which a coloring leaves at its first
+    failing run."""
+    live = np.ones(len(stack), dtype=bool)
+    for which, _, counts in _decided_chunks(stack, t, k, ell, mode, False, live=live):
+        live[which[counts < ell]] = False
+    return live
 
 
 def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
@@ -1069,7 +1153,8 @@ def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[np.n
     coloring, k, ell, mode, firsts, collect_counts = job
     blocks: list[np.ndarray] = []
     first_fail = None
-    for sets, run_counts in _decided_chunks(coloring, k, ell, mode, collect_counts, firsts):
+    runs = _decided_chunks(coloring.array[None], coloring.t, k, ell, mode, collect_counts, firsts)
+    for _, sets, run_counts in runs:
         if collect_counts:
             blocks.append(np.column_stack((sets, run_counts)))
         low = (run_counts < ell).nonzero()[0]

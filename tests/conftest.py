@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from rainbowindex import trees
@@ -130,9 +131,7 @@ def count_packings(monkeypatch) -> list:
 
 def record_tree_packings(monkeypatch) -> list:
     """Record ``(members, colors)`` of every ``trees._tree_packing`` call;
-    returns the growing list. The color-pattern table packs a k x k table,
-    so the calls for a coloring's own sets are those whose ``colors`` is
-    that coloring's ``array``."""
+    returns the growing list. ``packed_on`` picks a coloring's own sets."""
     calls, real_tree_packing = [], trees._tree_packing
 
     def recorded_tree_packing(members, colors, budget):
@@ -141,3 +140,11 @@ def record_tree_packings(monkeypatch) -> list:
 
     monkeypatch.setattr(trees, "_tree_packing", recorded_tree_packing)
     return calls
+
+
+def packed_on(calls: list, coloring: CompleteGraphColoring) -> list:
+    """The sets of the recorded ``_tree_packing`` calls on ``coloring``'s own
+    table, in call order: the kernels hand the oracle a view of a stack of
+    tables that holds it, while the color-pattern table packs a k x k table
+    of its own."""
+    return [members for members, colors in calls if np.may_share_memory(colors, coloring.array)]

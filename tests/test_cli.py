@@ -725,6 +725,77 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, sink):
     assert (doc["exit_code"], doc["output_sha256"]) == (0, hashlib.sha256(report.encode()).hexdigest())
 
 
+class _FailingStderr:
+    """A stderr whose every write raises, as a full device or a closed pipe does."""
+
+    closed = False
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+def test_unwritable_stderr_fails_only_the_manifest_line(capsys, tmp_path, monkeypatch):
+    # every stderr line but the manifest is best effort: error lines, the
+    # bounds table, the sweep's threshold, search and replay notes and
+    # tracebacks are dropped and each run keeps its own code; a manifest
+    # line that cannot be written exits 2, as an unwritable --manifest does
+    report = run(capsys, "bounds", "-k", "3", "-l", "1")[1]
+    recorded, drifted = tmp_path / "recorded.json", tmp_path / "drifted.json"
+    assert run(capsys, "--manifest", str(recorded), "bounds", "-k", "3", "-l", "1")[0] == 0
+    doc = json.loads(recorded.read_text())
+    drifted.write_text(json.dumps({**doc, "output_sha256": "0" * 64}))
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    manifest = str(tmp_path / "run.json")
+    cases = [
+        (0, ["--manifest", manifest, "bounds", "-k", "3", "-l", "1"]),
+        (2, ["--manifest", manifest, "verify", str(tmp_path / "missing.coloring"), "-k", "3", "-l", "1"]),
+        (0, ["--manifest", manifest, "mc", "sweep", "-k", "3", "-l", "1", "-t", "3", "--n", "6:8:1",
+             "--samples", "4", "--seed", "1"]),
+        (3, ["--manifest", manifest, "search", "-n", "5", "-k", "3", "-l", "3", "-t", "3",
+             "--strategy", "random", "--search-budget", "3", "--seed", "1"]),
+        (4, ["--manifest", manifest, "tail", "-n", "7", "-k", "3", "-l", "1"]),
+        (0, ["replay", str(recorded)]),
+        (1, ["replay", str(drifted)]),
+        (2, ["--manifest", manifest, "replay", str(recorded)]),
+        (2, ["bounds", "-k", "3", "-l", "1"]),
+        (2, ["tail", "-n", "7", "-k", "3", "-l", "1"]),
+    ]
+    for expected, argv in cases:
+        stderr = _FailingStderr()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stderr", stderr)
+            patch.setitem(cli._HANDLERS, "tail", broken)
+            code = main(argv)
+        assert code == expected, argv
+        assert stderr.closed, argv
+        assert capsys.readouterr().err == ""
+    # the run itself is untouched: its output still reaches stdout
+    monkeypatch.setattr(sys, "stderr", _FailingStderr())
+    assert main(["bounds", "-k", "3", "-l", "1"]) == 2
+    assert capsys.readouterr().out == report
+    # as a process, on a full device and on a closed descriptor: closing the
+    # failed stderr leaves nothing for the flush at exit, which would exit 120
+    command = [sys.executable, "-m", "rainbowindex", "bounds", "-k", "3", "-l", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    sinks = [{"preexec_fn": lambda: os.close(2)}]
+    if os.path.exists("/dev/full"):
+        sinks.append({"stderr": open("/dev/full", "w")})
+    for sink in sinks:
+        done = subprocess.run(command, stdout=subprocess.PIPE, text=True, env=env, **sink)
+        if "stderr" in sink:
+            sink["stderr"].close()
+        assert (done.returncode, done.stdout) == (2, report)
+
+
 def test_runs_without_output_keep_their_code_without_stdout(capsys, tmp_path, monkeypatch):
     # usage errors and internal errors print no output, so a closed stdout
     # leaves their codes 2 and 4

@@ -170,6 +170,31 @@ def test_estimate_as_all_k6_finds_certificates():
     assert verify_coloring(witness, 3, 1, OracleMode.full(1)).passed
 
 
+def test_estimate_as_all_blocks_decide_what_one_coloring_at_a_time_would(monkeypatch):
+    # blocks of _CHUNK_ELEMENTS // n^2 samples, blocks of 7 (the last one
+    # partial) and blocks of one give the same summary and witness, in star
+    # and in full mode, and these are the per-sample verdicts of verify on
+    # the colorings random_coloring draws from the same substreams
+    configs = (TrialConfig(n=7, k=3, ell=1, t=3, samples=300, seed=SeededStream(12)),
+               TrialConfig(n=8, k=3, ell=2, t=3, samples=300, seed=SeededStream(13), mode=OracleMode.full(1)),
+               TrialConfig(n=7, k=4, ell=1, t=4, samples=200, seed=SeededStream(14), mode=OracleMode.full(1)),
+               TrialConfig(n=7, k=4, ell=1, t=5, samples=200, seed=SeededStream(14)))
+    for config in configs:
+        n = config.n
+        colorings = [random_coloring(n, config.t, config.seed.substream(i)) for i in range(config.samples)]
+        passed = [verify_coloring(c, config.k, config.ell, config.mode).passed for c in colorings]
+        assert 0 < sum(passed) < config.samples
+        results = []
+        for elements in (montecarlo._CHUNK_ELEMENTS, 7 * n * n, 1):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", elements)
+            results.append(estimate_AS_all(config))
+        summary, witness = results[0]
+        assert results[1:] == [results[0]] * 2
+        assert summary.successes == sum(passed)
+        assert witness == colorings[passed.index(True)]
+        assert np.array_equal(witness.array, colorings[passed.index(True)].array)
+
+
 def test_estimate_as_all_worker_count_invariant(monkeypatch):
     # chunks far smaller than the sample count, so two workers share many jobs
     monkeypatch.setattr(montecarlo, "CHUNK", 16)
@@ -200,16 +225,23 @@ def test_estimate_as_all_single_color_never_succeeds():
 # --- threshold sweep --------------------------------------------------------
 
 def test_empirical_threshold_draws_each_sample_once(monkeypatch):
-    # at ell = 0 every sample passes, so every row has a witness to keep
+    # at ell = 0 every sample passes, so every row has a witness to keep; the
+    # samples are drawn in blocks, each from its own substream, and no
+    # substream is drawn twice
     drawn = []
-    draw = montecarlo.random_coloring
-    monkeypatch.setattr(montecarlo, "random_coloring",
-                        lambda *args: drawn.append(args) or draw(*args))
+    draw = montecarlo._random_tables
+
+    def recorded(n, t, streams):
+        streams = list(streams)
+        drawn.extend(streams)
+        return draw(n, t, streams)
+
+    monkeypatch.setattr(montecarlo, "_random_tables", recorded)
     n_range = range(3, 9)
     _, rows = empirical_threshold(3, 0, 3, samples=20, target=0.5, n_range=n_range,
                                   seed=SeededStream(2))
     assert [row["successes"] for row in rows] == [20] * len(n_range)
-    assert len(drawn) == 20 * len(n_range)
+    assert len(drawn) == len(set(drawn)) == 20 * len(n_range)
 
 
 def test_empirical_threshold_finds_small_n_demand_one():

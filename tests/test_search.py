@@ -8,7 +8,7 @@ from rainbowindex.colorings import BudgetExceededError, SeededStream, edge_pairs
 from rainbowindex.search import _failing_sets, _Scores, find_coloring
 from rainbowindex.trees import OracleMode, verify_coloring
 
-from conftest import count_packings, record_tree_packings
+from conftest import count_packings, packed_on, record_tree_packings
 
 
 def test_random_search_finds_k6_demand_one():
@@ -122,7 +122,7 @@ def test_local_search_walk_scores_each_move_from_scratch(monkeypatch):
             calls.clear()
             packed.clear()
             value = _failing_sets(candidate, k, ell, mode)
-            reached = [members for members, colors in calls if colors is candidate.array]
+            reached = packed_on(calls, candidate)
             repacked = list(packed)
             report = verify_coloring(candidate, k, ell, mode, per_set_counts=True)
             assert value == sum(count < ell for *_, count in report.per_set_counts.tolist())
@@ -162,7 +162,7 @@ def test_local_search_rescores_only_the_sets_a_move_touches(monkeypatch):
             candidate = coloring.recolored(u, v, color)
             calls.clear()
             value = scores.rescore(coloring, candidate, u, v)
-            reached = sorted(members for members, colors in calls if colors is candidate.array)
+            reached = sorted(packed_on(calls, candidate))
             assert value == _failing_sets(candidate, k, ell, mode)
             certificates = verify_coloring(candidate, k, 0, per_set_counts=True).per_set_counts
             short = [tuple(S) for *S, count in certificates.tolist() if count < ell]

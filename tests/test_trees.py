@@ -40,6 +40,7 @@ from conftest import (
     brute_force_max_disjoint,
     brute_force_stree_candidates,
     count_packings,
+    packed_on,
     record_tree_packings,
 )
 
@@ -700,7 +701,7 @@ def test_packing_matches_the_public_oracle():
 
 def _full_counts(coloring, k, mode):
     """Every k-set's full-mode count from the per-set decision, in lexicographic order."""
-    return [count for sets, counts in trees._decided_chunks(coloring, k, 0, mode, True)
+    return [count for _, sets, counts in trees._decided_chunks(coloring.array[None], coloring.t, k, 0, mode, True)
             for count in counts.tolist()]
 
 
@@ -824,8 +825,8 @@ def test_closed_form_memory_at_scale():
     tracemalloc.start()
     try:
         sets_seen = 0
-        for sets, counts in trees._decided_chunks(
-                coloring, 3, 0, OracleMode.full(), True, firsts=range(1, 4)):
+        for _, sets, counts in trees._decided_chunks(
+                coloring.array[None], coloring.t, 3, 0, OracleMode.full(), True, firsts=range(1, 4)):
             sets_seen += len(sets)
             assert (counts >= 1).all() and (counts <= 297 + 3).all()
         peak = tracemalloc.get_traced_memory()[1]
@@ -1012,7 +1013,7 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
     coloring = random_coloring(10, 4, SeededStream(1))
 
     def packed():
-        return [members for members, colors in calls if colors is coloring.array]
+        return packed_on(calls, coloring)
 
     for k, ell, mode, firsts in ((4, 3, OracleMode.full(2), range(1, 4)),
                                  (4, 3, OracleMode.full(1), None),
@@ -1020,7 +1021,7 @@ def test_runs_end_at_each_oracle_count(monkeypatch):
                                  (3, 6, OracleMode.full(1), None),
                                  (4, 3, OracleMode.star(), None)):
         calls.clear()
-        runs = list(trees._decided_chunks(coloring, k, ell, mode, False, firsts))
+        runs = [run[1:] for run in trees._decided_chunks(coloring.array[None], coloring.t, k, ell, mode, False, firsts)]
         firsts = firsts or range(1, 11)
         short = [S for S in combinations(range(1, 11), k)
                  if S[0] in firsts and brute_force_array_count(coloring, S) < ell]
@@ -1050,10 +1051,82 @@ def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
             for firsts in (range(1, n - k + 2), range(2, 4)):
                 for below in (None, 0, 1, 2, 4, n):
                     got = [(tuple(S), stars + internal)
-                           for sets, *parts in trees._array_chunks(coloring.array, k, firsts, below)
+                           for _, sets, *parts in trees._array_chunks(coloring.array[None], k, firsts, below)
                            for S, stars, internal in zip(sets.tolist(), *(p.tolist() for p in parts))]
                     assert got == [(S, count) for S, count in counts.items()
                                    if S[0] in firsts and (below is None or count < below)]
+
+
+def _by_coloring(runs, size):
+    """Each coloring's ``(set, values...)`` rows from tagged runs, in run order."""
+    rows = [[] for _ in range(size)]
+    for which, sets, *values in runs:
+        for s, *row in zip(which.tolist(), map(tuple, sets.tolist()), *(v.tolist() for v in values)):
+            rows[s].append(tuple(row))
+    return rows
+
+
+def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
+    # random stacks of 6 colorings of K_5..K_7 that mix passing and failing
+    # ones: per coloring, the stacked kernel yields the sets and counts of
+    # a stack of one and of the brute-force count, with and without
+    # ``below``, with the default chunks and with chunks of one first
+    # vertex; the decided runs give every count verify gives, star and exact
+    # full mode; ``_passes`` gives each coloring's verdict; and a coloring
+    # whose entry of ``live`` is cleared at its first failing run takes no
+    # set past it while the others keep all of theirs
+    stream = SeededStream(61)
+    mixed = 0
+    for case, (k, n, t) in enumerate(product((2, 3, 4), (5, 6, 7), (3, 5))):
+        colorings = [random_coloring(n, t, stream.substream(8 * case + i)) for i in range(6)]
+        stack = np.stack([c.array for c in colorings])
+        counts = [{S: brute_force_array_count(c, S) for S in combinations(range(1, n + 1), k)} for c in colorings]
+        for elements in (trees._CHUNK_ELEMENTS, 1):
+            monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
+            for firsts in (range(1, n - k + 2), range(2, 4)):
+                for below in (None, 1, 2, 3):
+                    got = _by_coloring(trees._array_chunks(stack, k, firsts, below), len(stack))
+                    for s, coloring in enumerate(colorings):
+                        alone = _by_coloring(trees._array_chunks(stack[s:s + 1], k, firsts, below), 1)[0]
+                        expected = [(S, count) for S, count in counts[s].items()
+                                    if S[0] in firsts and (below is None or count < below)]
+                        assert got[s] == alone
+                        assert [(S, stars + internal) for S, stars, internal in got[s]] == expected
+        monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", 4 * n * n)
+        for mode in (OracleMode.star(), OracleMode.full(1)):
+            runs = _by_coloring(trees._decided_chunks(stack, t, k, 0, mode, True), len(stack))
+            for s, coloring in enumerate(colorings):
+                report = verify_coloring(coloring, k, 0, mode, per_set_counts=True)
+                assert runs[s] == [(tuple(S), count) for *S, count in report.per_set_counts.tolist()]
+            for ell in (1, 2, 3):
+                verdicts = [verify_coloring(c, k, ell, mode) for c in colorings]
+                passed = [report.passed for report in verdicts]
+                mixed += 0 < sum(passed) < len(passed)
+                assert trees._passes(stack, t, k, ell, mode).tolist() == passed
+                live = np.ones(len(stack), dtype=bool)
+                seen, run_of = [[] for _ in colorings], [[] for _ in colorings]
+                with monkeypatch.context() as patch:
+                    calls = record_tree_packings(patch)
+                    runs = trees._decided_chunks(stack, t, k, ell, mode, False, live=live)
+                    for index, (which, sets, run_counts) in enumerate(runs):
+                        assert live[which].all()
+                        for s, S, count in zip(which.tolist(), sets.tolist(), run_counts.tolist()):
+                            seen[s].append((tuple(S), count))
+                            run_of[s].append(index)
+                        live[which[run_counts < ell]] = False
+                for s, report in enumerate(verdicts):
+                    # the oracle packs no set of a coloring past its witness
+                    packed = [S for S, colors in calls if colors.shape == (n, n) and np.array_equal(colors, stack[s])]
+                    assert report.passed or all(S <= report.witness for S in packed)
+                    alone = _by_coloring(trees._decided_chunks(stack[s:s + 1], t, k, ell, mode, False), 1)[0]
+                    assert seen[s] == alone[:len(seen[s])]
+                    if report.passed:
+                        assert seen[s] == alone and all(count >= ell for _, count in alone)
+                    else:
+                        # the scan of this coloring ends with the run that holds its witness
+                        last = seen[s].index((report.witness, report.witness_count))
+                        assert set(run_of[s][last:]) == {run_of[s][last]}
+    assert mixed >= 10
 
 
 def test_passing_star_verify_yields_no_run():
@@ -1065,9 +1138,9 @@ def test_passing_star_verify_yields_no_run():
         counts = {S: brute_force_array_count(coloring, S) for S in combinations(range(1, n + 1), k)}
         ell = min(counts.values())
         assert ell >= 1 and verify_coloring(coloring, k, ell).passed
-        assert list(trees._decided_chunks(coloring, k, ell, OracleMode.star(), False)) == []
-        runs = list(trees._decided_chunks(coloring, k, ell + 1, OracleMode.star(), False))
-        assert [tuple(S) for sets, _ in runs for S in sets.tolist()] == [
+        assert list(trees._decided_chunks(coloring.array[None], t, k, ell, OracleMode.star(), False)) == []
+        runs = list(trees._decided_chunks(coloring.array[None], t, k, ell + 1, OracleMode.star(), False))
+        assert [tuple(S) for _, sets, _ in runs for S in sets.tolist()] == [
             S for S, count in counts.items() if count == ell]
 
 
@@ -1094,7 +1167,7 @@ def test_pattern_table_matches_the_internal_packing():
     S = VertexSet.of(1, 2, 3, 4)
     for colors in product(range(1, 5), repeat=6):
         coloring = CompleteGraphColoring(4, 4, colors)
-        (got,) = trees._internal_packings(coloring.array, np.array([S.members]))
+        (got,) = trees._internal_packings(coloring.array, *[np.array([S.members]) - 1] * 2)
         assert got == len(internal_tree_packing(S, coloring))
     assert trees._pattern_packing.cache_info().misses == 187
     # a sample of 5-sets, from one to ten colors
@@ -1102,7 +1175,7 @@ def test_pattern_table_matches_the_internal_packing():
     for t in (1, 2, 3, 5, 10):
         coloring = random_coloring(9, t, stream.substream(t))
         sets = np.array(list(combinations(range(1, 10), 5))[::3])
-        got = trees._internal_packings(coloring.array, sets)
+        got = trees._internal_packings(coloring.array, sets - 1, sets - 1)
         assert got.tolist() == [len(internal_tree_packing(VertexSet(tuple(S)), coloring))
                                 for S in sets.tolist()]
 
@@ -1112,7 +1185,7 @@ def test_public_full_oracle_at_k3_matches_the_closed_form():
     # bound; on K_120 it must finish at once and agree with the closed form
     coloring = random_coloring(120, 3, SeededStream(1))
     sets = np.array([(1, 2, 3), (4, 60, 61), (17, 83, 120), (50, 99, 118)])
-    excess = trees._full_triple_excess(coloring.array, sets)
+    excess = trees._full_triple_excess(coloring.array, sets - 1, sets - 1)
     for members, extra in zip(sets.tolist(), excess.tolist()):
         S = VertexSet(tuple(members))
         value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full())
@@ -1198,7 +1271,7 @@ def test_kset_kernel_matches_scalar_certificates(monkeypatch):
                             assert (report.witness, report.witness_count) == expected
                             assert report.passed == (expected[0] is None)
                             closed = mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
-                            packed = [members for members, colors in calls if colors is coloring.array]
+                            packed = packed_on(calls, coloring)
                             assert packed == ([] if closed else expected_calls)
 
 
@@ -1217,8 +1290,8 @@ def test_kset_kernel_star_total_and_memory_at_scale():
                     for j in range(k, 0, -1):
                         e[j] += e[j - 1] * d
                 by_center += e[k]
-            chunks = trees._array_chunks(coloring.array, k, range(1, n - k + 2))
-            by_set = sum(int(stars.sum()) for _, stars, _ in chunks)
+            chunks = trees._array_chunks(coloring.array[None], k, range(1, n - k + 2))
+            by_set = sum(int(stars.sum()) for _, _, stars, _ in chunks)
             assert by_set == by_center
     # on one color every pair count of K_260 is 258, past a byte, and no
     # triple has a star or an internal tree
