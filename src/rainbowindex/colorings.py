@@ -126,13 +126,17 @@ class SeededStream:
             raise ValueError(f"substream index must be in 0..{_SUBSTREAM_FANOUT - 1}")
         return SeededStream(self.master_seed, self.stream_index * _SUBSTREAM_FANOUT + index + 1)
 
+    def _words(self) -> tuple[tuple[int, ...], tuple[int, int]]:
+        """The Philox counter and key at the start of this stream: counter
+        stream_index << 128 and key master_seed, as little-endian 64-bit
+        words."""
+        high, low = divmod(self.stream_index, 1 << 64)
+        return (0, 0, low, high), (self.master_seed, 0)
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        # counter stream_index << 128 and key master_seed as little-endian
-        # 64-bit words: the same bits as the integers, converted faster
-        high, low = divmod(self.stream_index, 1 << 64)
-        counter = np.array((0, 0, low, high), dtype=np.uint64)
-        key = np.array((self.master_seed, 0), dtype=np.uint64)
+        # the words as arrays: the same bits as the integers, converted faster
+        counter, key = (np.array(words, dtype=np.uint64) for words in self._words())
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -232,8 +236,19 @@ def _random_tables(n: int, t: int, streams: Iterable[SeededStream]) -> tuple[np.
     """The uniform independent edge colors ``random_coloring`` draws from
     each stream, one row each in the tables' dtype, and their read-only
     (S, n, n) stack of tables, each as ``_table`` builds it: one flat
-    assignment fills every table's upper triangle."""
-    draws = [stream.generator().integers(1, t + 1, size=edge_count(n)) for stream in streams]
+    assignment fills every table's upper triangle. One generator draws
+    every row: built for the first stream, then re-seated at each later
+    stream's start with an empty buffer, which is the state a fresh
+    generator of that stream has."""
+    generator, draws = None, []
+    for stream in streams:
+        if generator is None:
+            generator = stream.generator()
+        else:
+            counter, key = stream._words()
+            generator.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                                             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        draws.append(generator.integers(1, t + 1, size=edge_count(n)))
     draws = np.array(draws, dtype=np.min_scalar_type(t))
     tables = np.zeros((len(draws), n, n), dtype=draws.dtype)
     vertices = np.arange(n)

@@ -44,12 +44,15 @@ sampled ones, and its inner loops are array operations at every k, not
 per-set tuples: it yields, chunk by chunk of consecutive k-sets, each set
 tagged with its coloring, the rainbow star counts and the internal packing
 where arrays know it (1 at k = 2, the triangle term at k = 3, 0 at
-k >= 4), from matmuls over pair-equality indicators for k = 3 and from the
-gathered colors at every center otherwise. Given a demand it yields only
-the sets whose count falls below it, chosen before any row is built, so
-the scan lists just the sets short by arrays (every set when counts are
-asked for). At k >= 4 a color-pattern table packs the internal trees once
-per way a set's edges share colors, so arrays decide star mode at every k.
+k >= 4): at k = 3 from one float32 matmul per first vertex whose product
+carries the triple term and the first vertex's two pair terms, and at
+other k from the gathered colors at every center. Given a demand it
+yields only the sets whose count falls below it, chosen before any row is
+built (at k = 3 by comparing the product with one table per coloring, so
+only the sets it leaves short read their triangle), and the scan lists
+just the sets short by arrays (every set when counts are asked for). At
+k >= 4 a color-pattern table packs the internal trees once per way a
+set's edges share colors, so arrays decide star mode at every k.
 In full mode with k <= 3 and a reach of at most one external vertex the
 exact count has a closed form: the certificate itself at k = 2, and at
 k = 3 the rainbow stars plus the larger of a Hall matching of the other
@@ -767,13 +770,18 @@ class VerificationReport:
         return "".join(pieces.tolist())
 
 
-# Elements one chunk of the k-set kernel may hold: for k = 3 the
-# pair-equality operand (colorings x first vertices x n x later vertices),
-# otherwise the gathered colors (colorings x k-sets x n x k). Every chunk
-# holds at least one first vertex of each coloring it scans.
+# Elements one chunk of the k-set kernel may hold: for k = 3 the product's
+# operand Z (colorings x first vertices x n x later vertices), otherwise
+# the gathered colors (colorings x k-sets x n x k). Every chunk holds at
+# least one first vertex of each coloring it scans.
 # Small chunks keep the temporaries small and let a verify that fails
 # early stop after little work; larger caps were no faster on K_50..K_400.
 _CHUNK_ELEMENTS = 1 << 15
+# Elements of one row block of the k = 3 pair table's equalities
+# (colorings x rows x n x later columns), counted once per scan before any
+# chunk: at 2^15 a 6-coloring K_50 stack took 2 rows per block and built P
+# 2.2x slower than at 2^18 (17 rows), which 2^20 did not beat.
+_PAIR_ELEMENTS = 1 << 18
 
 
 def _still_live(live: Optional[np.ndarray], kept: np.ndarray, *stacks: np.ndarray) -> tuple:
@@ -798,71 +806,98 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
 
     P[b,c] counts the centers u where b and c see one color (u is never b
     or c, as the diagonal is zero). Only b < c is counted: each block of
-    rows b compares them with the later columns and sums the equalities as
-    bytes into the smallest unsigned type that holds n, which is exact as
-    no count exceeds n. With the pair-equality indicators
-    Q_a[u,b] = [color(u,a) = color(u,b)], T = Q_a^T Q_a counts the centers
-    where a, b and c all see one color: one float32 matmul per coloring and
-    first vertex, exact as every value is an integer of at most n, and
-    neither time nor memory depends on the palette size. Inclusion-exclusion
-    over the three equal pairs gives stars = (n-3) - P'_ab - P'_ac - P'_bc +
-    2 T_abc, where P'_ab = P[a,b] - [color(c,a) = color(c,b)] leaves out
-    the third terminal. The internal part is 1 unless the triangle is
-    monochromatic: two distinct internal colors always sit on adjacent
-    edges, giving a rainbow 2-edge path, and 3 internal edges cannot hold
-    two edge-disjoint spanning trees. P holds -inf on and below its
-    diagonal, so every entry of a block off a < b < c is +inf: one flat
-    scan of a block chooses its sets, and only they are gathered and
-    decoded. A chunk takes fewer first vertices the more colorings are
-    live, so its temporaries stay at ``_CHUNK_ELEMENTS``.
+    rows b (``_PAIR_ELEMENTS``) compares them with the later columns and
+    sums the equalities as bytes into the smallest unsigned type that holds
+    n, which is exact as no count exceeds n. With the pair-equality
+    indicators Q_a[u,b] = [color(u,a) = color(u,b)], which are 0 at u = a
+    and u = b, let Z = Q_a - 1/2 except Z[b,b] = 0. For b != c the centers
+    a, b and c add 1/4, 0 and 0 to (Z^T Z)[b,c], so by inclusion-exclusion
+    over the three equal pairs at each external center
+    stars = 2 (Z^T Z)[b,c] + (n - 2 - n/2) - P[b,c] + [color(a,b) = color(a,c)]:
+    the product carries the triple term and both pair terms of a. It is one
+    float32 matmul per coloring and first vertex, exact in any summation
+    order as every partial sum is a multiple of 1/4 of magnitude at most
+    n/4, and neither time nor memory depends on the palette size. The
+    internal part is 1 unless the triangle is monochromatic: two distinct
+    internal colors always sit on adjacent edges, giving a rainbow 2-edge
+    path, and 3 internal edges cannot hold two edge-disjoint spanning
+    trees. So count = stars + internal is at least
+    2 (Z^T Z)[b,c] + (n - 2 - n/2) - P[b,c] + 1, and a set is a candidate
+    when that bound falls below the demand: one comparison of the product
+    with a per-coloring table made from P in place, which admits no set off
+    b < c, nor, in a chunk of several first vertices, any at b <= a. Only
+    the candidates read their triangle's three colors, gathered at them;
+    when every set is kept (``below`` None) the colors are compared over
+    the whole block instead, which was faster there (1.0 against 1.3 ms on
+    K_50). The counts then keep the sets below demand. A chunk takes fewer
+    first vertices the more colorings are live, so its temporaries stay at
+    ``_CHUNK_ELEMENTS``.
     """
     n = stack.shape[-1]
+    every = below is None
+    below = n - 1 if every else min(below, n - 1)  # every count is at most n - 2
     P = np.empty(stack.shape, dtype=np.float32)
-    rows = max(1, _CHUNK_ELEMENTS // (len(stack) * n * n))
+    rows = max(1, _PAIR_ELEMENTS // (len(stack) * n * n))
     count = np.min_scalar_type(n)
     for r0 in range(0, n, rows):
+        # rows b read as columns of the symmetric tables: reading them as
+        # rows built P 1.8-2.1x slower on K_50 and K_200, and no faster on K_714
         equal = stack[:, :, r0:r0 + rows].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, r0 + 1:]
         P[:, r0:r0 + rows, r0 + 1:] = equal.view(np.uint8).sum(axis=2, dtype=count)
-    np.copyto(P, -np.inf, where=np.tri(n, dtype=bool))
-    rest = np.subtract(n - 3, P, out=P)  # in place: P[a,b] is (n - 3) - rest[a,b] from here on
-    limit = np.inf if below is None else below - 1
+    # in place: limit = (below - 1 - (n - 2 - n/2) + P) / 2, a multiple of
+    # 1/4, and a set is a candidate when (Z^T Z)[b,c] < limit[b,c]
+    limit = np.add(P, below + 1 - n / 2, out=P)
+    limit *= 0.5
+    np.copyto(limit, -np.inf, where=np.tri(n, dtype=bool))
     kept = np.arange(len(stack))
     a0, stop = firsts.start - 1, firsts.stop - 1
     while a0 < stop:
-        kept, stack, rest = _still_live(live, kept, stack, rest)
+        kept, stack, limit = _still_live(live, kept, stack, limit)
         if not len(kept):
             return
         # a runs over a0..a1-1; b and c over a0+1..n-1 (0-based)
         B = n - a0 - 1
         A = min(stop - a0, max(1, _CHUNK_ELEMENTS // (len(kept) * n * B)))
-        a1 = a0 + A
-        ab, bc = np.s_[:, a0:a1, a0 + 1:], np.s_[:, a0 + 1:, a0 + 1:]
-        Q = (stack[:, :, a0:a1].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, a0 + 1:]).astype(np.float32)
-        stars = Q.transpose(0, 1, 3, 2) @ Q
-        del Q  # freed before the terms below take their temporaries
-        stars *= 2
-        stars += rest[bc][:, None]
-        pab = (n - 3) - rest[ab]
-        stars -= pab[:, :, :, None]
-        stars -= pab[:, :, None, :]
-        xab, xbc = stack[ab], stack[bc][:, None]
-        ab_ac = xab[:, :, :, None] == xab[:, :, None, :]
-        ac_bc = xab[:, :, None, :] == xbc
-        stars += ab_ac
-        stars += ac_bc
-        stars += xab[:, :, :, None] == xbc
-        mono = ab_ac & ac_bc
-        flat = np.flatnonzero(stars - mono < limit)
-        # (r, b, c) from the flat index (r * B + b) * B + c of the block, the
-        # sets as the columns of a Fortran-ordered array (row-wise passes
-        # over short rows are slow); row r = s * A + a is the first vertex a
-        # of the s-th coloring, read from two small tables
-        r = flat // (B * B)
-        bc_flat = flat - r * (B * B)
-        b = bc_flat // B
-        owner, first = np.divmod(np.arange(len(kept) * A), A)
-        sets = np.array((first[r], b, bc_flat - b * B)).T + (a0 + 1, a0 + 2, a0 + 2)
-        yield kept[owner][r], sets, stars.take(flat).astype(np.int64), 1 - mono.take(flat)
+        a1, later = a0 + A, np.s_[a0 + 1:]
+        Z = np.subtract(stack[:, :, a0:a1].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, later],
+                        np.float32(0.5), dtype=np.float32, order="C")
+        Z.reshape(-1, n * B)[:, (a0 + 1) * B::B + 1] = 0  # row b of column b
+        gap = Z.transpose(0, 1, 3, 2) @ Z
+        del Z  # freed before the candidates take their temporaries
+        gap -= limit[:, None, later, later]
+        for i in range(1, A):
+            gap[:, i, :i] = np.inf  # b <= a
+        flat = np.flatnonzero(gap < 0)
+        if len(flat):
+            # (s, i, b, c) from the flat index ((s * A + i) * B + b) * B + c:
+            # for every set of a chunk, the row's three read from small
+            # tables, and ``np.unravel_index`` for the few candidates of a
+            # demand (85 against 211 us on 15,000 sets, 11 against 1.4 us
+            # on 30)
+            xab = stack[:, a0:a1, later]
+            if every:
+                row = flat // B
+                c = flat - row * B
+                s, i, b = (part[row] for part in np.unravel_index(np.arange(len(kept) * A * B), gap.shape[:3]))
+                pair = xab[:, :, :, None] == xab[:, :, None, :]
+                mono = (pair & (xab[:, :, None, :] == stack[:, None, later, later])).take(flat)
+                pair = pair.take(flat)
+            else:
+                s, i, b, c = np.unravel_index(flat, gap.shape)
+                ab, ac = xab[s, i, b], xab[s, i, c]
+                pair = ab == ac
+                mono = pair & (ac == stack[:, later, later][s, b, c])
+            # count = below + gap + pair - mono, with gap = 2 (Z^T Z - limit) < 0
+            gap = 2 * gap.take(flat)
+            if not every:
+                short = np.flatnonzero(gap + (pair & ~mono) < 0)
+                s, i, b, c, gap, pair, mono = (part[short] for part in (s, i, b, c, gap, pair, mono))
+            stars = gap.astype(np.int64)
+            stars += pair
+            stars += below - 1
+            # the sets as the columns of a Fortran-ordered array (row-wise
+            # passes over short rows are slow)
+            yield kept[s], np.array((i, b, c)).T + (a0 + 1, a0 + 2, a0 + 2), stars, 1 - mono
         a0 = a1
 
 

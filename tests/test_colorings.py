@@ -203,6 +203,22 @@ def test_generator_words_draw_as_the_integer_counter_and_key():
             assert drawn.random(3).tolist() == expected.random(3).tolist()
 
 
+def test_drawn_rows_equal_a_fresh_generator_per_stream():
+    # one generator re-seated at each stream's start draws what a fresh one
+    # draws: counters below and above 2^64, repeated streams, and odd edge
+    # counts, which leave a half-used 32-bit word behind at small palettes
+    streams = [SeededStream(seed, index) for seed in (0, 5, (1 << 64) - 1)
+               for index in (0, 3, (1 << 64) - 1, 1 << 64, (1 << 127) + 5)]
+    streams += [streams[4], streams[4], SeededStream(9).substream(2).substream(7)]
+    for n in (5, 6):
+        for t in (1, 3, 300):
+            draws, tables = colorings._random_tables(n, t, streams)
+            for row, table, stream in zip(draws, tables, streams):
+                expected = stream.generator().integers(1, t + 1, size=edge_count(n))
+                assert row.tolist() == expected.tolist()
+                assert np.array_equal(table, CompleteGraphColoring(n, t, tuple(expected.tolist())).array)
+
+
 def test_seeded_stream_validation():
     with pytest.raises(ValueError):
         SeededStream(-1)

@@ -1041,9 +1041,11 @@ def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
     # with the default chunks, chunks of a few first vertices and chunks of
     # one: the kernels yield, in lexicographic order, exactly the k-sets
     # whose count is below ``below``, with that count, and every k-set when
-    # ``below`` is None
+    # ``below`` is None; at k = 3 on one and two colors too, and on a
+    # palette past a byte
     stream = SeededStream(53)
-    for case, (k, n, t) in enumerate(((2, 9, 3), (3, 11, 3), (3, 12, 5), (4, 10, 6), (5, 9, 8))):
+    cases = ((2, 9, 3), (3, 11, 3), (3, 12, 5), (4, 10, 6), (5, 9, 8), (3, 10, 1), (3, 10, 2), (3, 11, 300))
+    for case, (k, n, t) in enumerate(cases):
         coloring = random_coloring(n, t, stream.substream(case))
         counts = {S: brute_force_array_count(coloring, S) for S in combinations(range(1, n + 1), k)}
         for elements in (trees._CHUNK_ELEMENTS, 4 * n * n, 1):
@@ -1067,17 +1069,20 @@ def _by_coloring(runs, size):
 
 
 def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
-    # random stacks of 6 colorings of K_5..K_7 that mix passing and failing
+    # random stacks of 6 colorings of K_5..K_8 that mix passing and failing
     # ones: per coloring, the stacked kernel yields the sets and counts of
     # a stack of one and of the brute-force count, with and without
     # ``below``, with the default chunks and with chunks of one first
     # vertex; the decided runs give every count verify gives, star and exact
     # full mode; ``_passes`` gives each coloring's verdict; and a coloring
     # whose entry of ``live`` is cleared at its first failing run takes no
-    # set past it while the others keep all of theirs
+    # set past it while the others keep all of theirs, at k = 3 in chunks
+    # of two or more first vertices. The k = 3 cases take one, two and 300
+    # colors as well.
     stream = SeededStream(61)
     mixed = 0
-    for case, (k, n, t) in enumerate(product((2, 3, 4), (5, 6, 7), (3, 5))):
+    cases = list(product((2, 3, 4), (5, 6, 7), (3, 5))) + [(3, 7, 1), (3, 7, 2), (3, 8, 300)]
+    for case, (k, n, t) in enumerate(cases):
         colorings = [random_coloring(n, t, stream.substream(8 * case + i)) for i in range(6)]
         stack = np.stack([c.array for c in colorings])
         counts = [{S: brute_force_array_count(c, S) for S in combinations(range(1, n + 1), k)} for c in colorings]
@@ -1092,7 +1097,7 @@ def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
                                     if S[0] in firsts and (below is None or count < below)]
                         assert got[s] == alone
                         assert [(S, stars + internal) for S, stars, internal in got[s]] == expected
-        monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", 4 * n * n)
+        monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", (12 if k == 3 else 4) * n * n)
         for mode in (OracleMode.star(), OracleMode.full(1)):
             runs = _by_coloring(trees._decided_chunks(stack, t, k, 0, mode, True), len(stack))
             for s, coloring in enumerate(colorings):
