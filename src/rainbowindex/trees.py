@@ -828,10 +828,12 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
     b < c, nor, in a chunk of several first vertices, any at b <= a. Only
     the candidates read their triangle's three colors, gathered at them;
     when every set is kept (``below`` None) the colors are compared over
-    the whole block instead, which was faster there (1.0 against 1.3 ms on
-    K_50). The counts then keep the sets below demand. A chunk takes fewer
-    first vertices the more colorings are live, so its temporaries stay at
-    ``_CHUNK_ELEMENTS``.
+    the whole block instead, which was faster there: a K_50 scan took
+    0.8-0.9 ms against 1.0-1.1 ms with the fastest gather tried, and a
+    star ``verify --per-s-counts`` of K_50 ran 3-4% slower in process with
+    gathering alone. The counts then keep the sets below demand. A chunk
+    takes fewer first vertices the more colorings are live, so its
+    temporaries stay at ``_CHUNK_ELEMENTS``.
     """
     n = stack.shape[-1]
     every = below is None
@@ -845,10 +847,11 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
         equal = stack[:, :, r0:r0 + rows].transpose(0, 2, 1)[:, :, :, None] == stack[:, None, :, r0 + 1:]
         P[:, r0:r0 + rows, r0 + 1:] = equal.view(np.uint8).sum(axis=2, dtype=count)
     # in place: limit = (below - 1 - (n - 2 - n/2) + P) / 2, a multiple of
-    # 1/4, and a set is a candidate when (Z^T Z)[b,c] < limit[b,c]
+    # 1/4, and a set is a candidate when (Z^T Z)[b,c] < limit[b,c]; -inf
+    # off b < c, written first, as the row blocks leave those entries unset
+    np.copyto(P, -np.inf, where=np.tri(n, dtype=bool))
     limit = np.add(P, below + 1 - n / 2, out=P)
     limit *= 0.5
-    np.copyto(limit, -np.inf, where=np.tri(n, dtype=bool))
     kept = np.arange(len(stack))
     a0, stop = firsts.start - 1, firsts.stop - 1
     while a0 < stop:

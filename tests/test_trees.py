@@ -1077,8 +1077,8 @@ def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
     # full mode; ``_passes`` gives each coloring's verdict; and a coloring
     # whose entry of ``live`` is cleared at its first failing run takes no
     # set past it while the others keep all of theirs, at k = 3 in chunks
-    # of two or more first vertices. The k = 3 cases take one, two and 300
-    # colors as well.
+    # of one first vertex and of two or more. The k = 3 cases take one, two
+    # and 300 colors as well.
     stream = SeededStream(61)
     mixed = 0
     cases = list(product((2, 3, 4), (5, 6, 7), (3, 5))) + [(3, 7, 1), (3, 7, 2), (3, 8, 300)]
@@ -1097,40 +1097,42 @@ def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
                                     if S[0] in firsts and (below is None or count < below)]
                         assert got[s] == alone
                         assert [(S, stars + internal) for S, stars, internal in got[s]] == expected
-        monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", (12 if k == 3 else 4) * n * n)
-        for mode in (OracleMode.star(), OracleMode.full(1)):
-            runs = _by_coloring(trees._decided_chunks(stack, t, k, 0, mode, True), len(stack))
-            for s, coloring in enumerate(colorings):
-                report = verify_coloring(coloring, k, 0, mode, per_set_counts=True)
-                assert runs[s] == [(tuple(S), count) for *S, count in report.per_set_counts.tolist()]
-            for ell in (1, 2, 3):
-                verdicts = [verify_coloring(c, k, ell, mode) for c in colorings]
-                passed = [report.passed for report in verdicts]
-                mixed += 0 < sum(passed) < len(passed)
-                assert trees._passes(stack, t, k, ell, mode).tolist() == passed
-                live = np.ones(len(stack), dtype=bool)
-                seen, run_of = [[] for _ in colorings], [[] for _ in colorings]
-                with monkeypatch.context() as patch:
-                    calls = record_tree_packings(patch)
-                    runs = trees._decided_chunks(stack, t, k, ell, mode, False, live=live)
-                    for index, (which, sets, run_counts) in enumerate(runs):
-                        assert live[which].all()
-                        for s, S, count in zip(which.tolist(), sets.tolist(), run_counts.tolist()):
-                            seen[s].append((tuple(S), count))
-                            run_of[s].append(index)
-                        live[which[run_counts < ell]] = False
-                for s, report in enumerate(verdicts):
-                    # the oracle packs no set of a coloring past its witness
-                    packed = [S for S, colors in calls if colors.shape == (n, n) and np.array_equal(colors, stack[s])]
-                    assert report.passed or all(S <= report.witness for S in packed)
-                    alone = _by_coloring(trees._decided_chunks(stack[s:s + 1], t, k, ell, mode, False), 1)[0]
-                    assert seen[s] == alone[:len(seen[s])]
-                    if report.passed:
-                        assert seen[s] == alone and all(count >= ell for _, count in alone)
-                    else:
-                        # the scan of this coloring ends with the run that holds its witness
-                        last = seen[s].index((report.witness, report.witness_count))
-                        assert set(run_of[s][last:]) == {run_of[s][last]}
+        for scale in ((4, 12) if k == 3 else (4,)):
+            monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", scale * n * n)
+            for mode in (OracleMode.star(), OracleMode.full(1)):
+                runs = _by_coloring(trees._decided_chunks(stack, t, k, 0, mode, True), len(stack))
+                for s, coloring in enumerate(colorings):
+                    report = verify_coloring(coloring, k, 0, mode, per_set_counts=True)
+                    assert runs[s] == [(tuple(S), count) for *S, count in report.per_set_counts.tolist()]
+                for ell in (1, 2, 3):
+                    verdicts = [verify_coloring(c, k, ell, mode) for c in colorings]
+                    passed = [report.passed for report in verdicts]
+                    mixed += 0 < sum(passed) < len(passed)
+                    assert trees._passes(stack, t, k, ell, mode).tolist() == passed
+                    live = np.ones(len(stack), dtype=bool)
+                    seen, run_of = [[] for _ in colorings], [[] for _ in colorings]
+                    with monkeypatch.context() as patch:
+                        calls = record_tree_packings(patch)
+                        runs = trees._decided_chunks(stack, t, k, ell, mode, False, live=live)
+                        for index, (which, sets, run_counts) in enumerate(runs):
+                            assert live[which].all()
+                            for s, S, count in zip(which.tolist(), sets.tolist(), run_counts.tolist()):
+                                seen[s].append((tuple(S), count))
+                                run_of[s].append(index)
+                            live[which[run_counts < ell]] = False
+                    for s, report in enumerate(verdicts):
+                        # the oracle packs no set of a coloring past its witness
+                        packed = [S for S, colors in calls
+                                  if colors.shape == (n, n) and np.array_equal(colors, stack[s])]
+                        assert report.passed or all(S <= report.witness for S in packed)
+                        alone = _by_coloring(trees._decided_chunks(stack[s:s + 1], t, k, ell, mode, False), 1)[0]
+                        assert seen[s] == alone[:len(seen[s])]
+                        if report.passed:
+                            assert seen[s] == alone and all(count >= ell for _, count in alone)
+                        else:
+                            # the scan of this coloring ends with the run that holds its witness
+                            last = seen[s].index((report.witness, report.witness_count))
+                            assert set(run_of[s][last:]) == {run_of[s][last]}
     assert mixed >= 10
 
 
