@@ -202,7 +202,7 @@ class CompleteGraphColoring:
     @cached_property
     def array(self) -> np.ndarray:
         """Read-only n x n numpy table, 0-based, zero on the diagonal."""
-        return _table(self.n, self.t, self.colors)
+        return _tables(self.n, self.t, self.colors)
 
     def recolored(self, u: int, v: int, color: int) -> "CompleteGraphColoring":
         """Copy with the single edge {u, v} set to ``color``; only the new color
@@ -220,23 +220,25 @@ class CompleteGraphColoring:
         return _trusted(CompleteGraphColoring, n=self.n, t=self.t, **fields)
 
 
-def _table(n: int, t: int, colors) -> np.ndarray:
+def _tables(n: int, t: int, colors) -> np.ndarray:
     """Read-only n x n table of the edge colors ``colors`` (a sequence or an
-    array in the edge order), zero on the diagonal; it converts an integer
-    array about four times faster than a tuple of Python ints."""
-    table = np.zeros((n, n), dtype=np.min_scalar_type(t))
+    array in the edge order), zero on the diagonal, in the smallest type
+    that holds t; or, for an (S, C(n,2)) array of such rows, their (S, n, n)
+    stack. The colors are converted straight into the table's type."""
+    colors = np.asarray(colors, dtype=np.min_scalar_type(t))
+    tables = np.zeros(colors.shape[:-1] + (n, n), dtype=colors.dtype)
     vertices = np.arange(n)
-    table[vertices[:, None] < vertices] = colors  # row-major: the edge order
-    table = table + table.T
-    table.flags.writeable = False
-    return table
+    # each table's upper triangle, row-major: the edge order
+    tables[np.broadcast_to(vertices[:, None] < vertices, tables.shape)] = colors.ravel()
+    tables = tables + np.swapaxes(tables, -1, -2)
+    tables.flags.writeable = False
+    return tables
 
 
 def _random_tables(n: int, t: int, streams: Iterable[SeededStream]) -> tuple[np.ndarray, np.ndarray]:
     """The uniform independent edge colors ``random_coloring`` draws from
     each stream, one row each in the tables' dtype, and their read-only
-    (S, n, n) stack of tables, each as ``_table`` builds it: one flat
-    assignment fills every table's upper triangle. One generator draws
+    (S, n, n) stack of tables from ``_tables``. One generator draws
     every row: built for the first stream, then re-seated at each later
     stream's start with an empty buffer, which is the state a fresh
     generator of that stream has."""
@@ -250,12 +252,7 @@ def _random_tables(n: int, t: int, streams: Iterable[SeededStream]) -> tuple[np.
                                              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         draws.append(generator.integers(1, t + 1, size=edge_count(n)))
     draws = np.array(draws, dtype=np.min_scalar_type(t))
-    tables = np.zeros((len(draws), n, n), dtype=draws.dtype)
-    vertices = np.arange(n)
-    tables.reshape(len(draws), -1)[:, np.flatnonzero(vertices[:, None] < vertices)] = draws  # the edge order
-    tables = tables + tables.transpose(0, 2, 1)
-    tables.flags.writeable = False
-    return draws, tables
+    return draws, _tables(n, t, draws)
 
 
 def random_coloring(n: int, t: int, stream: SeededStream) -> CompleteGraphColoring:
@@ -421,7 +418,7 @@ def parse_coloring(text: str) -> CompleteGraphColoring:
     else:
         if len(values) == m and values.min() >= 1 and int(values.max()) <= t:
             return _trusted(CompleteGraphColoring, n=n, t=t, colors=tuple(values.tolist()),
-                            array=_table(n, t, values))
+                            array=_tables(n, t, values))
     colors: list[int] = []
     for lineno, line in rows[1:]:
         for tok in line.split():

@@ -39,9 +39,8 @@ from .colorings import (
 )
 from .trees import (
     OracleMode,
-    _array_chunks,
-    _decided_chunks,
-    _exact_counts,
+    _certified_chunks,
+    _decided,
     _internal_packings,
     _rainbow_rows,
     max_disjoint_rainbow_trees,  # unused here; perfbench/tracing.py wraps it by this name
@@ -81,9 +80,11 @@ def _failing_sets(
     mode: OracleMode,
 ) -> int:
     """Number of k-sets below demand; certificate first, exact oracle on
-    misses: the objective ``_Scores`` keeps, counted from scratch."""
-    runs = _decided_chunks(coloring.array[None], coloring.t, k, ell, mode, False)
-    return sum(int((counts < ell).sum()) for _, _, counts in runs)
+    the sets the kernel leaves short: the objective ``_Scores`` keeps,
+    counted from scratch."""
+    stack = coloring.array[None]
+    return sum(int((_decided(stack, coloring.t, ell, mode, *chunk) < ell).sum())
+               for chunk in _certified_chunks(stack, k, below=ell))
 
 
 def _combinations(m: int, r: int) -> np.ndarray:
@@ -115,6 +116,7 @@ class _Scores:
         self.k, self.ell, self.mode = k, ell, mode
         self.far = mode.kind == "full" and mode.reach(n, k, t) >= 2
         self.sets = _combinations(n, k) + 1
+        self.which = np.zeros(len(self.sets), dtype=np.intp)  # every set is of the one coloring
         # row w - 1: the sets holding w, in lexicographic order, which is that of
         # their other members as (k-1)-subsets of the n - 1 vertices other than w
         self.holding = (np.argsort(self.sets.ravel(), kind="stable") // k).reshape(n, -1)
@@ -131,11 +133,10 @@ class _Scores:
 
     def reset(self, coloring: CompleteGraphColoring) -> int:
         """Decide every k-set of ``coloring``; returns the objective."""
-        k, colors = self.k, coloring.array
-        chunks = [(stars, internal + _internal_packings(colors, sets - 1, sets - 1) if k > 3 else internal)
-                  for _, sets, stars, internal in _array_chunks(colors[None], k, range(1, coloring.n - k + 2))]
+        chunks = [(stars, certificate - stars)
+                  for *_, stars, certificate in _certified_chunks(coloring.array[None], self.k)]
         self.stars, self.internal = map(np.concatenate, zip(*chunks))
-        self.fail = self._failing(coloring, self.sets, self.stars, self.stars + self.internal)
+        self.fail = self._failing(coloring, self.sets, self.stars, self.internal)
         self.objective = int(self.fail.sum())
         return self.objective
 
@@ -151,15 +152,15 @@ class _Scores:
         centers, gathered = np.where(self.second, u - 1, v - 1), sets[:2 * ones] - 1
         rainbow = _rainbow_rows(np.concatenate((candidate.array[centers, gathered], coloring.array[centers, gathered])))
         stars[:2 * ones] += rainbow[:2 * ones].view(np.int8) - rainbow[2 * ones:].view(np.int8)
-        ends = sets[2 * ones:] - 1
-        internal[2 * ones:] = _internal_packings(candidate.array, ends, ends)
+        both = sets[2 * ones:]
+        internal[2 * ones:] = _internal_packings(candidate.array[None], self.which[:len(both)], both)
         if self.far:
             short = self.stars + self.internal < self.ell
             short[index] = False
             rest = short.nonzero()[0]
             index, sets = np.concatenate((index, rest)), np.concatenate((sets, self.sets[rest]))
             stars, internal = np.concatenate((stars, self.stars[rest])), np.concatenate((internal, self.internal[rest]))
-        fail = self._failing(candidate, sets, stars, stars + internal)
+        fail = self._failing(candidate, sets, stars, internal)
         objective = self.objective - int(self.fail[index].sum()) + int(fail.sum())
         self.pending = index, stars, internal, fail, objective
         return objective
@@ -169,15 +170,11 @@ class _Scores:
         index, stars, internal, fail, self.objective = self.pending
         self.stars[index], self.internal[index], self.fail[index] = stars, internal, fail
 
-    def _failing(self, coloring, sets, stars, certificate) -> np.ndarray:
-        """Whether each set fails: its certificate is below ell and, in full
-        mode, so is its exact count."""
-        fail = certificate < self.ell
-        if self.mode.kind == "full" and fail.any():
-            short = fail.nonzero()[0]
-            ends = sets[short] - 1
-            fail[short] = _exact_counts(coloring.array, coloring.t, ends, ends, stars[short], self.mode) < self.ell
-        return fail
+    def _failing(self, coloring, sets, stars, internal) -> np.ndarray:
+        """Whether each set fails: its ``_decided`` count is below ell."""
+        which = self.which[:len(sets)]
+        return _decided(coloring.array[None], coloring.t, self.ell, self.mode, which, sets, stars,
+                        stars + internal) < self.ell
 
 
 def find_coloring(

@@ -59,13 +59,15 @@ k = 3 the rainbow stars plus the larger of a Hall matching of the other
 centers to the internal edges and one internal path: per slice of sets,
 one array pass finds the edges each center can use by the two-color rule
 and one lookup in a constant table reads the rest from their histogram.
-Every full-mode set the arrays leave short gets its exact count, in
-lexicographic order, from ``_exact_counts``: the closed form where it
-holds, otherwise the number of rows ``_tree_packing`` chooses for the
-set, none of them decoded. The scan yields runs of those short sets that
-end after each exact count, so a caller stops where it needs to, and a
-coloring a caller drops at its first failing run leaves the later chunks
-of a stack. It reads the colorings alone.
+One function, ``_decided``, holds the per-set rule: the certificate
+decides star mode, and in full mode each set it leaves short gets its
+exact count from ``_exact_counts``: the closed form where it holds,
+otherwise the number of rows ``_tree_packing`` chooses for the set, none
+of them decoded. Two scans read it. ``_first_failures`` decides each
+coloring's short sets in lexicographic order and stops the coloring at
+its first failing set, its witness: no oracle call lands past it, and no
+later chunk scans that coloring. ``_counted_chunks`` counts every set.
+Each coloring of a stack gets the verdict and counts it gets alone.
 Inside the oracle a k-set is its sorted members tuple and a chosen tree
 is a row of keys. Only the public entry points decode the rows into
 ``(edges, external vertices)`` and build their witness ``STree`` and
@@ -801,8 +803,9 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
     when None), for each coloring of the (S, n, n) ``stack`` of color
     tables: ``which`` names the coloring of each set. A chunk covers some
     first vertices of every coloring ``live`` keeps, read before each chunk
-    (every coloring when None; a caller only clears its entries), and lists
-    their sets coloring by coloring, each in lexicographic order.
+    (every coloring when None; ``_first_failures`` clears a coloring's entry
+    at its witness), and lists their sets coloring by coloring, each in
+    lexicographic order; no chunk is empty.
 
     P[b,c] counts the centers u where b and c see one color (u is never b
     or c, as the diagonal is zero). Only b < c is counted: each block of
@@ -853,8 +856,9 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
     limit = np.add(P, below + 1 - n / 2, out=P)
     limit *= 0.5
     kept = np.arange(len(stack))
-    a0, stop = firsts.start - 1, firsts.stop - 1
-    while a0 < stop:
+    a1, stop = firsts.start - 1, firsts.stop - 1
+    while a1 < stop:
+        a0 = a1
         kept, stack, limit = _still_live(live, kept, stack, limit)
         if not len(kept):
             return
@@ -871,46 +875,49 @@ def _triple_chunks(stack: np.ndarray, firsts: range, below: Optional[int] = None
         for i in range(1, A):
             gap[:, i, :i] = np.inf  # b <= a
         flat = np.flatnonzero(gap < 0)
-        if len(flat):
-            # (s, i, b, c) from the flat index ((s * A + i) * B + b) * B + c:
-            # for every set of a chunk, the row's three read from small
-            # tables, and ``np.unravel_index`` for the few candidates of a
-            # demand (85 against 211 us on 15,000 sets, 11 against 1.4 us
-            # on 30)
-            xab = stack[:, a0:a1, later]
-            if every:
-                row = flat // B
-                c = flat - row * B
-                s, i, b = (part[row] for part in np.unravel_index(np.arange(len(kept) * A * B), gap.shape[:3]))
-                pair = xab[:, :, :, None] == xab[:, :, None, :]
-                mono = (pair & (xab[:, :, None, :] == stack[:, None, later, later])).take(flat)
-                pair = pair.take(flat)
-            else:
-                s, i, b, c = np.unravel_index(flat, gap.shape)
-                ab, ac = xab[s, i, b], xab[s, i, c]
-                pair = ab == ac
-                mono = pair & (ac == stack[:, later, later][s, b, c])
-            # count = below + gap + pair - mono, with gap = 2 (Z^T Z - limit) < 0
-            gap = 2 * gap.take(flat)
-            if not every:
-                short = np.flatnonzero(gap + (pair & ~mono) < 0)
-                s, i, b, c, gap, pair, mono = (part[short] for part in (s, i, b, c, gap, pair, mono))
-            stars = gap.astype(np.int64)
-            stars += pair
-            stars += below - 1
-            # the sets as the columns of a Fortran-ordered array (row-wise
-            # passes over short rows are slow)
-            yield kept[s], np.array((i, b, c)).T + (a0 + 1, a0 + 2, a0 + 2), stars, 1 - mono
-        a0 = a1
+        if not len(flat):
+            continue
+        # (s, i, b, c) from the flat index ((s * A + i) * B + b) * B + c:
+        # for every set of a chunk, the row's three read from small tables,
+        # and ``np.unravel_index`` for the few candidates of a demand (85
+        # against 211 us on 15,000 sets, 11 against 1.4 us on 30)
+        xab = stack[:, a0:a1, later]
+        if every:
+            row = flat // B
+            c = flat - row * B
+            s, i, b = (part[row] for part in np.unravel_index(np.arange(len(kept) * A * B), gap.shape[:3]))
+            pair = xab[:, :, :, None] == xab[:, :, None, :]
+            mono = (pair & (xab[:, :, None, :] == stack[:, None, later, later])).take(flat)
+            pair = pair.take(flat)
+        else:
+            s, i, b, c = np.unravel_index(flat, gap.shape)
+            ab, ac = xab[s, i, b], xab[s, i, c]
+            pair = ab == ac
+            mono = pair & (ac == stack[:, later, later][s, b, c])
+        # count = below + gap + pair - mono, with gap = 2 (Z^T Z - limit) < 0
+        gap = 2 * gap.take(flat)
+        if not every:
+            short = np.flatnonzero(gap + (pair & ~mono) < 0)
+            if not len(short):
+                continue
+            s, i, b, c, gap, pair, mono = (part[short] for part in (s, i, b, c, gap, pair, mono))
+        stars = gap.astype(np.int64)
+        stars += pair
+        stars += below - 1
+        # the sets as the columns of a Fortran-ordered array (row-wise
+        # passes over short rows are slow)
+        yield kept[s], np.array((i, b, c)).T + (a0 + 1, a0 + 2, a0 + 2), stars, 1 - mono
 
 
-def _array_chunks(stack: np.ndarray, k: int, firsts: range, below: Optional[int] = None,
+def _array_chunks(stack: np.ndarray, k: int, firsts: Optional[range] = None, below: Optional[int] = None,
                   live: Optional[np.ndarray] = None) -> Iterator[tuple]:
     """(which, sets, stars, internal) of the k-sets with first vertex in
-    ``firsts`` whose array count is below ``below`` (every set when None),
-    for the colorings of ``stack`` that ``live`` keeps, each in
-    lexicographic order: from ``_triple_chunks`` at k = 3 and from
+    ``firsts`` (default: all) whose array count is below ``below`` (every
+    set when None), for the colorings of ``stack`` that ``live`` keeps, each
+    in lexicographic order: from ``_triple_chunks`` at k = 3 and from
     ``_gathered_chunks`` otherwise."""
+    if firsts is None:
+        firsts = range(1, stack.shape[-1] - k + 2)
     return _triple_chunks(stack, firsts, below, live) if k == 3 else _gathered_chunks(stack, k, firsts, below, live)
 
 
@@ -952,21 +959,9 @@ def _excess_table() -> np.ndarray:
     return table.reshape(-1)
 
 
-def _table_rows(stack: np.ndarray, which: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(table, rows, cols)``: ``stack`` as one (S n, n) table, its
-    colorings' rows one after another, and the rows and the columns in it of
-    the members of the 1-based k-sets ``sets`` of the colorings ``which``.
-    The per-set passes below read a set of any coloring by row and column;
-    one coloring's table is that of its stack of one, where rows and columns
-    are both ``sets - 1``."""
-    n, cols = stack.shape[-1], sets - 1
-    return stack.reshape(-1, n), cols + (which * n)[:, None], cols
-
-
-def _full_triple_excess(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Full-mode budget-1 counts of the 3-sets whose members sit at ``rows``
-    and ``cols`` of the stacked ``table`` (``_table_rows``), less their
-    rainbow stars.
+def _full_triple_excess(stack: np.ndarray, which: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Full-mode budget-1 counts of the 1-based 3-sets ``sets`` of the
+    colorings ``which`` of ``stack``, less their rainbow stars.
 
     A leaf-pruned tree of S = {a,b,c} with at most one external vertex is a
     rainbow internal 2-edge path, the star at an external x, or x joined to
@@ -985,14 +980,14 @@ def _full_triple_excess(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     sees color 0 and is left out), and the rest is one lookup in
     ``_excess_table`` by the mask histogram and the rainbow-path bits.
     """
-    rows, ends = rows.T, cols.T
-    seen = table[rows]  # terminals x sets x centers: the tables are symmetric
-    internal = table[rows[_OPPOSITE[0]], ends[_OPPOSITE[1]]]  # the edge opposite each terminal x sets
+    ends = sets.T - 1
+    seen = stack[which, ends]  # terminals x sets x centers: the tables are symmetric
+    internal = stack[which, ends[_OPPOSITE[0]], ends[_OPPOSITE[1]]]  # the edge opposite each terminal x sets
     usable = (seen[:, None] != internal[:, :, None]).all(axis=0)
     mask = np.einsum("i,ijk->jk", _BITS, usable.view(np.uint8))
     # two colors: exactly one pair of terminals sees one color; external: no color 0
     mask *= ((seen == seen[_NEXT]).sum(axis=0, dtype=np.uint8) == 1) & seen.all(axis=0)
-    m = len(cols)
+    m = len(sets)
     hist = np.bincount((mask + np.arange(0, 8 * m, 8)[:, None]).ravel(), minlength=8 * m).reshape(m, 8)
     index = np.minimum(hist[:, 1:], 3) @ _COUNT_WEIGHTS
     paths = internal[_OPPOSITE]  # the two edges at each terminal
@@ -1005,10 +1000,11 @@ def _gathered_chunks(stack: np.ndarray, k: int, firsts: range, below: Optional[i
     """(which, sets, stars, internal) of the k-sets with first vertex in
     ``firsts`` whose count stars + internal is below ``below`` (every set
     when None), for the colorings of ``stack`` that ``live`` keeps, read
-    before each chunk, coloring by coloring and each in lexicographic order:
-    a center counts when its k colors to the set are nonzero (it lies
-    outside the set) and pairwise distinct. The internal part is the edge
-    itself at k = 2 and left to the caller (0) at k >= 4."""
+    before each chunk, coloring by coloring and each in lexicographic order,
+    in chunks that are never empty: a center counts when its k colors to
+    the set are nonzero (it lies outside the set) and pairwise distinct. The
+    internal part is the edge itself at k = 2 and left to the caller (0) at
+    k >= 4."""
     n = stack.shape[-1]
     sets = chain.from_iterable(
         ((a,) + rest for rest in combinations(range(a + 1, n + 1), k - 1)) for a in firsts)
@@ -1024,6 +1020,8 @@ def _gathered_chunks(stack: np.ndarray, k: int, firsts: range, below: Optional[i
         # coloring x set x member x center, by the symmetry of the tables
         stars = _rainbow_rows(stack[:, block - 1].transpose(0, 3, 1, 2)).sum(axis=1).ravel()
         flat = np.arange(len(stars)) if below is None else np.flatnonzero(stars < below - (k == 2))
+        if not len(flat):
+            continue
         s, row = np.divmod(flat, len(block))
         yield kept[s], block[row], stars[flat], np.full(len(flat), k == 2, dtype=stars.dtype)
 
@@ -1040,21 +1038,22 @@ def _pattern_packing(k: int, labels: tuple[int, ...]) -> int:
     return len(_tree_packing(tuple(range(1, k + 1)), colors, 0)[0])
 
 
-def _internal_packings(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Internal packing sizes of the k-sets whose members sit at ``rows``
-    and ``cols`` of the stacked ``table`` (``_table_rows``). At k = 2 it is
-    the edge, and at k = 3 a 2-edge path unless the triangle has one
-    color.
+def _internal_packings(stack: np.ndarray, which: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Internal packing sizes of the 1-based k-sets ``sets`` of the
+    colorings ``which`` of ``stack``. At k = 2 it is the edge, and at k = 3
+    a 2-edge path unless the triangle has one color.
     Otherwise each edge is labelled by the first edge with its color, and
     each distinct row of labels, all the packing depends on, is packed once."""
-    k = cols.shape[1]
+    k = sets.shape[1]
     if k == 2:
-        return np.ones(len(cols), dtype=np.int64)
+        return np.ones(len(sets), dtype=np.int64)
+    ends = sets - 1
     if k == 3:
-        (ra, rb, _), (_, b, c) = rows.T, cols.T
-        return 1 - ((table[ra, b] == table[ra, c]) & (table[ra, c] == table[rb, c]))
+        a, b, c = ends.T
+        ac = stack[which, a, c]
+        return 1 - ((stack[which, a, b] == ac) & (ac == stack[which, b, c]))
     u, v = np.array(list(combinations(range(k), 2))).T
-    edges = table[rows[:, u], cols[:, v]]
+    edges = stack[which[:, None], ends[:, u], ends[:, v]]
     labels = (edges[:, :, None] == edges[:, None, :]).argmax(axis=1)
     patterns, inverse = np.unique(labels, axis=0, return_inverse=True)
     sizes = [_pattern_packing(k, pattern) for pattern in map(tuple, patterns.tolist())]
@@ -1067,11 +1066,11 @@ def _closed_form(k: int, mode: OracleMode, n: int, t: int) -> bool:
     return mode.kind == "full" and k <= 3 and mode.reach(n, k, t) <= 1
 
 
-def _exact_counts(table: np.ndarray, t: int, rows: np.ndarray, cols: np.ndarray, stars: np.ndarray,
+def _exact_counts(stack: np.ndarray, t: int, which: np.ndarray, sets: np.ndarray, stars: np.ndarray,
                   mode: OracleMode) -> np.ndarray:
-    """Full-mode counts of the k-sets with ``stars`` rainbow stars whose
-    members sit at ``rows`` and ``cols`` of the stacked ``table``
-    (``_table_rows``); every coloring has the palette 1..t.
+    """Full-mode counts of the 1-based k-sets ``sets`` of the colorings
+    ``which`` of ``stack``, with ``stars`` rainbow stars; every coloring has
+    the palette 1..t.
 
     The mode's reach is priced first, as for the oracle calls a closed form
     replaces. With one, the count is the certificate itself at k = 2 (the
@@ -1080,96 +1079,108 @@ def _exact_counts(table: np.ndarray, t: int, rows: np.ndarray, cols: np.ndarray,
     its temporaries hold sets x centers. Otherwise each set's count is the
     number of rows ``_tree_packing`` chooses on the reach; no row is decoded.
     """
-    k, n = cols.shape[1], table.shape[1]
+    k, n = sets.shape[1], stack.shape[-1]
     reach = _priced_reach(mode, n, k, t)
     if _closed_form(k, mode, n, t):
         if k == 2:
             return stars + 1
-        step, excess = max(1, _CHUNK_ELEMENTS // n), np.empty(len(cols), dtype=np.int64)
-        for start in range(0, len(cols), step):
+        step, excess = max(1, _CHUNK_ELEMENTS // n), np.empty(len(sets), dtype=np.int64)
+        for start in range(0, len(sets), step):
             part = np.s_[start:start + step]
-            excess[part] = _full_triple_excess(table, rows[part], cols[part])
+            excess[part] = _full_triple_excess(stack, which[part], sets[part])
         return stars + excess
-    # coloring s holds the rows s n .. s n + n - 1
-    starts = (rows[:, 0] - cols[:, 0]).tolist()
-    return np.array([len(_tree_packing(tuple(members), table[start:start + n], reach)[0])
-                     for start, members in zip(starts, (cols + 1).tolist())], dtype=np.int64)
+    return np.array([len(_tree_packing(tuple(members), stack[s], reach)[0])
+                     for s, members in zip(which.tolist(), sets.tolist())], dtype=np.int64)
 
 
-def _decided_chunks(
-    stack: np.ndarray,
-    t: int,
-    k: int,
-    ell: int,
-    mode: OracleMode,
-    exact: bool,
-    firsts: Optional[range] = None,
-    live: Optional[np.ndarray] = None,
-) -> Iterator[tuple]:
-    """``(which, sets, counts)`` in runs of the k-sets whose array count is
-    below ell (every set when ``exact``), for each coloring of the (S, n, n)
-    ``stack`` of color tables on the palette 1..t: the coloring of each set
-    and the count that decides it. A k-set the runs leave out reaches ell.
+def _decided(stack: np.ndarray, t: int, ell: int, mode: OracleMode, which: np.ndarray, sets: np.ndarray,
+             stars: np.ndarray, certificate: np.ndarray) -> np.ndarray:
+    """The counts that decide the 1-based k-sets ``sets`` of the colorings
+    ``which`` of ``stack`` (palette 1..t) against the demand ell, given
+    their rainbow ``stars`` and their ``certificate``, the stars plus the
+    internal packing: the certificate in star mode, and in full mode the
+    certificate with each entry below ell replaced by the set's exact count
+    from ``_exact_counts``. A set fails when its count is below ell."""
+    if mode.kind == "star":
+        return certificate
+    short = np.flatnonzero(certificate < ell)
+    if not len(short):
+        return certificate
+    counts = certificate.copy()
+    counts[short] = _exact_counts(stack, t, which[short], sets[short], stars[short], mode)
+    return counts
 
-    Chunks hold the consecutive k-sets with first vertex in ``firsts``
-    (default: all) of the colorings still scanned, capped by
-    ``_CHUNK_ELEMENTS``, so memory stays O(S n^2) plus one chunk; within a
-    chunk the sets come coloring by coloring, each in lexicographic order.
-    The array count is the rainbow stars (``_triple_chunks`` at k = 3,
-    ``_gathered_chunks`` otherwise) plus the internal part arrays know: 1
-    at k = 2, the triangle term at k = 3; the kernels pass on only the sets
-    it leaves below ell (``below``). At k >= 4 the color-pattern table adds
-    the internal packing, except when exact in full mode, where the oracle's
-    count replaces it; that settles star mode. In full mode the sets still
-    below ell (every set when ``exact``) go in order to ``_exact_counts``:
-    slices of at most ``_CHUNK_ELEMENTS // n`` sets when the count has a
-    closed form, one set per oracle call otherwise. A run ends after each
-    such count or at the chunk's end. ``live``, an (S,) bool array or None
-    for every coloring, is read before each chunk and each count: a caller
-    that clears a coloring's entry at its first failing run drops it from
-    the later runs, and takes no count past the failing set.
+
+def _certified_chunks(stack: np.ndarray, k: int, firsts: Optional[range] = None, below: Optional[int] = None,
+                      live: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """(which, sets, stars, certificate) of ``_array_chunks``' chunks: the
+    certificate is the stars plus the internal packing, which the
+    color-pattern table adds at k >= 4."""
+    for which, sets, stars, internal in _array_chunks(stack, k, firsts, below, live):
+        if k > 3:
+            internal = _internal_packings(stack, which, sets)
+        yield which, sets, stars, stars + internal
+
+
+def _first_failures(stack: np.ndarray, t: int, k: int, ell: int, mode: OracleMode,
+                    firsts: Optional[range] = None) -> Iterator[tuple]:
+    """``(which, sets, counts)`` of the colorings of the (S, n, n) ``stack``
+    (palette 1..t) that fail the demand ell on a k-set with first vertex in
+    ``firsts`` (default: all): each one's witness, its least k-set whose
+    ``_decided`` count is below ell, and that count; a coloring is named
+    once, and the colorings of one yield in increasing order.
+
+    The kernel passes on the sets whose array count is below ell. Star mode
+    decides a chunk at once. Full mode decides the sets the certificate
+    leaves short in lexicographic order, ``_CHUNK_ELEMENTS // n`` sets at a
+    time where the count has a closed form and one set per oracle call
+    otherwise, less the colorings that failed before. A coloring leaves the
+    scan at its witness: its entry of the kernel's ``live`` mask is cleared,
+    so no later chunk scans it and no oracle call lands past its witness.
     """
-    n = stack.shape[-1]
-    full = mode.kind == "full"
-    if firsts is None:
-        firsts = range(1, n - k + 2)
+    n, full = stack.shape[-1], mode.kind == "full"
     step = max(1, _CHUNK_ELEMENTS // n) if _closed_form(k, mode, n, t) else 1
-    chunks = _array_chunks(stack, k, firsts, None if exact else ell, live)  # None: no liveness test per chunk
-    if live is None:
-        live = np.ones(len(stack), dtype=bool)
-    for which, sets, stars, internal in chunks:
-        counts = stars + internal
-        if k > 3 and not (exact and full) and len(sets):
-            counts += _internal_packings(*_table_rows(stack, which, sets))
-        if not full:
-            if len(sets):
-                yield which, sets, counts
-            continue
-        # at k > 3 the internal packing may have lifted a set to ell
-        short = np.arange(len(sets)) if exact else (counts < ell).nonzero()[0]
-        table, rows, cols = _table_rows(stack, which, sets)
-        done = 0
-        while done < len(sets):
-            short = short[live[which[short]]]
-            part, short, end = short[:step], short[step:], len(sets)
-            if len(part):
-                counts[part] = _exact_counts(table, t, rows[part], cols[part], stars[part], mode)
-                end = part[-1] + 1
-            kept = live[which[done:end]]
-            if kept.any():
-                yield which[done:end][kept], sets[done:end][kept], counts[done:end][kept]
-            done = end
+    live = np.ones(len(stack), dtype=bool)
+    for which, sets, stars, certificate in _certified_chunks(stack, k, firsts, ell, live):
+        parts = (slice(None),)
+        if full:
+            short = np.flatnonzero(certificate < ell)
+            parts = (short[start:start + step] for start in range(0, len(short), step))
+        for part in parts:
+            if full:
+                part = part[live[which[part]]]
+            tagged, part_sets = which[part], sets[part]
+            counts = _decided(stack, t, ell, mode, tagged, part_sets, stars[part], certificate[part])
+            low = np.flatnonzero(counts < ell)
+            if len(low):
+                failed = tagged[low]
+                low = low[np.concatenate(([True], failed[1:] != failed[:-1]))]  # each coloring's least
+                live[tagged[low]] = False
+                yield tagged[low], part_sets[low], counts[low]
+
+
+def _counted_chunks(stack: np.ndarray, t: int, k: int, mode: OracleMode,
+                    firsts: Optional[range] = None) -> Iterator[tuple]:
+    """``(which, sets, counts)`` of every k-set with first vertex in
+    ``firsts`` (default: all) of each coloring of ``stack`` (palette 1..t),
+    chunk by chunk: the certificate in star mode, and in full mode the
+    exact count, which takes the place of the color-pattern packing."""
+    if mode.kind == "star":
+        for which, sets, _, certificate in _certified_chunks(stack, k, firsts):
+            yield which, sets, certificate
+        return
+    for which, sets, stars, _ in _array_chunks(stack, k, firsts):
+        yield which, sets, _exact_counts(stack, t, which, sets, stars, mode)
 
 
 def _passes(stack: np.ndarray, t: int, k: int, ell: int, mode: OracleMode) -> np.ndarray:
     """Whether each coloring of ``stack`` (palette 1..t) gives every k-set
     ell trees, as ``verify_coloring`` decides one coloring: one pass of
-    ``_decided_chunks`` over the stack, which a coloring leaves at its first
-    failing run."""
-    live = np.ones(len(stack), dtype=bool)
-    for which, _, counts in _decided_chunks(stack, t, k, ell, mode, False, live=live):
-        live[which[counts < ell]] = False
-    return live
+    ``_first_failures`` over the stack."""
+    passed = np.ones(len(stack), dtype=bool)
+    for which, _, _ in _first_failures(stack, t, k, ell, mode):
+        passed[which] = False
+    return passed
 
 
 def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
@@ -1184,23 +1195,18 @@ def _first_vertex_ranges(n: int, k: int, parts: int) -> list[range]:
     return ranges
 
 
-def _verify_range(job) -> tuple[Optional[tuple[tuple[int, ...], int]], list[np.ndarray]]:
-    """First failing k-set among those with the job's first vertices, and, if
-    wanted, their ``(*S, count)`` rows, one block per run; without counts the
-    scan stops at the first failing run."""
-    coloring, k, ell, mode, firsts, collect_counts = job
-    blocks: list[np.ndarray] = []
-    first_fail = None
-    runs = _decided_chunks(coloring.array[None], coloring.t, k, ell, mode, collect_counts, firsts)
-    for _, sets, run_counts in runs:
-        if collect_counts:
-            blocks.append(np.column_stack((sets, run_counts)))
-        low = (run_counts < ell).nonzero()[0]
-        if first_fail is None and low.size:
-            first_fail = (tuple(sets[low[0]].tolist()), int(run_counts[low[0]]))
-            if not collect_counts:
-                break
-    return first_fail, blocks
+def _verify_range(job):
+    """The ``(*S, count)`` rows of the k-sets with the job's first vertices,
+    one block per chunk, when counts are wanted; otherwise the first failing
+    k-set among them and its count, or None."""
+    coloring, k, ell, mode, firsts, per_set_counts = job
+    stack = coloring.array[None]
+    if per_set_counts:
+        chunks = _counted_chunks(stack, coloring.t, k, mode, firsts)
+        return [np.column_stack((sets, counts)) for _, sets, counts in chunks]
+    for _, sets, counts in _first_failures(stack, coloring.t, k, ell, mode, firsts):
+        return tuple(sets[0].tolist()), int(counts[0])
+    return None
 
 
 def verify_coloring(
@@ -1228,15 +1234,13 @@ def verify_coloring(
         raise ValueError(f"demand ell must be nonnegative, got {ell}")
     ranges = _first_vertex_ranges(n, k, workers * 4) if workers > 1 else [range(1, n - k + 2)]
     jobs = [(coloring, k, ell, mode, firsts, per_set_counts) for firsts in ranges]
-    first_fail = None
-    blocks = []
-    for fail, job_blocks in parallel_map(_verify_range, jobs, workers):
-        blocks.extend(job_blocks)
-        if first_fail is None:
-            first_fail = fail  # chunks are ordered, so the first failure is the least witness
-    witness, count = first_fail or (None, None)
+    results = list(parallel_map(_verify_range, jobs, workers))
     rows = None
     if per_set_counts:
-        rows = np.concatenate(blocks, out=np.empty((math.comb(n, k), k + 1), dtype=np.int64))
+        rows = np.concatenate([block for blocks in results for block in blocks],
+                              out=np.empty((math.comb(n, k), k + 1), dtype=np.int64))
         rows.flags.writeable = False
+        results = [(tuple(row[:-1]), row[-1]) for row in rows[np.flatnonzero(rows[:, -1] < ell)[:1]].tolist()]
+    # the ranges are ordered, so the first failure is the least witness
+    witness, count = next(filter(None, results), (None, None))
     return VerificationReport(n, coloring.t, k, ell, mode, witness is None, witness, count, rows)

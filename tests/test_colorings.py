@@ -152,7 +152,7 @@ def test_recolored_derives_the_table_of_a_built_parent():
         for u, v in ((1, 2), (n - 1, n), (2, n)) if n > 2 else ((1, 2),):
             color = coloring.color(u, v) % t + 1
             child = coloring.recolored(u, v, color)
-            table = colorings._table(n, t, child.colors)
+            table = colorings._tables(n, t, child.colors)
             assert "array" in child.__dict__
             assert child.array.dtype == table.dtype and np.array_equal(child.array, table)
             assert not child.array.flags.writeable

@@ -700,8 +700,8 @@ def test_packing_matches_the_public_oracle():
 
 
 def _full_counts(coloring, k, mode):
-    """Every k-set's full-mode count from the per-set decision, in lexicographic order."""
-    return [count for _, sets, counts in trees._decided_chunks(coloring.array[None], coloring.t, k, 0, mode, True)
+    """Every k-set's full-mode count from the counting scan, in lexicographic order."""
+    return [count for _, _, counts in trees._counted_chunks(coloring.array[None], coloring.t, k, mode)
             for count in counts.tolist()]
 
 
@@ -825,8 +825,8 @@ def test_closed_form_memory_at_scale():
     tracemalloc.start()
     try:
         sets_seen = 0
-        for _, sets, counts in trees._decided_chunks(
-                coloring.array[None], coloring.t, 3, 0, OracleMode.full(), True, firsts=range(1, 4)):
+        for _, sets, counts in trees._counted_chunks(
+                coloring.array[None], coloring.t, 3, OracleMode.full(), firsts=range(1, 4)):
             sets_seen += len(sets)
             assert (counts >= 1).all() and (counts <= 297 + 3).all()
         peak = tracemalloc.get_traced_memory()[1]
@@ -1003,46 +1003,44 @@ def test_count_paths_decode_no_tree(monkeypatch):
             max_disjoint_rainbow_trees(VertexSet(S), coloring, mode)[0] for S in combinations(range(1, 9), 4)]
 
 
-def test_runs_end_at_each_oracle_count(monkeypatch):
-    # the runs list, in lexicographic order, the k-sets of ``firsts`` whose
-    # array count is below ell; outside the closed form every set the oracle
-    # decides ends a run, so a caller that stops at its first failing run
-    # packs nothing past the witness; the color-pattern table's calls, on
-    # its own k x k tables, are left out
+def test_first_failures_pack_nothing_past_the_witness(monkeypatch):
+    # the scan of the k-sets of ``firsts`` yields the scalar loop's witness
+    # and count; outside the closed form the oracle packs, in lexicographic
+    # order, exactly the sets the certificate leaves short up to the
+    # witness, which it packs last, and nothing past it; the closed form and
+    # star mode pack nothing. The color-pattern table's calls, on its own
+    # k x k tables, are left out
     calls = record_tree_packings(monkeypatch)
     coloring = random_coloring(10, 4, SeededStream(1))
-
-    def packed():
-        return packed_on(calls, coloring)
-
+    oracle_runs = 0
     for k, ell, mode, firsts in ((4, 3, OracleMode.full(2), range(1, 4)),
                                  (4, 3, OracleMode.full(1), None),
                                  (3, 5, OracleMode.full(2), range(1, 6)),
                                  (3, 6, OracleMode.full(1), None),
                                  (4, 3, OracleMode.star(), None)):
+        certificates = [(S, count) for S, count in _scalar_certificates(coloring, k)
+                        if firsts is None or S[0] in firsts]
+        expected_calls = []
+        witness, count = _scalar_first_failure(coloring, ell, mode, certificates, expected_calls)
         calls.clear()
-        runs = [run[1:] for run in trees._decided_chunks(coloring.array[None], coloring.t, k, ell, mode, False, firsts)]
-        firsts = firsts or range(1, 11)
-        short = [S for S in combinations(range(1, 11), k)
-                 if S[0] in firsts and brute_force_array_count(coloring, S) < ell]
-        assert short and [tuple(S) for sets, _ in runs for S in sets.tolist()] == short
-        if not trees._closed_form(k, mode, coloring.n, coloring.t) and mode.kind == "full":
-            assert packed() and set(packed()) <= {tuple(sets[-1].tolist()) for sets, _ in runs}
+        scan = trees._first_failures(coloring.array[None], coloring.t, k, ell, mode, firsts)
+        failures = [(which.tolist(), [tuple(S) for S in sets.tolist()], counts.tolist())
+                    for which, sets, counts in scan]
+        assert witness is not None and failures == [([0], [witness], [count])]
+        if mode.kind == "full" and not trees._closed_form(k, mode, coloring.n, coloring.t):
+            assert packed_on(calls, coloring) == expected_calls and expected_calls[-1] == witness
+            oracle_runs += 1
         else:
-            assert packed() == []
-    for k, ell, mode in ((4, 3, OracleMode.full(2)), (3, 5, OracleMode.full(2))):
-        calls.clear()
-        report = verify_coloring(coloring, k, ell, mode)
-        assert not report.passed and packed()[-1] == report.witness
-        assert packed() == sorted(set(packed()))
+            assert packed_on(calls, coloring) == []
+    assert oracle_runs == 3
 
 
 def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
     # with the default chunks, chunks of a few first vertices and chunks of
     # one: the kernels yield, in lexicographic order, exactly the k-sets
     # whose count is below ``below``, with that count, and every k-set when
-    # ``below`` is None; at k = 3 on one and two colors too, and on a
-    # palette past a byte
+    # ``below`` is None, and no chunk is empty; at k = 3 on one and two
+    # colors too, and on a palette past a byte
     stream = SeededStream(53)
     cases = ((2, 9, 3), (3, 11, 3), (3, 12, 5), (4, 10, 6), (5, 9, 8), (3, 10, 1), (3, 10, 2), (3, 11, 300))
     for case, (k, n, t) in enumerate(cases):
@@ -1052,8 +1050,9 @@ def test_kernels_yield_only_the_sets_below_demand(monkeypatch):
             monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", elements)
             for firsts in (range(1, n - k + 2), range(2, 4)):
                 for below in (None, 0, 1, 2, 4, n):
-                    got = [(tuple(S), stars + internal)
-                           for _, sets, *parts in trees._array_chunks(coloring.array[None], k, firsts, below)
+                    chunks = list(trees._array_chunks(coloring.array[None], k, firsts, below))
+                    assert all(len(sets) for _, sets, _, _ in chunks)
+                    got = [(tuple(S), stars + internal) for _, sets, *parts in chunks
                            for S, stars, internal in zip(sets.tolist(), *(p.tolist() for p in parts))]
                     assert got == [(S, count) for S, count in counts.items()
                                    if S[0] in firsts and (below is None or count < below)]
@@ -1068,19 +1067,34 @@ def _by_coloring(runs, size):
     return rows
 
 
+def _record_chunks(monkeypatch):
+    """Record each chunk ``trees._array_chunks`` yields as its list of
+    ``(coloring, set)`` pairs; returns the growing list."""
+    chunks, real_array_chunks = [], trees._array_chunks
+
+    def recorded_array_chunks(*args):
+        for chunk in real_array_chunks(*args):
+            chunks.append(list(zip(chunk[0].tolist(), map(tuple, chunk[1].tolist()))))
+            yield chunk
+
+    monkeypatch.setattr(trees, "_array_chunks", recorded_array_chunks)
+    return chunks
+
+
 def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
     # random stacks of 6 colorings of K_5..K_8 that mix passing and failing
     # ones: per coloring, the stacked kernel yields the sets and counts of
     # a stack of one and of the brute-force count, with and without
     # ``below``, with the default chunks and with chunks of one first
-    # vertex; the decided runs give every count verify gives, star and exact
-    # full mode; ``_passes`` gives each coloring's verdict; and a coloring
-    # whose entry of ``live`` is cleared at its first failing run takes no
-    # set past it while the others keep all of theirs, at k = 3 in chunks
-    # of one first vertex and of two or more. The k = 3 cases take one, two
-    # and 300 colors as well.
+    # vertex; the counting scan gives every count verify gives, star and
+    # exact full mode; ``_passes`` gives each coloring's verdict and
+    # ``_first_failures`` its witness and count; the oracle packs only sets
+    # the certificate leaves short, none past the witness; and no chunk
+    # after the one that holds a coloring's witness scans it, at k = 3 in
+    # chunks of one first vertex and of two or more. The k = 3 cases take
+    # one, two and 300 colors as well.
     stream = SeededStream(61)
-    mixed = 0
+    mixed = stopped = 0
     cases = list(product((2, 3, 4), (5, 6, 7), (3, 5))) + [(3, 7, 1), (3, 7, 2), (3, 8, 300)]
     for case, (k, n, t) in enumerate(cases):
         colorings = [random_coloring(n, t, stream.substream(8 * case + i)) for i in range(6)]
@@ -1097,58 +1111,54 @@ def test_stacked_kernel_runs_equal_stacks_of_one(monkeypatch):
                                     if S[0] in firsts and (below is None or count < below)]
                         assert got[s] == alone
                         assert [(S, stars + internal) for S, stars, internal in got[s]] == expected
+        certificates = [dict(rows) for rows in _by_coloring(trees._counted_chunks(stack, t, k, OracleMode.star()),
+                                                            len(stack))]
         for scale in ((4, 12) if k == 3 else (4,)):
             monkeypatch.setattr(trees, "_CHUNK_ELEMENTS", scale * n * n)
             for mode in (OracleMode.star(), OracleMode.full(1)):
-                runs = _by_coloring(trees._decided_chunks(stack, t, k, 0, mode, True), len(stack))
+                counted = _by_coloring(trees._counted_chunks(stack, t, k, mode), len(stack))
                 for s, coloring in enumerate(colorings):
                     report = verify_coloring(coloring, k, 0, mode, per_set_counts=True)
-                    assert runs[s] == [(tuple(S), count) for *S, count in report.per_set_counts.tolist()]
+                    assert counted[s] == [(tuple(S), count) for *S, count in report.per_set_counts.tolist()]
                 for ell in (1, 2, 3):
                     verdicts = [verify_coloring(c, k, ell, mode) for c in colorings]
                     passed = [report.passed for report in verdicts]
                     mixed += 0 < sum(passed) < len(passed)
                     assert trees._passes(stack, t, k, ell, mode).tolist() == passed
-                    live = np.ones(len(stack), dtype=bool)
-                    seen, run_of = [[] for _ in colorings], [[] for _ in colorings]
                     with monkeypatch.context() as patch:
                         calls = record_tree_packings(patch)
-                        runs = trees._decided_chunks(stack, t, k, ell, mode, False, live=live)
-                        for index, (which, sets, run_counts) in enumerate(runs):
-                            assert live[which].all()
-                            for s, S, count in zip(which.tolist(), sets.tolist(), run_counts.tolist()):
-                                seen[s].append((tuple(S), count))
-                                run_of[s].append(index)
-                            live[which[run_counts < ell]] = False
+                        chunks = _record_chunks(patch)
+                        failures = _by_coloring(trees._first_failures(stack, t, k, ell, mode), len(stack))
                     for s, report in enumerate(verdicts):
-                        # the oracle packs no set of a coloring past its witness
+                        assert failures[s] == ([] if report.passed else [(report.witness, report.witness_count)])
+                        # the oracle packs, in order, only sets of this coloring
+                        # its certificate leaves short, and none past its witness
                         packed = [S for S, colors in calls
                                   if colors.shape == (n, n) and np.array_equal(colors, stack[s])]
+                        assert packed == sorted(packed) and all(certificates[s][S] < ell for S in packed)
                         assert report.passed or all(S <= report.witness for S in packed)
-                        alone = _by_coloring(trees._decided_chunks(stack[s:s + 1], t, k, ell, mode, False), 1)[0]
-                        assert seen[s] == alone[:len(seen[s])]
-                        if report.passed:
-                            assert seen[s] == alone and all(count >= ell for _, count in alone)
-                        else:
-                            # the scan of this coloring ends with the run that holds its witness
-                            last = seen[s].index((report.witness, report.witness_count))
-                            assert set(run_of[s][last:]) == {run_of[s][last]}
-    assert mixed >= 10
+                        if not report.passed:
+                            # no chunk after the one that holds the witness scans this coloring
+                            held = next(i for i, chunk in enumerate(chunks) if (s, report.witness) in chunk)
+                            assert all(s != w for chunk in chunks[held + 1:] for w, _ in chunk)
+                            stopped += any(chunks[held + 1:])
+    assert mixed >= 10 and stopped >= 10
 
 
-def test_passing_star_verify_yields_no_run():
-    # at the least count over all k-sets a star verify passes and the scan
-    # yields nothing; one more and it yields the sets at that count
+def test_passing_star_verify_yields_no_failure():
+    # at the least certificate over all k-sets a star verify passes and the
+    # scan yields nothing; one more and it yields the least set at that count
     stream = SeededStream(59)
     for case, (k, n, t) in enumerate(((2, 8, 2), (3, 12, 8), (4, 14, 12), (5, 16, 30))):
         coloring = random_coloring(n, t, stream.substream(case))
-        counts = {S: brute_force_array_count(coloring, S) for S in combinations(range(1, n + 1), k)}
+        rows = verify_coloring(coloring, k, 0, per_set_counts=True).per_set_counts.tolist()
+        counts = {tuple(S): count for *S, count in rows}
         ell = min(counts.values())
         assert ell >= 1 and verify_coloring(coloring, k, ell).passed
-        assert list(trees._decided_chunks(coloring.array[None], t, k, ell, OracleMode.star(), False)) == []
-        runs = list(trees._decided_chunks(coloring.array[None], t, k, ell + 1, OracleMode.star(), False))
-        assert [tuple(S) for _, sets, _ in runs for S in sets.tolist()] == [
-            S for S, count in counts.items() if count == ell]
+        assert list(trees._first_failures(coloring.array[None], t, k, ell, OracleMode.star())) == []
+        (which, sets, found), = trees._first_failures(coloring.array[None], t, k, ell + 1, OracleMode.star())
+        assert which.tolist() == [0] and found.tolist() == [ell]
+        assert tuple(sets[0].tolist()) == min(S for S, count in counts.items() if count == ell)
 
 
 def test_exact_star_counts_pack_once_per_color_pattern(monkeypatch):
@@ -1174,7 +1184,7 @@ def test_pattern_table_matches_the_internal_packing():
     S = VertexSet.of(1, 2, 3, 4)
     for colors in product(range(1, 5), repeat=6):
         coloring = CompleteGraphColoring(4, 4, colors)
-        (got,) = trees._internal_packings(coloring.array, *[np.array([S.members]) - 1] * 2)
+        (got,) = trees._internal_packings(coloring.array[None], np.zeros(1, dtype=np.intp), np.array([S.members]))
         assert got == len(internal_tree_packing(S, coloring))
     assert trees._pattern_packing.cache_info().misses == 187
     # a sample of 5-sets, from one to ten colors
@@ -1182,7 +1192,7 @@ def test_pattern_table_matches_the_internal_packing():
     for t in (1, 2, 3, 5, 10):
         coloring = random_coloring(9, t, stream.substream(t))
         sets = np.array(list(combinations(range(1, 10), 5))[::3])
-        got = trees._internal_packings(coloring.array, sets - 1, sets - 1)
+        got = trees._internal_packings(coloring.array[None], np.zeros(len(sets), dtype=np.intp), sets)
         assert got.tolist() == [len(internal_tree_packing(VertexSet(tuple(S)), coloring))
                                 for S in sets.tolist()]
 
@@ -1192,7 +1202,7 @@ def test_public_full_oracle_at_k3_matches_the_closed_form():
     # bound; on K_120 it must finish at once and agree with the closed form
     coloring = random_coloring(120, 3, SeededStream(1))
     sets = np.array([(1, 2, 3), (4, 60, 61), (17, 83, 120), (50, 99, 118)])
-    excess = trees._full_triple_excess(coloring.array, sets - 1, sets - 1)
+    excess = trees._full_triple_excess(coloring.array[None], np.zeros(len(sets), dtype=np.intp), sets)
     for members, extra in zip(sets.tolist(), excess.tolist()):
         S = VertexSet(tuple(members))
         value, family = max_disjoint_rainbow_trees(S, coloring, OracleMode.full())
