@@ -228,8 +228,9 @@ def _tables(n: int, t: int, colors) -> np.ndarray:
     colors = np.asarray(colors, dtype=np.min_scalar_type(t))
     tables = np.zeros(colors.shape[:-1] + (n, n), dtype=colors.dtype)
     vertices = np.arange(n)
-    # each table's upper triangle, row-major: the edge order
-    tables[np.broadcast_to(vertices[:, None] < vertices, tables.shape)] = colors.ravel()
+    upper = np.empty(tables.shape, dtype=bool)
+    upper[...] = vertices[:, None] < vertices
+    tables[upper] = colors.ravel()  # each table's upper triangle, row-major: the edge order
     tables = tables + np.swapaxes(tables, -1, -2)
     tables.flags.writeable = False
     return tables

@@ -1103,7 +1103,7 @@ def _decided(stack: np.ndarray, t: int, ell: int, mode: OracleMode, which: np.nd
     from ``_exact_counts``. A set fails when its count is below ell."""
     if mode.kind == "star":
         return certificate
-    short = np.flatnonzero(certificate < ell)
+    short = (certificate < ell).nonzero()[0]  # not np.flatnonzero: a search runs this once per move
     if not len(short):
         return certificate
     counts = certificate.copy()
@@ -1144,19 +1144,20 @@ def _first_failures(stack: np.ndarray, t: int, k: int, ell: int, mode: OracleMod
     for which, sets, stars, certificate in _certified_chunks(stack, k, firsts, ell, live):
         parts = (slice(None),)
         if full:
-            short = np.flatnonzero(certificate < ell)
+            short = (certificate < ell).nonzero()[0]
             parts = (short[start:start + step] for start in range(0, len(short), step))
         for part in parts:
             if full:
                 part = part[live[which[part]]]
             tagged, part_sets = which[part], sets[part]
             counts = _decided(stack, t, ell, mode, tagged, part_sets, stars[part], certificate[part])
-            low = np.flatnonzero(counts < ell)
+            low = (counts < ell).nonzero()[0]
             if len(low):
                 failed = tagged[low]
-                low = low[np.concatenate(([True], failed[1:] != failed[:-1]))]  # each coloring's least
-                live[tagged[low]] = False
-                yield tagged[low], part_sets[low], counts[low]
+                first = np.concatenate(([True], failed[1:] != failed[:-1]))  # each coloring's least
+                low, failed = low[first], failed[first]
+                live[failed] = False
+                yield failed, part_sets[low], counts[low]
 
 
 def _counted_chunks(stack: np.ndarray, t: int, k: int, mode: OracleMode,
